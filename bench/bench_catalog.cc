@@ -3,9 +3,10 @@
 // present or not. We will discuss the impact of various network
 // structures.")
 //
-// Sweep: peer count P x structure (central index / Chord-style DHT /
+// Sweep: peer count P x structure (central index / routed Chord DHT /
 // Gnutella-style flooding over a random 4-regular-ish graph). Each run
-// resolves 50 lookups from random peers.
+// prices 50 lookups from random peers with LookupNow (the DHT's cost is
+// its actual finger route, not a formula).
 // Expected shape: central stays flat (2 messages) but concentrates load
 // on one node; DHT grows with log P; flooding grows with the edge count
 // (≈ 2P..4P messages) while keeping low hop latency for near copies.
@@ -45,10 +46,11 @@ Setup Build(int64_t p_count) {
   return s;
 }
 
-void RunCatalog(benchmark::State& state,
-                std::function<std::unique_ptr<Catalog>(const Setup&)> make) {
+void RunCatalog(
+    benchmark::State& state,
+    std::function<std::unique_ptr<CatalogBackend>(const Setup&)> make) {
   Setup s = Build(state.range(0));
-  std::unique_ptr<Catalog> cat = make(s);
+  std::unique_ptr<CatalogBackend> cat = make(s);
   cat->set_peer_count(static_cast<uint32_t>(s.peers.size()));
   // 8 documents scattered over the peers.
   Rng rng(3);
@@ -85,7 +87,7 @@ void BM_Catalog_Central(benchmark::State& state) {
 }
 void BM_Catalog_Dht(benchmark::State& state) {
   RunCatalog(state, [](const Setup&) {
-    return std::make_unique<DhtCatalog>();
+    return std::make_unique<ChordDhtCatalog>();
   });
 }
 void BM_Catalog_Flood(benchmark::State& state) {

@@ -1,7 +1,7 @@
 // Fleet-scale discovery: the central index vs the routed Chord DHT at
 // growing peer counts, driven by the real scenario harness
-// (src/scenario/fleet.h) rather than the closed-form model bench_catalog
-// sweeps.
+// (src/scenario/fleet.h) rather than the synchronous LookupNow pricing
+// bench_catalog sweeps.
 //
 // Sweep: peer count P x backend, each run the standard fleet workload
 // (Zipf reads, 30% d@any through the catalog, periodic mutations,

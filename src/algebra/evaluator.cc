@@ -622,8 +622,8 @@ Evaluator::ParamSink Evaluator::StartServiceInstance(
     return [this, instance, host](int i, TreePtr t) {
       double delay = host->ComputeTime(t->CountNodes());
       sys_->loop().ScheduleAfter(delay, [this, instance, i, t] {
-        Status s = (*instance)->PushInput(i, t);
-        if (!s.ok()) Fail(std::move(s));
+        Status pushed = (*instance)->PushInput(i, t);
+        if (!pushed.ok()) Fail(std::move(pushed));
       });
     };
   }
@@ -889,8 +889,8 @@ void Evaluator::DeployShipQuery(PeerId ctx, const ExprPtr& e, EmitFn) {
       wire::EncodeText(wire::MessageClass::kQuery, q.text(),
                        &sys_->wire_stats()),
       [this, to, name](const wire::Payload& p) {
-        Peer* target = sys_->peer(to);
-        if (target == nullptr) return;
+        Peer* dest = sys_->peer(to);
+        if (dest == nullptr) return;
         // The service re-materializes from the wire text: the canonical
         // form Parse()s back to an equal query, so the shipped bytes are
         // the installed definition — no in-process alias survives.
@@ -900,12 +900,12 @@ void Evaluator::DeployShipQuery(PeerId ctx, const ExprPtr& e, EmitFn) {
         Result<Query> parsed = Query::Parse(*text);
         AXML_DCHECK(parsed.ok());
         if (!parsed.ok()) return;
-        target->PutService(
+        dest->PutService(
             Service::Declarative(name, std::move(parsed).value()));
         if (sys_->catalog() != nullptr) {
           sys_->catalog()->Register(ResourceKind::kService, name, to);
         }
-        Trace(StrCat("installed service ", name, "@", target->name()));
+        Trace(StrCat("installed service ", name, "@", dest->name()));
       });
 }
 

@@ -1,7 +1,6 @@
 #include "net/catalog.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <memory>
 #include <unordered_map>
@@ -291,78 +290,81 @@ LookupResult ChordDhtCatalog::LookupNow(ResourceKind kind,
   return r;
 }
 
+/// One routed lookup in flight: the precomputed route and what the hops
+/// taken so far cost.
+struct ChordDhtCatalog::LookupChain {
+  ResourceKind kind;
+  std::string name;
+  PeerId from;
+  std::vector<PeerId> route;
+  size_t i = 0;
+  double delay_s = 0;
+  uint64_t messages = 0;
+  Network* net = nullptr;
+  LookupCallback cb;
+};
+
 void ChordDhtCatalog::Lookup(ResourceKind kind, const std::string& name,
                              PeerId from, Network* net, LookupCallback cb) {
   EnsureRing();
   ++stats_.lookups;
-  struct Chain {
-    ResourceKind kind;
-    std::string name;
-    PeerId from;
-    std::vector<PeerId> route;
-    size_t i = 0;
-    double delay_s = 0;
-    uint64_t messages = 0;
-    Network* net = nullptr;
-    LookupCallback cb;
-  };
-  auto st = std::make_shared<Chain>();
+  auto st = std::make_shared<LookupChain>();
   st->kind = kind;
   st->name = name;
   st->from = from;
   st->route = Route(kind, name, from);
   st->net = net;
   st->cb = std::move(cb);
+  LookupStep(st);
+}
 
+void ChordDhtCatalog::LookupStep(const std::shared_ptr<LookupChain>& st) {
   // Iterative hop-by-hop routing: each hop is a ControlRoundtrip on the
   // actual cur->next link, so it is priced against that link's traffic,
   // traced, and subject to fault injection; the receiving node's load
-  // counter moves when the hop is delivered.
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, st, step]() {
-    if (st->i >= st->route.size()) {
-      LookupResult r;
-      // Holders snapshot when the request reaches the responsible node.
-      if (const auto* h = Holders(st->kind, st->name)) r.holders = *h;
-      const PeerId responsible =
-          st->route.empty() ? st->from : st->route.back();
-      if (responsible == st->from) {
-        // The requester owns the entry's arc: a local index read.
-        r.delay_s = st->delay_s;
-        r.messages = st->messages;
-        r.bytes = r.messages * kCatalogMsgBytes;
-        st->net->ControlRoundtrip(st->from, st->from, 0, 0, 0.0,
-                                  [st, r] { st->cb(r); });
-        return;
-      }
-      const double back = st->net->topology()
-                              .Get(responsible, st->from)
-                              .TransferTime(kCatalogMsgBytes);
-      r.delay_s = st->delay_s + back;
-      r.messages = st->messages + 1;
+  // counter moves when the hop is delivered. Only the pending hop's
+  // callback owns the chain, so it is freed when the lookup completes.
+  if (st->i >= st->route.size()) {
+    LookupResult r;
+    // Holders snapshot when the request reaches the responsible node.
+    if (const auto* h = Holders(st->kind, st->name)) r.holders = *h;
+    const PeerId responsible =
+        st->route.empty() ? st->from : st->route.back();
+    if (responsible == st->from) {
+      // The requester owns the entry's arc: a local index read.
+      r.delay_s = st->delay_s;
+      r.messages = st->messages;
       r.bytes = r.messages * kCatalogMsgBytes;
-      stats_.lookup_messages += 1;
-      stats_.lookup_bytes += kCatalogMsgBytes;
-      st->net->ControlRoundtrip(responsible, st->from, 1, kCatalogMsgBytes,
-                                back, [st, r] { st->cb(r); });
+      st->net->ControlRoundtrip(st->from, st->from, 0, 0, 0.0,
+                                [st, r] { st->cb(r); });
       return;
     }
-    const PeerId cur = st->i == 0 ? st->from : st->route[st->i - 1];
-    const PeerId next = st->route[st->i];
-    ++st->i;
-    const double d =
-        st->net->topology().Get(cur, next).TransferTime(kCatalogMsgBytes);
-    st->delay_s += d;
-    ++st->messages;
+    const double back = st->net->topology()
+                            .Get(responsible, st->from)
+                            .TransferTime(kCatalogMsgBytes);
+    r.delay_s = st->delay_s + back;
+    r.messages = st->messages + 1;
+    r.bytes = r.messages * kCatalogMsgBytes;
     stats_.lookup_messages += 1;
     stats_.lookup_bytes += kCatalogMsgBytes;
-    st->net->ControlRoundtrip(cur, next, 1, kCatalogMsgBytes, d,
-                              [this, st, step, next] {
-                                AddNodeLoad(next);
-                                (*step)();
-                              });
-  };
-  (*step)();
+    st->net->ControlRoundtrip(responsible, st->from, 1, kCatalogMsgBytes,
+                              back, [st, r] { st->cb(r); });
+    return;
+  }
+  const PeerId cur = st->i == 0 ? st->from : st->route[st->i - 1];
+  const PeerId next = st->route[st->i];
+  ++st->i;
+  const double d =
+      st->net->topology().Get(cur, next).TransferTime(kCatalogMsgBytes);
+  st->delay_s += d;
+  ++st->messages;
+  stats_.lookup_messages += 1;
+  stats_.lookup_bytes += kCatalogMsgBytes;
+  st->net->ControlRoundtrip(cur, next, 1, kCatalogMsgBytes, d,
+                            [this, st, next] {
+                              AddNodeLoad(next);
+                              LookupStep(st);
+                            });
 }
 
 void ChordDhtCatalog::OnAdvertiseDelta(ResourceKind kind,
@@ -413,41 +415,6 @@ void ChordDhtCatalog::SendDigest(uint32_t holder, uint32_t responsible,
   RecordAdvertise(1, bytes, deltas);
   AddNodeLoad(r);
   net_->ControlRoundtrip(h, r, 1, bytes, d, [] {});
-}
-
-// --- DhtCatalog ---
-
-uint32_t DhtCatalog::HopCount() const {
-  uint32_t n = std::max<uint32_t>(peer_count_, 2);
-  return static_cast<uint32_t>(
-      std::ceil(std::log2(static_cast<double>(n))));
-}
-
-LookupResult DhtCatalog::LookupNow(ResourceKind kind,
-                                   const std::string& name, PeerId from,
-                                   const Network& net) {
-  (void)from;
-  LookupResult r;
-  if (const auto* h = Holders(kind, name)) r.holders = *h;
-  const double hop = avg_hop_latency_s_ > 0
-                         ? avg_hop_latency_s_
-                         : net.topology().default_link().latency_s;
-  const uint32_t hops = HopCount();
-  // `hops` routing messages to reach the responsible node, one response.
-  r.messages = hops + 1;
-  r.bytes = r.messages * kCatalogMsgBytes;
-  r.delay_s = static_cast<double>(hops + 1) * hop;
-  return r;
-}
-
-void DhtCatalog::Lookup(ResourceKind kind, const std::string& name,
-                        PeerId from, Network* net, LookupCallback cb) {
-  LookupResult r = LookupNow(kind, name, from, *net);
-  RecordLookup(r.messages, r.bytes);
-  // Overlay-diffuse: hops spread over many links, so the exchange is
-  // anchored on the requester's loopback (free link, injector-exempt).
-  net->ControlRoundtrip(from, from, r.messages, r.bytes, r.delay_s,
-                        [cb = std::move(cb), r] { cb(r); });
 }
 
 // --- FloodCatalog ---

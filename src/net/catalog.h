@@ -5,7 +5,7 @@
 // discuss the impact of various network structures further on." The
 // catalog is where that impact shows: resolving `d@any` (def. 9) needs to
 // discover which peers hold members of the equivalence class. The
-// CatalogBackend interface makes the structure pluggable; four
+// CatalogBackend interface makes the structure pluggable; three
 // implementations exist:
 //
 //  - CentralCatalog:  one index server; lookup = RTT to the server plus a
@@ -19,9 +19,6 @@
 //                     (Begin/EndAdvertiseBatch), so re-advertising an
 //                     unchanged entry is free and bulk installs pay per
 //                     delta, not per call.
-//  - DhtCatalog:      the analytic cost model of the above (ceil(log2 P)
-//                     average-latency hops, loopback-anchored); kept for
-//                     closed-form sweeps (EXP-8).
 //  - FloodCatalog:    Gnutella-style flooding over the topology's
 //                     neighbor graph with a TTL; cost = one message per
 //                     edge visited, delay = the depth at which the
@@ -39,6 +36,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -209,9 +207,6 @@ class CatalogBackend {
   uint32_t advertise_batch_depth_ = 0;
 };
 
-/// The seed's name for the interface; all existing call sites use it.
-using Catalog = CatalogBackend;
-
 /// Single well-known index server. Advertisements stay free ("charged
 /// lazily on lookup", as in the seed); every lookup loads the server.
 class CentralCatalog : public CatalogBackend {
@@ -274,6 +269,11 @@ class ChordDhtCatalog : public CatalogBackend {
   void OnPeerCountChanged() override { ring_dirty_ = true; }
 
  private:
+  struct LookupChain;
+  /// Takes the next hop of a routed lookup, or answers it once the
+  /// responsible node is reached.
+  void LookupStep(const std::shared_ptr<LookupChain>& st);
+
   void EnsureRing() const;
   /// Ring position of peer `index` (a splitmix64 point, deterministic).
   static uint64_t PeerPoint(uint32_t index);
@@ -298,27 +298,6 @@ class ChordDhtCatalog : public CatalogBackend {
   /// Deltas pending in the open batch window, coalesced per
   /// (holder, responsible) pair.
   std::map<std::pair<uint32_t, uint32_t>, uint64_t> pending_digests_;
-};
-
-/// Analytic structured-overlay model with O(log P) routing: the
-/// closed-form twin of ChordDhtCatalog, for sweeps that want the formula
-/// rather than routed traffic.
-class DhtCatalog : public CatalogBackend {
- public:
-  /// `avg_hop_latency_s`: mean one-way latency of one overlay hop. When
-  /// <= 0, the topology's default link latency is used.
-  explicit DhtCatalog(double avg_hop_latency_s = -1.0)
-      : avg_hop_latency_s_(avg_hop_latency_s) {}
-
-  const char* backend_name() const override { return "dht-model"; }
-  void Lookup(ResourceKind kind, const std::string& name, PeerId from,
-              Network* net, LookupCallback cb) override;
-  LookupResult LookupNow(ResourceKind kind, const std::string& name,
-                         PeerId from, const Network& net) override;
-
- private:
-  uint32_t HopCount() const;
-  double avg_hop_latency_s_;
 };
 
 /// Unstructured flooding over the topology's neighbor graph.

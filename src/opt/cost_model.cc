@@ -193,9 +193,9 @@ CostModel::Visit CostModel::Walk(PeerId at, const ExprPtr& e) const {
   if (memo_depth_ == 0) return WalkUncached(at, e);
   auto key = std::make_pair(at, e.get());
   auto it = walk_memo_.find(key);
-  if (it != walk_memo_.end()) return it->second;
+  if (it != walk_memo_.end()) return it->second.visit;
   Visit v = WalkUncached(at, e);
-  walk_memo_.emplace(key, v);
+  walk_memo_.emplace(key, MemoEntry{e, v});
   return v;
 }
 

@@ -153,8 +153,14 @@ class CostModel {
   mutable std::map<std::string, TreeStats> stats_cache_;
   /// Live only inside a MemoScope; keyed by the shared expression node —
   /// candidates produced by WithChildren alias unchanged subtrees, so a
-  /// hit is exact, not structural.
-  mutable std::map<std::pair<PeerId, const Expr*>, Visit> walk_memo_;
+  /// hit is exact, not structural. Each entry owns its node: a freed
+  /// candidate's address could otherwise be reused by a new node that
+  /// would then hit the stale entry.
+  struct MemoEntry {
+    ExprPtr node;
+    Visit visit;
+  };
+  mutable std::map<std::pair<PeerId, const Expr*>, MemoEntry> walk_memo_;
   mutable int memo_depth_ = 0;
 };
 

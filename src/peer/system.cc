@@ -99,7 +99,7 @@ PeerId AxmlSystem::FindPeerId(const std::string& name) const {
                                          : PeerId(it->second);
 }
 
-void AxmlSystem::SetCatalog(std::unique_ptr<Catalog> catalog) {
+void AxmlSystem::SetCatalog(std::unique_ptr<CatalogBackend> catalog) {
   catalog_ = std::move(catalog);
   if (catalog_ != nullptr) {
     catalog_->set_peer_count(static_cast<uint32_t>(peers_.size()));
@@ -107,7 +107,7 @@ void AxmlSystem::SetCatalog(std::unique_ptr<Catalog> catalog) {
   }
 }
 
-Catalog* AxmlSystem::catalog() { return catalog_.get(); }
+CatalogBackend* AxmlSystem::catalog() { return catalog_.get(); }
 
 Status AxmlSystem::InstallDocument(PeerId p, DocName name, TreePtr root) {
   Peer* host = peer(p);

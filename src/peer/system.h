@@ -56,8 +56,8 @@ class AxmlSystem {
 
   /// Discovery catalog (defaults to a CentralCatalog on the first peer
   /// added; replaceable for the EXP-8 ablation).
-  void SetCatalog(std::unique_ptr<Catalog> catalog);
-  Catalog* catalog();
+  void SetCatalog(std::unique_ptr<CatalogBackend> catalog);
+  CatalogBackend* catalog();
 
   GenericCatalog& generics() { return generics_; }
 
@@ -140,7 +140,7 @@ class AxmlSystem {
   /// name -> peer index; keeps AddPeer/FindPeerId O(1) so fleet bring-up
   /// (10k AddPeer calls) is linear, not quadratic.
   std::unordered_map<std::string, uint32_t> peer_index_by_name_;
-  std::unique_ptr<Catalog> catalog_;
+  std::unique_ptr<CatalogBackend> catalog_;
   GenericCatalog generics_;
   ReplicaManager replicas_;
   MetricRegistry metrics_;

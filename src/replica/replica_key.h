@@ -48,10 +48,6 @@ struct ReplicaKey {
   bool is_manifest() const { return shard == kManifestShardId; }
   bool is_shard_data() const { return !shard.empty() && !is_manifest(); }
 
-  /// The document-level key (shard dimension cleared) — what versions
-  /// and subscriptions are tracked under.
-  ReplicaKey DocKey() const { return ReplicaKey{origin, name, {}}; }
-
   /// "d@p1", "d@p1#manifest", "d@p1/3f2a..." for traces.
   std::string ToString() const {
     std::string s = StrCat(name, "@", origin.ToString());

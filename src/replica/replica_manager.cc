@@ -1,6 +1,7 @@
 #include "replica/replica_manager.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -16,11 +17,6 @@ namespace axml {
 
 namespace {
 
-/// Data shards are immutable (their key *is* their content digest), so
-/// they are stored and looked up at this sentinel version — Version()
-/// is always >= 1, so no document version can ever brand them stale.
-constexpr uint64_t kImmutableVersion = 0;
-
 /// Cap on the eager-refresh catch-up chain: a shipment landing on a
 /// moved origin version launches at most this many total attempts
 /// before the holder falls back to lazy pulls. Under sustained
@@ -28,19 +24,20 @@ constexpr uint64_t kImmutableVersion = 0;
 /// unbounded chain would ship forever without ever landing fresh.
 constexpr int kMaxCatchupAttempts = 3;
 
-ReplicaKey ManifestKey(PeerId origin, const DocName& name) {
-  return ReplicaKey{origin, name, kManifestShardId};
-}
-
-ReplicaKey ShardDataKey(PeerId origin, const DocName& name,
-                        const ContentDigest& id) {
-  return ReplicaKey{origin, name, id.ToString()};
-}
-
 /// The system's wire encode/decode accounting, nullptr for unbound
 /// managers (headless unit tests).
 wire::WireStats* WireStatsOf(AxmlSystem* sys) {
   return sys == nullptr ? nullptr : &sys->wire_stats();
+}
+
+/// The shipped-and-reused counters one delta adds, whichever path sent
+/// it.
+void CountShardDelta(const ShardDelta& delta, ShardStats* stats) {
+  if (delta.ships_manifest()) ++stats->manifests_shipped;
+  stats->shards_shipped += delta.missing.size();
+  stats->shard_bytes_shipped += delta.missing_bytes;
+  stats->shards_reused += delta.reused();
+  stats->shard_bytes_saved += delta.reused_bytes;
 }
 
 }  // namespace
@@ -96,10 +93,7 @@ void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
   // of a chain already, e.g. a landed copy installing).
   Tracer* tr = trace();
   Tracer::Scope trace_scope(tr, tr != nullptr ? tr->CurrentOrNew() : 0);
-  if (tr != nullptr && tr->enabled()) {
-    tr->Record("replica", "mutation", owner, 0, 0,
-               ReplicaKey{owner, name}.ToString());
-  }
+  TraceEvent("mutation", owner, 0, ReplicaKey{owner, name});
 
   // A never-mutated document is at version 1 (the header's contract), so
   // the first mutation must land on 2 — default-constructing the slot at
@@ -157,14 +151,7 @@ void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
     if (!still_exists && sys_->catalog() != nullptr) {
       sys_->catalog()->Unregister(ResourceKind::kDocument, name, owner);
     }
-    // Explicit snapshot: DocumentClassesOf returns its vector by value,
-    // but RemoveDocumentMember rewrites the registry's reverse index
-    // underneath us — never iterate the registry's own storage here.
-    const std::vector<std::string> classes =
-        sys_->generics().DocumentClassesOf(ClassMember{name, owner});
-    for (const std::string& cls : classes) {
-      sys_->generics().RemoveDocumentMember(cls, ClassMember{name, owner});
-    }
+    LeaveGenericClasses(ClassMember{name, owner});
   }
 }
 
@@ -177,10 +164,7 @@ TransferCache* ReplicaManager::CacheFor(PeerId peer) {
   cache->set_evict_listener(
       [this, peer](const ReplicaKey& key,
                    const TransferCache::Entry& entry) {
-        if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-          tr->Record("replica", "evict", peer, entry.bytes, 0,
-                     key.ToString());
-        }
+        TraceEvent("evict", peer, entry.bytes, key);
         // Subscriptions mirror residency exactly: each departing entry
         // — whole document, manifest, or data shard — ends its own
         // subscription, so mutation fan-out targets precisely what the
@@ -259,10 +243,7 @@ void ReplicaManager::InstallAndAdvertise(PeerId reader, PeerId origin,
       holder->HasDocument(name)) {
     return;
   }
-  if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-    tr->Record("replica", "install", reader, 0, 0,
-               ReplicaKey{origin, name}.ToString());
-  }
+  TraceEvent("install", reader, 0, ReplicaKey{origin, name});
   holder->PutDocument(name, std::move(tree));
   installed_[{reader, name}] = origin;
   if (sys_->catalog() != nullptr) {
@@ -304,27 +285,9 @@ uint64_t ReplicaManager::FreshCopyBytes(PeerId reader, PeerId origin,
     return e->bytes;
   }
   // A complete sharded copy is as fresh as a whole-document one.
-  return ShardedResidentBytes(reader, origin, name,
-                              /*require_complete=*/true);
-}
-
-uint64_t ReplicaManager::ShardedResidentBytes(PeerId reader, PeerId origin,
-                                              const DocName& name,
-                                              bool require_complete) const {
-  const TransferCache* cache = FindCache(reader);
-  if (cache == nullptr) return 0;
   const TransferCache::Entry* m = cache->Peek(ManifestKey(origin, name));
   if (m == nullptr || m->origin_version != Version(origin, name)) return 0;
-  uint64_t bytes = 0;
-  for (const std::string& id : ManifestShardIds(*m->tree)) {
-    const TransferCache::Entry* e = cache->Peek(ReplicaKey{origin, name, id});
-    if (e == nullptr) {
-      if (require_complete) return 0;
-      continue;
-    }
-    bytes += e->bytes;
-  }
-  return bytes;
+  return ResidentShardBytes(*cache, origin, name, *m->tree);
 }
 
 bool ReplicaManager::IsCachedCopy(PeerId peer, const DocName& name) const {
@@ -407,6 +370,43 @@ Tracer* ReplicaManager::trace() const {
   return sys_ == nullptr ? nullptr : &sys_->tracer();
 }
 
+void ReplicaManager::TraceEvent(const char* event, PeerId peer,
+                                uint64_t bytes, const ReplicaKey& key) const {
+  if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
+    tr->Record("replica", event, peer, bytes, 0, key.ToString());
+  }
+}
+
+void ReplicaManager::TraceEvent(const char* event, PeerId peer,
+                                const char* detail, PeerId origin) const {
+  if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
+    tr->Record("replica", event, peer, 0, 0,
+               origin.valid() ? StrCat(detail, origin.ToString()) : detail);
+  }
+}
+
+void ReplicaManager::LeaveGenericClasses(const ClassMember& member) {
+  // Explicit snapshot: DocumentClassesOf returns its vector by value,
+  // but RemoveDocumentMember rewrites the registry's reverse index
+  // underneath us — never iterate the registry's own storage here.
+  const std::vector<std::string> classes =
+      sys_->generics().DocumentClassesOf(member);
+  for (const std::string& cls : classes) {
+    sys_->generics().RemoveDocumentMember(cls, member);
+  }
+}
+
+void ReplicaManager::RearmTick(uint64_t* tick_id, SimTime interval_s,
+                               std::function<void()> fn) {
+  if (*tick_id != 0) {
+    sys_->loop().RemovePeriodic(*tick_id);
+    *tick_id = 0;
+  }
+  if (interval_s > 0) {
+    *tick_id = sys_->loop().AddPeriodic(interval_s, std::move(fn));
+  }
+}
+
 void ReplicaManager::ExportMetrics(MetricSink& sink) const {
   {
     MetricSink s = sink.Scoped("replica/subscription");
@@ -473,14 +473,7 @@ void ReplicaManager::RetractAdvertisements(PeerId reader,
   if (sys_->catalog() != nullptr) {
     sys_->catalog()->Unregister(ResourceKind::kDocument, key.name, reader);
   }
-  // Explicit snapshot, as in NoteMutation: RemoveDocumentMember rewrites
-  // the registry's reverse index this list came from.
-  const std::vector<std::string> classes =
-      sys_->generics().DocumentClassesOf(ClassMember{key.name, reader});
-  for (const std::string& cls : classes) {
-    sys_->generics().RemoveDocumentMember(cls,
-                                          ClassMember{key.name, reader});
-  }
+  LeaveGenericClasses(ClassMember{key.name, reader});
 }
 
 void ReplicaManager::PushInvalidate(const ReplicaKey& key) {
@@ -491,15 +484,8 @@ void ReplicaManager::PushInvalidate(const ReplicaKey& key) {
       subscriptions_.KeysForDoc(key.origin, key.name);
   if (sub_keys.empty()) return;
   // Shard ids the *new* version still references; resident data shards
-  // outside this set are dirty — no future manifest will name them.
-  std::set<std::string> live;
-  if (sharding_enabled_) {
-    if (const ShardedDocument* sd = OriginShards(key.origin, key.name)) {
-      for (const DocumentShard& s : sd->shards) {
-        live.insert(s.id.ToString());
-      }
-    }
-  }
+  // outside this set are dirty.
+  const std::set<std::string> live = LiveShardIds(key);
   // Classify subscribed holders. A holder is dirty — and must be
   // pushed — when its copy's *content by name* changed or it holds
   // pieces the new version abandoned:
@@ -547,10 +533,8 @@ void ReplicaManager::PushInvalidate(const ReplicaKey& key) {
     } else {
       ++subscription_stats_.shard_notifies;
     }
-    if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-      // Size 0: under batching the wire size exists only at send time.
-      tr->Record("replica", "notify", holder, 0, 0, key.ToString());
-    }
+    // Size 0: under batching the wire size exists only at send time.
+    TraceEvent("notify", holder, 0, key);
     // The notification is wire traffic on the origin->holder link;
     // NetStats tallies it apart from data transfers. Inside a
     // NotifyBatch window, events to the same (origin, holder) pair share
@@ -672,6 +656,15 @@ bool ReplicaManager::ShardedReadApplies(PeerId origin,
   return OriginShards(origin, name) != nullptr;
 }
 
+std::set<std::string> ReplicaManager::LiveShardIds(
+    const ReplicaKey& doc) const {
+  std::set<std::string> live;
+  if (const ShardedDocument* sd = OriginShards(doc.origin, doc.name)) {
+    for (const DocumentShard& s : sd->shards) live.insert(s.id.ToString());
+  }
+  return live;
+}
+
 bool ReplicaManager::HasFreshWholeCopy(PeerId reader, PeerId origin,
                                        const DocName& name) const {
   const TransferCache* cache = FindCache(reader);
@@ -685,22 +678,9 @@ bool ReplicaManager::ShardedDeltaBytes(PeerId reader, PeerId origin,
                                        uint64_t* bytes) const {
   const ShardedDocument* sd = OriginShards(origin, name);
   if (sd == nullptr || reader == origin) return false;
-  const TransferCache* cache = FindCache(reader);
-  uint64_t delta = 0;
-  const TransferCache::Entry* m =
-      cache == nullptr ? nullptr : cache->Peek(ManifestKey(origin, name));
-  if (m == nullptr || m->origin_version != Version(origin, name)) {
-    delta += sd->manifest_bytes;
-  }
-  std::set<std::string> seen;
-  for (const DocumentShard& s : sd->shards) {
-    if (!seen.insert(s.id.ToString()).second) continue;  // ships once
-    if (cache == nullptr ||
-        cache->Peek(ShardDataKey(origin, name, s.id)) == nullptr) {
-      delta += s.bytes;
-    }
-  }
-  *bytes = delta;
+  *bytes = PlanShardDelta(*sd, FindCache(reader), origin, name,
+                          Version(origin, name))
+               .bytes();
   return true;
 }
 
@@ -721,29 +701,18 @@ TreePtr ReplicaManager::LookupShardedFresh(PeerId reader, PeerId origin,
   TreePtr manifest = cache->Get(ManifestKey(origin, name),
                                 Version(origin, name));
   if (manifest == nullptr) return nullptr;
-  const std::vector<std::string> ids = ManifestShardIds(*manifest);
-  // Probe completeness first with Peek: an incomplete copy must not
-  // charge recency/hit credit for shards this read cannot use yet (the
-  // delta fetch that follows will claim them).
-  for (const std::string& id : ids) {
-    if (cache->Peek(ReplicaKey{origin, name, id}) == nullptr) {
-      return nullptr;
-    }
-  }
-  std::map<std::string, TreePtr> parts;
-  for (const std::string& id : ids) {
-    parts[id] = cache->Get(ReplicaKey{origin, name, id}, kImmutableVersion);
-  }
   Peer* holder = sys_->peer(reader);
   if (holder == nullptr) return nullptr;
-  TreePtr assembled = AssembleDocument(
-      *manifest,
-      [&parts](const std::string& id) -> TreePtr {
-        auto p = parts.find(id);
-        return p == parts.end() ? nullptr : p->second;
-      },
-      holder->gen());
-  if (assembled != nullptr) ++shard_stats_.full_hits;
+  // Assemble from Peeks first: an incomplete copy must not charge
+  // recency/hit credit for shards this read cannot use yet (the delta
+  // fetch that follows will claim them).
+  TreePtr assembled =
+      AssembleResident(*cache, origin, name, *manifest, holder->gen());
+  if (assembled == nullptr) return nullptr;
+  for (const std::string& id : ManifestShardIds(*manifest)) {
+    cache->Get(ShardDataKey(origin, name, id), kImmutableShardVersion);
+  }
+  ++shard_stats_.full_hits;
   return assembled;
 }
 
@@ -754,137 +723,69 @@ bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (sys_ == nullptr || reader == origin) return false;
   const ShardedDocument* sd = OriginShards(origin, name);
-  Peer* dest = sys_->peer(reader);
-  if (sd == nullptr || dest == nullptr) return false;
+  if (sd == nullptr || sys_->peer(reader) == nullptr) return false;
   TransferCache* cache = CacheFor(reader);
   const uint64_t snap_version = Version(origin, name);
-
-  // Partition the manifest's shards: residents serve locally (each a
-  // cache hit — the partial-copy payoff), the rest are *encoded* into
-  // the delta — no clone crosses the process; the receiving peer
-  // decodes what the wire delivered.
-  wire::Shipment ship;
-  ship.origin = origin.index();
-  ship.name = name;
-  ship.snapshot_version = snap_version;
-  ship.sharded = true;
+  const ShardDelta delta =
+      PlanShardDelta(*sd, cache, origin, name, snap_version);
+  // Residents serve locally: each is a cache hit (the partial-copy
+  // payoff) and is pinned for the assembly at landing. Each shard the
+  // delta ships counts a miss.
   std::map<std::string, TreePtr> parts;
-  std::set<std::string> shipped_ids;
-  uint64_t shard_wire = 0;
-  uint64_t reused_bytes = 0;
-  for (const DocumentShard& s : sd->shards) {
-    const ReplicaKey key = ShardDataKey(origin, name, s.id);
-    // A duplicated id (two byte-identical groups) crosses the wire
-    // once; the manifest references it twice and assembly reuses it.
-    if (parts.count(s.id.ToString()) > 0 ||
-        shipped_ids.count(s.id.ToString()) > 0) {
-      continue;
-    }
-    if (TreePtr resident = cache->Get(key, kImmutableVersion)) {
-      parts[s.id.ToString()] = std::move(resident);
-      reused_bytes += s.bytes;
-      ++shard_stats_.shards_reused;
-    } else {
-      wire::Shipment::Shard shipped;
-      shipped.id = s.id.ToString();
-      shipped.tree = wire::EncodeTree(*s.content, WireStatsOf(sys_));
-      shard_wire += shipped.tree.size();
-      shipped_ids.insert(shipped.id);
-      ship.shards.push_back(std::move(shipped));
+  for (const DocumentShard* s : delta.distinct) {
+    const std::string id = s->id.ToString();
+    if (TreePtr resident = cache->Get(ShardDataKey(origin, name, id),
+                                      kImmutableShardVersion)) {
+      parts[id] = std::move(resident);
     }
   }
-  const TransferCache::Entry* m = cache->Peek(ManifestKey(origin, name));
-  const bool need_manifest =
-      m == nullptr || m->origin_version != snap_version;
-  // Holding the resident manifest's TreePtr keeps its blob alive even if
-  // the entry is evicted while the delta is on the wire.
-  TreePtr resident_manifest = need_manifest ? nullptr : m->tree;
-  if (need_manifest) {
-    ship.manifest = wire::EncodeTree(*sd->manifest, WireStatsOf(sys_));
-    ++shard_stats_.manifests_shipped;
-  }
-  wire::Payload payload = wire::EncodeShipment(ship, WireStatsOf(sys_));
+  wire::Payload payload = EncodeCopyShipment(
+      origin, name, snap_version, &delta, nullptr, WireStatsOf(sys_));
   const uint64_t wire_bytes = payload.size();
   ++shard_stats_.sharded_reads;
-  shard_stats_.shards_shipped += ship.shards.size();
-  shard_stats_.shard_bytes_shipped += shard_wire;
-  shard_stats_.shard_bytes_saved += reused_bytes;
-  if (reused_bytes > 0) ++shard_stats_.partial_hits;
+  CountShardDelta(delta, &shard_stats_);
+  if (delta.reused_bytes > 0) ++shard_stats_.partial_hits;
   if (delta_bytes != nullptr) *delta_bytes = wire_bytes;
 
   // A read-path delta fetch roots its own chain (unless the read is
   // already inside one); the Send below carries the id to the landing.
   Tracer* tr = trace();
   Tracer::Scope trace_scope(tr, tr != nullptr ? tr->CurrentOrNew() : 0);
-  if (tr != nullptr && tr->enabled()) {
-    tr->Record("replica", "delta_fetch", reader, wire_bytes, 0,
-               ReplicaKey{origin, name}.ToString());
-  }
+  TraceEvent("delta_fetch", reader, wire_bytes, ReplicaKey{origin, name});
 
   // Reliable: the read path runs the loop to quiescence and a silently
   // lost delta would hang the read; the fabric retransmits under loss.
   sys_->network().SendReliable(
       origin, reader, std::move(payload),
-      [this, reader, origin, name, resident_manifest,
+      [this, reader, origin, name,
+       resident_manifest = delta.resident_manifest,
        parts = std::move(parts), snap_version,
        deliver = std::move(deliver)](const wire::Payload& p) mutable {
         Peer* dest = sys_->peer(reader);
-        if (dest == nullptr) {
-          deliver(nullptr);  // reader vanished mid-flight
+        std::optional<ShipmentPayload> landed;
+        if (dest != nullptr) {
+          landed = DecodeCopyShipment(p, resident_manifest, dest->gen(),
+                                      WireStatsOf(sys_));
+        }
+        if (!landed.has_value()) {
+          deliver(nullptr);  // reader vanished mid-flight, or bad payload
           return;
         }
-        Result<wire::Shipment> got =
-            wire::DecodeShipment(p, WireStatsOf(sys_));
-        AXML_DCHECK(got.ok());
-        if (!got.ok()) {
-          deliver(nullptr);
-          return;
-        }
-        const wire::Shipment& arrived = got.value();
-        TreePtr manifest = resident_manifest;
-        if (!arrived.manifest.empty()) {
-          Result<TreePtr> md = wire::DecodeTree(
-              arrived.manifest, dest->gen(), WireStatsOf(sys_));
-          AXML_DCHECK(md.ok());
-          if (!md.ok()) {
-            deliver(nullptr);
-            return;
-          }
-          manifest = std::move(md).value();
-        }
-        std::vector<DocumentShard> shipped;
-        for (const wire::Shipment::Shard& s : arrived.shards) {
-          Result<TreePtr> t =
-              wire::DecodeTree(s.tree, dest->gen(), WireStatsOf(sys_));
-          AXML_DCHECK(t.ok());
-          if (!t.ok()) {
-            deliver(nullptr);
-            return;
-          }
-          DocumentShard shard;
-          shard.content = std::move(t).value();
-          shard.id = DigestOf(*shard.content);
-          shard.bytes = s.tree.size();
-          parts[shard.id.ToString()] = shard.content;
-          shipped.push_back(std::move(shard));
-        }
-        if (manifest == nullptr) {
-          deliver(nullptr);
-          return;
+        for (const DocumentShard& s : landed->shards) {
+          parts[s.id.ToString()] = s.content;
         }
         // Cache what landed (a stale snapshot is refused there but the
         // read below still delivers it — a read observes the version it
         // was issued against, exactly like the whole-document path).
-        InsertShardedCopy(reader, origin, name, manifest, shipped,
-                          snap_version);
-        TreePtr assembled = AssembleDocument(
-            *manifest,
+        InsertShardedCopy(reader, origin, name, landed->manifest,
+                          landed->shards, snap_version);
+        deliver(AssembleCopy(
+            *landed->manifest,
             [&parts](const std::string& id) -> TreePtr {
-              auto p = parts.find(id);
-              return p == parts.end() ? nullptr : p->second;
+              auto part = parts.find(id);
+              return part == parts.end() ? nullptr : part->second;
             },
-            dest->gen());
-        deliver(std::move(assembled));
+            dest->gen()));
       });
   return true;
 }
@@ -922,10 +823,10 @@ bool ReplicaManager::InsertShardedCopy(PeerId reader, PeerId origin,
   // fan-out can skip this holder while its pieces stay referenced.
   // Shards resident from earlier deltas subscribed at their own insert.
   for (const DocumentShard& s : shipped) {
-    const ReplicaKey skey = ShardDataKey(origin, name, s.id);
+    const ReplicaKey skey = ShardDataKey(origin, name, s.id.ToString());
     // Budget refusals are fine — the copy stays partial and later reads
     // fetch the gap again.
-    if (cache->Put(skey, s.content, s.id, kImmutableVersion) &&
+    if (cache->Put(skey, s.content, s.id, kImmutableShardVersion) &&
         cache->Peek(skey) != nullptr) {
       subscriptions_.Subscribe(skey, reader);
     }
@@ -937,29 +838,11 @@ bool ReplicaManager::InsertShardedCopy(PeerId reader, PeerId origin,
   subscriptions_.Subscribe(mkey, reader);
 
   // Install + advertise only a *complete* copy; a partial one serves
-  // delta reads but must never be read by name.
-  std::map<std::string, TreePtr> parts;
-  bool complete = true;
-  for (const std::string& id : ManifestShardIds(*m->tree)) {
-    const TransferCache::Entry* e = cache->Peek(ReplicaKey{origin, name, id});
-    if (e == nullptr) {
-      complete = false;
-      break;
-    }
-    parts[id] = e->tree;
-  }
-  if (complete) {
-    TreePtr assembled = AssembleDocument(
-        *m->tree,
-        [&parts](const std::string& id) -> TreePtr {
-          auto p = parts.find(id);
-          return p == parts.end() ? nullptr : p->second;
-        },
-        holder->gen());
-    if (assembled != nullptr) {
-      // AssembleDocument already minted fresh nodes — no extra clone.
-      InstallAndAdvertise(reader, origin, name, std::move(assembled));
-    }
+  // delta reads but must never be read by name. The assembly minted
+  // fresh nodes — no extra clone.
+  if (TreePtr assembled =
+          AssembleResident(*cache, origin, name, *m->tree, holder->gen())) {
+    InstallAndAdvertise(reader, origin, name, std::move(assembled));
   }
   return true;
 }
@@ -977,15 +860,8 @@ size_t ReplicaManager::RunPlacement() {
 
 void ReplicaManager::set_placement_tick_interval(SimTime interval_s) {
   AXML_CHECK(sys_ != nullptr);
-  if (placement_tick_id_ != 0) {
-    sys_->loop().RemovePeriodic(placement_tick_id_);
-    placement_tick_id_ = 0;
-  }
   placement_tick_interval_ = interval_s;
-  if (interval_s > 0) {
-    placement_tick_id_ =
-        sys_->loop().AddPeriodic(interval_s, [this] { RunPlacement(); });
-  }
+  RearmTick(&placement_tick_id_, interval_s, [this] { RunPlacement(); });
 }
 
 void ReplicaManager::OnPickDemand(const std::string& /*class_name*/,
@@ -1008,14 +884,12 @@ void ReplicaManager::OnPickDemand(const std::string& /*class_name*/,
 bool ReplicaManager::LaunchShipment(
     PeerId holder, const ReplicaKey& key,
     const std::function<bool(uint64_t bytes)>& admit,
-    std::function<void(const ShipmentPayload& payload, uint64_t snap_version,
-                       uint64_t bytes)>
+    std::function<void(const ShipmentPayload& payload, uint64_t bytes)>
         on_land,
     int attempt) {
   AXML_CHECK(refresh_inflight_.count({holder, key}) == 0);
   const Peer* origin = sys_->peer(key.origin);
-  Peer* dest = sys_->peer(holder);
-  if (origin == nullptr || dest == nullptr) return false;
+  if (origin == nullptr || sys_->peer(holder) == nullptr) return false;
   // A shipment toward (or from) a crashed peer would only evaporate on
   // the wire; rejoin-time reconciliation re-materializes copies instead.
   if (!sys_->network().IsPeerUp(holder) ||
@@ -1031,78 +905,30 @@ bool ReplicaManager::LaunchShipment(
   // Snapshot now: the shipped content is the version at send time; a
   // mid-flight mutation must not brand it fresh (the insert compares).
   const uint64_t snap_version = Version(key.origin, key.name);
-
-  // Encode the shipment straight from the origin's trees — no clone
-  // crosses the process; the bytes ARE the shipment, and the priced
-  // size is their count, envelope included.
-  wire::Shipment ship;
-  ship.origin = key.origin.index();
-  ship.name = key.name;
-  ship.snapshot_version = snap_version;
-  uint64_t shard_bytes = 0;
-  uint64_t reused = 0;
-  uint64_t reused_bytes = 0;
-  bool need_manifest = false;
-  // A resident fresh manifest is not re-shipped; holding its TreePtr
-  // keeps the blob alive for the landing even if the entry is evicted
-  // while the shipment is on the wire.
-  TreePtr resident_manifest;
+  // Sharded documents ship as a delta against the holder's residents:
+  // the manifest unless the holder's is already fresh (e.g. a placement
+  // round completing a partial copy), plus the shards it lacks.
+  std::optional<ShardDelta> delta;
   if (const ShardedDocument* sd = OriginShards(key.origin, key.name)) {
-    // Sharded delta: the manifest (unless the holder's is already
-    // fresh — e.g. a placement round completing a partial copy) plus
-    // only the data shards the holder lacks right now —
-    // content-addressed ids make "lacks" independent of the version the
-    // holder's stale copy was cut from.
-    ship.sharded = true;
-    const TransferCache* cache = FindCache(holder);
-    const TransferCache::Entry* m =
-        cache == nullptr ? nullptr : cache->Peek(ManifestKey(key.origin,
-                                                             key.name));
-    need_manifest = m == nullptr || m->origin_version != snap_version;
-    if (need_manifest) {
-      ship.manifest = wire::EncodeTree(*sd->manifest, WireStatsOf(sys_));
-    } else {
-      resident_manifest = m->tree;
-    }
-    std::set<std::string> seen;
-    for (const DocumentShard& s : sd->shards) {
-      // A duplicated id (two byte-identical groups) ships — and is
-      // charged — once; the manifest references it twice.
-      if (!seen.insert(s.id.ToString()).second) continue;
-      if (cache != nullptr &&
-          cache->Peek(ShardDataKey(key.origin, key.name, s.id)) != nullptr) {
-        ++reused;
-        reused_bytes += s.bytes;
-        continue;
-      }
-      wire::Shipment::Shard shipped;
-      shipped.id = s.id.ToString();
-      shipped.tree = wire::EncodeTree(*s.content, WireStatsOf(sys_));
-      shard_bytes += shipped.tree.size();
-      ship.shards.push_back(std::move(shipped));
-    }
-  } else {
-    ship.whole = wire::EncodeTree(*root, WireStatsOf(sys_));
+    delta = PlanShardDelta(*sd, FindCache(holder), key.origin, key.name,
+                           snap_version);
   }
-  wire::Payload payload = wire::EncodeShipment(ship, WireStatsOf(sys_));
+  wire::Payload payload = EncodeCopyShipment(
+      key.origin, key.name, snap_version, delta ? &*delta : nullptr,
+      root.get(), WireStatsOf(sys_));
   const uint64_t bytes = payload.size();
   if (!admit(bytes)) return false;
-  if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-    tr->Record("replica", "shipment", holder, bytes, 0, key.ToString());
-  }
-  if (ship.sharded) {
+  TraceEvent("shipment", holder, bytes, key);
+  if (delta.has_value()) {
     ++shard_stats_.sharded_shipments;
-    if (need_manifest) ++shard_stats_.manifests_shipped;
-    shard_stats_.shards_shipped += ship.shards.size();
-    shard_stats_.shard_bytes_shipped += shard_bytes;
-    shard_stats_.shards_reused += reused;
-    shard_stats_.shard_bytes_saved += reused_bytes;
+    CountShardDelta(*delta, &shard_stats_);
   }
   const uint64_t generation = ++refresh_generation_;
   refresh_inflight_[{holder, key}] = generation;
   // Copies for the retry timeout below, taken before on_land moves into
   // the delivery callback.
   auto on_land_retry = ship_max_attempts_ > 0 ? on_land : nullptr;
+  TreePtr resident_manifest = delta ? delta->resident_manifest : nullptr;
   sys_->network().Send(
       key.origin, holder, std::move(payload),
       [this, holder, key, resident_manifest, generation,
@@ -1120,44 +946,9 @@ bool ReplicaManager::LaunchShipment(
         // Decode at the landing site: the receiving peer mints its own
         // node ids from the received bytes — the simulated form of
         // deserialization at the destination.
-        Result<wire::Shipment> got =
-            wire::DecodeShipment(p, WireStatsOf(sys_));
-        AXML_DCHECK(got.ok());
-        if (!got.ok()) return;
-        const wire::Shipment& arrived = got.value();
-        ShipmentPayload landed;
-        if (!arrived.sharded) {
-          Result<TreePtr> tree = wire::DecodeTree(
-              arrived.whole, dest->gen(), WireStatsOf(sys_));
-          AXML_DCHECK(tree.ok());
-          if (!tree.ok()) return;
-          landed.whole = std::move(tree).value();
-          landed.whole_encoded = arrived.whole;
-        } else {
-          if (!arrived.manifest.empty()) {
-            Result<TreePtr> m = wire::DecodeTree(
-                arrived.manifest, dest->gen(), WireStatsOf(sys_));
-            AXML_DCHECK(m.ok());
-            if (!m.ok()) return;
-            landed.manifest = std::move(m).value();
-          } else {
-            landed.manifest = resident_manifest;
-          }
-          for (const wire::Shipment::Shard& s : arrived.shards) {
-            Result<TreePtr> t =
-                wire::DecodeTree(s.tree, dest->gen(), WireStatsOf(sys_));
-            AXML_DCHECK(t.ok());
-            if (!t.ok()) return;
-            DocumentShard shard;
-            shard.content = std::move(t).value();
-            // Encode/decode preserves canonical form, so the recomputed
-            // digest equals the id the sender addressed the shard by.
-            shard.id = DigestOf(*shard.content);
-            shard.bytes = s.tree.size();
-            landed.shards.push_back(std::move(shard));
-          }
-        }
-        on_land(landed, arrived.snapshot_version, p.size());
+        std::optional<ShipmentPayload> landed = DecodeCopyShipment(
+            p, resident_manifest, dest->gen(), WireStatsOf(sys_));
+        if (landed.has_value()) on_land(*landed, p.size());
       });
   if (ship_max_attempts_ > 0) {
     // Bounded retry-with-backoff: if the landing has not cleared the
@@ -1180,10 +971,7 @@ bool ReplicaManager::LaunchShipment(
           }
           refresh_inflight_.erase(it);
           ++subscription_stats_.ship_timeouts;
-          if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-            tr->Record("replica", "ship_timeout", holder, 0, 0,
-                       key.ToString());
-          }
+          TraceEvent("ship_timeout", holder, 0, key);
           if (attempt + 1 < ship_max_attempts_ &&
               sys_->network().IsPeerUp(holder) &&
               sys_->network().IsPeerUp(key.origin)) {
@@ -1200,16 +988,15 @@ bool ReplicaManager::LaunchShipment(
 }
 
 bool ReplicaManager::InsertLanded(PeerId holder, const ReplicaKey& key,
-                                  const ShipmentPayload& payload,
-                                  uint64_t snap_version) {
+                                  const ShipmentPayload& payload) {
   if (payload.whole != nullptr) {
     // The cache stores the very bytes the shipment carried — the
     // budgeted size is the priced wire size by construction.
     return InsertCopy(holder, key.origin, key.name, payload.whole,
-                      snap_version, payload.whole_encoded);
+                      payload.snapshot_version, payload.whole_encoded);
   }
   return InsertShardedCopy(holder, key.origin, key.name, payload.manifest,
-                           payload.shards, snap_version);
+                           payload.shards, payload.snapshot_version);
 }
 
 bool ReplicaManager::StartPlacementShipment(
@@ -1247,9 +1034,8 @@ bool ReplicaManager::StartPlacementShipment(
       },
       /*on_land=*/
       [this, holder, key, decision](const ShipmentPayload& payload,
-                                    uint64_t snap_version,
                                     uint64_t /*bytes*/) {
-        if (InsertLanded(holder, key, payload, snap_version)) {
+        if (InsertLanded(holder, key, payload)) {
           ++placement_stats_.landed;
         } else {
           // The origin moved on while this was on the wire, or the
@@ -1297,8 +1083,8 @@ bool ReplicaManager::StartRefresh(PeerId holder, const ReplicaKey& key,
       },
       /*on_land=*/
       [this, holder, key, attempt](const ShipmentPayload& payload,
-                                   uint64_t snap_version, uint64_t bytes) {
-        if (InsertLanded(holder, key, payload, snap_version)) {
+                                   uint64_t bytes) {
+        if (InsertLanded(holder, key, payload)) {
           ++subscription_stats_.refreshes;
           subscription_stats_.refresh_bytes += bytes;
           // A sharded landing re-subscribed the holder under its
@@ -1310,7 +1096,8 @@ bool ReplicaManager::StartRefresh(PeerId holder, const ReplicaKey& key,
               subscriptions_.Unsubscribe(key, holder);
             }
           }
-        } else if (Version(key.origin, key.name) != snap_version) {
+        } else if (Version(key.origin, key.name) !=
+                   payload.snapshot_version) {
           // The origin moved on while this was on the wire: a catch-up
           // shipment brings the holder current — but the chain is
           // capped. Under sustained mutation (every landing overtaken
@@ -1338,17 +1125,11 @@ void ReplicaManager::ConfigureLeases(SimTime renew_interval_s,
                                      SimTime ttl_s) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(sys_ != nullptr);
-  if (lease_tick_id_ != 0) {
-    sys_->loop().RemovePeriodic(lease_tick_id_);
-    lease_tick_id_ = 0;
-  }
   lease_renew_interval_ = renew_interval_s;
   lease_ttl_ = ttl_s;
   lease_deadlines_.clear();
-  if (renew_interval_s > 0 && ttl_s > 0) {
-    lease_tick_id_ =
-        sys_->loop().AddPeriodic(renew_interval_s, [this] { LeaseTick(); });
-  }
+  RearmTick(&lease_tick_id_, ttl_s > 0 ? renew_interval_s : 0,
+            [this] { LeaseTick(); });
 }
 
 void ReplicaManager::set_shipment_retry(int max_attempts,
@@ -1360,15 +1141,9 @@ void ReplicaManager::set_shipment_retry(int max_attempts,
 void ReplicaManager::set_anti_entropy_interval(SimTime interval_s) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(sys_ != nullptr);
-  if (anti_entropy_tick_id_ != 0) {
-    sys_->loop().RemovePeriodic(anti_entropy_tick_id_);
-    anti_entropy_tick_id_ = 0;
-  }
   anti_entropy_interval_ = interval_s;
-  if (interval_s > 0) {
-    anti_entropy_tick_id_ = sys_->loop().AddPeriodic(
-        interval_s, [this] { RunAntiEntropySweep(); });
-  }
+  RearmTick(&anti_entropy_tick_id_, interval_s,
+            [this] { RunAntiEntropySweep(); });
 }
 
 void ReplicaManager::LeaseTick() {
@@ -1427,10 +1202,7 @@ void ReplicaManager::LeaseTick() {
       subscriptions_.Unsubscribe(k, holder);
     }
     ++subscription_stats_.lease_expiries;
-    if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-      tr->Record("replica", "lease_expire", holder, 0, 0,
-                 StrCat("origin ", origin.ToString()));
-    }
+    TraceEvent("lease_expire", holder, "origin ", origin);
     it = lease_deadlines_.erase(it);
   }
   // Renewals: every up holder re-registers at every origin it is
@@ -1520,14 +1292,9 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
   size_t repairs = 0;
   for (const auto& [doc, keys] : docs) {
     const uint64_t current = Version(doc.origin, doc.name);
-    // Shard ids the origin's *current* split references; resident data
-    // shards outside this set are orphans no future manifest will name.
-    std::set<std::string> live;
-    if (const ShardedDocument* sd = OriginShards(doc.origin, doc.name)) {
-      for (const DocumentShard& s : sd->shards) {
-        live.insert(s.id.ToString());
-      }
-    }
+    // Resident data shards outside the origin's current split are
+    // orphans.
+    const std::set<std::string> live = LiveShardIds(doc);
     bool dropped_doc = false;
     for (const ReplicaKey& k : keys) {
       const TransferCache::Entry* e = cache->Peek(k);
@@ -1536,14 +1303,14 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
                              ? live.count(k.shard) == 0
                              : e->origin_version != current;
       if (!stale) continue;
+      // Read the size first: the Erase frees the entry `e` points at.
+      const uint64_t freed = e->bytes;
       // Evict listener unsubscribes + retracts advertisements.
       cache->Erase(k, /*invalidation=*/true);
       ++repairs;
       ++subscription_stats_.sweep_repairs;
       if (!k.is_shard_data()) dropped_doc = true;
-      if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-        tr->Record("replica", "repair", holder, e->bytes, 0, k.ToString());
-      }
+      TraceEvent("repair", holder, freed, k);
     }
     // Surviving fresh complete copies whose name slot is free are
     // re-installed and re-advertised — a rejoining durable cache kept
@@ -1556,29 +1323,10 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
       } else if (const TransferCache::Entry* m =
                      cache->Peek(ManifestKey(doc.origin, doc.name));
                  m != nullptr && m->origin_version == current) {
-        std::map<std::string, TreePtr> parts;
-        bool complete = true;
-        for (const std::string& id : ManifestShardIds(*m->tree)) {
-          const TransferCache::Entry* e =
-              cache->Peek(ReplicaKey{doc.origin, doc.name, id});
-          if (e == nullptr) {
-            complete = false;
-            break;
-          }
-          parts[id] = e->tree;
-        }
-        if (complete) {
-          TreePtr assembled = AssembleDocument(
-              *m->tree,
-              [&parts](const std::string& id) -> TreePtr {
-                auto p = parts.find(id);
-                return p == parts.end() ? nullptr : p->second;
-              },
-              dest->gen());
-          if (assembled != nullptr) {
-            InstallAndAdvertise(holder, doc.origin, doc.name,
-                                std::move(assembled));
-          }
+        if (TreePtr assembled = AssembleResident(
+                *cache, doc.origin, doc.name, *m->tree, dest->gen())) {
+          InstallAndAdvertise(holder, doc.origin, doc.name,
+                              std::move(assembled));
         }
       }
     }
@@ -1638,11 +1386,8 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
 void ReplicaManager::OnPeerCrash(PeerId peer, CrashMode mode) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(sys_ != nullptr);
-  if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-    tr->Record("replica", "crash", peer, 0, 0,
-               mode == CrashMode::kLoseCache ? "lose_cache"
-                                             : "durable_cache");
-  }
+  TraceEvent("crash", peer,
+             mode == CrashMode::kLoseCache ? "lose_cache" : "durable_cache");
   // In-flight shipments toward the crashed holder will never land (the
   // payload evaporates on arrival at a down peer); cancel their tokens
   // so a post-rejoin relaunch starts clean, and end the flight
@@ -1682,9 +1427,7 @@ void ReplicaManager::OnPeerCrash(PeerId peer, CrashMode mode) {
 void ReplicaManager::OnPeerRejoin(PeerId peer) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(sys_ != nullptr);
-  if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-    tr->Record("replica", "rejoin", peer, 0, 0, "");
-  }
+  TraceEvent("rejoin", peer, "");
   // Reconcile the surviving cache against every origin *before* the
   // peer serves anything: stale entries drop, fresh complete copies
   // re-install and re-advertise, subscriptions repair. A rejoining
@@ -1710,9 +1453,7 @@ void ReplicaManager::OnNotifyDelivered(PeerId origin, PeerId holder) {
   for (const ReplicaKey& k : stale) {
     cache->Erase(k, /*invalidation=*/true);
     ++subscription_stats_.notify_repairs;
-    if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-      tr->Record("replica", "notify_repair", holder, 0, 0, k.ToString());
-    }
+    TraceEvent("notify_repair", holder, 0, k);
   }
 }
 

@@ -29,8 +29,8 @@
 //    coalescing of back-to-back mutations);
 //  - under RefreshPolicy::kLazy (the PR 1 baseline) a stale copy is
 //    instead dropped on its next lookup: evicted from the cache, removed
-//    as a local document, Catalog::Unregister'ed, and withdrawn from its
-//    generic classes;
+//    as a local document, unregistered from the catalog, and withdrawn
+//    from its generic classes;
 //  - documents above the sharding threshold (xml/sharding.h, enabled via
 //    set_sharding_enabled) replicate as *shards*: a versioned manifest
 //    plus immutable content-addressed data shards, each its own cache
@@ -74,6 +74,7 @@
 #include "peer/generic.h"
 #include "replica/eviction_policy.h"
 #include "replica/placement.h"
+#include "replica/shard_delta.h"
 #include "replica/subscription.h"
 #include "replica/transfer_cache.h"
 #include "xml/sharding.h"
@@ -503,17 +504,6 @@ class ReplicaManager {
   void ExportMetrics(MetricSink& sink) const;
 
  private:
-  /// What one shipment carried, decoded at the landing site: a whole
-  /// document, or a sharded delta (manifest + the data shards the holder
-  /// lacked at launch). `whole_encoded` keeps the received wire blob so
-  /// the cache can store exactly the bytes that crossed the link.
-  struct ShipmentPayload {
-    TreePtr whole;
-    std::string whole_encoded;
-    TreePtr manifest;
-    std::vector<DocumentShard> shards;
-  };
-
   /// Memoized origin-side split: recomputed when the document's version
   /// moves past `version`.
   struct OriginShardState {
@@ -538,14 +528,21 @@ class ReplicaManager {
   /// Caches one landed payload at `holder` via InsertCopy or
   /// InsertShardedCopy, whichever matches its shape.
   bool InsertLanded(PeerId holder, const ReplicaKey& key,
-                    const ShipmentPayload& payload, uint64_t snap_version);
+                    const ShipmentPayload& payload);
 
-  /// Resident fresh shard-content bytes of (origin, name) at `reader`
-  /// (manifest must be at the current version). 0 when any referenced
-  /// shard is missing and `require_complete` is set.
-  uint64_t ShardedResidentBytes(PeerId reader, PeerId origin,
-                                const DocName& name,
-                                bool require_complete) const;
+  /// Withdraws `member` from every generic class it belongs to.
+  void LeaveGenericClasses(const ClassMember& member);
+
+  /// Shard ids the origin's current split of `doc` references (empty
+  /// when the document is not sharded). Resident data shards outside
+  /// the set are orphans: no future manifest will name them.
+  std::set<std::string> LiveShardIds(const ReplicaKey& doc) const;
+
+  /// Replaces the periodic tick `*tick_id` (0 = none) with one running
+  /// `fn` every `interval_s` of virtual time; none when `interval_s` is
+  /// not positive.
+  void RearmTick(uint64_t* tick_id, SimTime interval_s,
+                 std::function<void()> fn);
 
   /// Sends one invalidation notification for `key` (or folds it into the
   /// open batch).
@@ -560,6 +557,13 @@ class ReplicaManager {
   /// The system's causal tracer, nullptr before Bind (headless unit
   /// tests construct managers without a system).
   Tracer* trace() const;
+  /// Records one "replica" trace event when tracing is on; the detail
+  /// string (the key, or `detail` followed by `origin` when valid) is
+  /// built only then.
+  void TraceEvent(const char* event, PeerId peer, uint64_t bytes,
+                  const ReplicaKey& key) const;
+  void TraceEvent(const char* event, PeerId peer, const char* detail,
+                  PeerId origin = PeerId::Invalid()) const;
 
   /// Mutation fan-out (kDrop / kEagerRefresh), shard-granular: computes
   /// which subscribed holders are *dirty* — whole-document holders and
@@ -590,7 +594,7 @@ class ReplicaManager {
   /// launched; launching drains the decision's (class, holder) demand.
   bool StartPlacementShipment(const PlacementDecision& decision);
 
-  /// Shared wire leg of StartRefresh and StartPlacementShipment: clones
+  /// Shared wire leg of StartRefresh and StartPlacementShipment: encodes
   /// the origin's current content — whole, or as a sharded delta against
   /// the holder's resident shards when the sharded path applies —
   /// registers a generation token in refresh_inflight_, and sends.
@@ -610,8 +614,7 @@ class ReplicaManager {
   bool LaunchShipment(
       PeerId holder, const ReplicaKey& key,
       const std::function<bool(uint64_t bytes)>& admit,
-      std::function<void(const ShipmentPayload& payload,
-                         uint64_t snap_version, uint64_t bytes)>
+      std::function<void(const ShipmentPayload& payload, uint64_t bytes)>
           on_land,
       int attempt = 0);
 

@@ -13,7 +13,7 @@ namespace axml {
 
 namespace {
 
-std::unique_ptr<Catalog> MakeBackend(FleetBackend kind) {
+std::unique_ptr<CatalogBackend> MakeBackend(FleetBackend kind) {
   switch (kind) {
     case FleetBackend::kCentral:
       // The first peer doubles as the index server — the classic
@@ -64,7 +64,7 @@ FleetHarness::FleetHarness(FleetConfig config)
   // regions rather than clustering around peer 0.
   const uint32_t stride = std::max<uint32_t>(1, n / std::max<uint32_t>(
                                                      1, config_.origins));
-  Catalog* catalog = sys_.catalog();
+  CatalogBackend* catalog = sys_.catalog();
   // Bring-up is one advertisement batch: on the DHT backend the whole
   // install pays one digest per (origin, responsible node), not one
   // message per document.

@@ -326,8 +326,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllPolicies, CacheModelTest,
     ::testing::Values(EvictionPolicy::kLru, EvictionPolicy::kLfu,
                       EvictionPolicy::kCostAware),
-    [](const ::testing::TestParamInfo<EvictionPolicy>& info) {
-      return EvictionPolicyName(info.param);
+    [](const ::testing::TestParamInfo<EvictionPolicy>& param_info) {
+      return EvictionPolicyName(param_info.param);
     });
 
 }  // namespace

@@ -95,7 +95,7 @@ TEST(FleetSmokeTest, AdvertisementBatchingPaysPerDelta) {
   // of an installed doc is a counted no-op.
   FleetConfig cfg = SmokeConfig(FleetBackend::kChordDht, TestSeed(1));
   FleetHarness fleet(cfg);
-  Catalog* catalog = fleet.system().catalog();
+  CatalogBackend* catalog = fleet.system().catalog();
   const CatalogStats after_bringup = catalog->stats();
   EXPECT_GE(after_bringup.advertise_deltas,
             uint64_t{cfg.origins} * cfg.docs_per_origin);

@@ -352,18 +352,32 @@ TEST_F(CatalogKindTest, CentralChargesRoundTripToServer) {
 
 TEST_F(CatalogKindTest, DhtScalesLogarithmically) {
   Network net(&loop_, Topology(LinkParams{0.010, 1e6}));
-  DhtCatalog cat;
+  ChordDhtCatalog cat;
   cat.Register(ResourceKind::kService, "s", PeerId(1));
-  cat.set_peer_count(16);
-  LookupResult r16 = cat.LookupNow(ResourceKind::kService, "s", PeerId(0),
-                                   net);
-  cat.set_peer_count(1024);
-  LookupResult r1k = cat.LookupNow(ResourceKind::kService, "s", PeerId(0),
-                                   net);
-  EXPECT_EQ(r16.messages, 5u);   // log2(16)=4 hops + response
-  EXPECT_EQ(r1k.messages, 11u);  // log2(1024)=10 hops + response
-  EXPECT_LT(r16.delay_s, r1k.delay_s);
-  ASSERT_EQ(r1k.holders.size(), 1u);
+  // Greedy finger routing takes O(log P) hops plus one response. The
+  // ring is deterministic and every route on it fits in log2(P) hops;
+  // the mean over every requester grows with P.
+  struct Mean {
+    double messages = 0;
+    double delay_s = 0;
+  };
+  auto mean_over_requesters = [&](uint32_t peers, uint64_t max_messages) {
+    cat.set_peer_count(peers);
+    Mean m;
+    for (uint32_t i = 0; i < peers; ++i) {
+      LookupResult r =
+          cat.LookupNow(ResourceKind::kService, "s", PeerId(i), net);
+      EXPECT_LE(r.messages, max_messages);
+      EXPECT_EQ(r.holders.size(), 1u);
+      m.messages += static_cast<double>(r.messages) / peers;
+      m.delay_s += r.delay_s / peers;
+    }
+    return m;
+  };
+  const Mean m16 = mean_over_requesters(16, 5);     // log2(16) + 1
+  const Mean m1k = mean_over_requesters(1024, 11);  // log2(1024) + 1
+  EXPECT_LT(m16.messages, m1k.messages);
+  EXPECT_LT(m16.delay_s, m1k.delay_s);
 }
 
 TEST_F(CatalogKindTest, FloodVisitsNeighborGraph) {
@@ -437,10 +451,10 @@ TEST_F(CatalogKindTest, RegisterUnregisterRoundTrips) {
   // The round-trip contract is implementation-independent; check it on
   // all three catalog structures.
   CentralCatalog central(PeerId(0));
-  DhtCatalog dht;
+  ChordDhtCatalog dht;
   FloodCatalog flood;
-  for (Catalog* cat :
-       std::initializer_list<Catalog*>{&central, &dht, &flood}) {
+  for (CatalogBackend* cat :
+       std::initializer_list<CatalogBackend*>{&central, &dht, &flood}) {
     cat->set_peer_count(4);
     EXPECT_FALSE(cat->IsAdvertised(ResourceKind::kDocument, "d", PeerId(1)));
     cat->Register(ResourceKind::kDocument, "d", PeerId(1));

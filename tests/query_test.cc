@@ -141,6 +141,10 @@ struct BadQueryCase {
   const char* text;
 };
 
+// Print the case by its name: the default printer dumps the raw pointer
+// bytes, which change from run to run and leak into the listed test names.
+void PrintTo(const BadQueryCase& c, std::ostream* os) { *os << c.name; }
+
 class AqlParserErrorTest : public ::testing::TestWithParam<BadQueryCase> {};
 
 TEST_P(AqlParserErrorTest, Rejects) {

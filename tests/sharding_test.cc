@@ -21,6 +21,7 @@
 #include "net/catalog.h"
 #include "opt/cost_model.h"
 #include "replica/replica_manager.h"
+#include "replica/shard_delta.h"
 #include "replica/transfer_cache.h"
 #include "test_util.h"
 #include "xml/sharding.h"
@@ -415,6 +416,102 @@ TEST(ShardingTest, AssemblyFailsClosedOnMissingShard) {
   EXPECT_EQ(AssembleDocument(*doc, [](const std::string&) { return nullptr; },
                              &gen),
             nullptr);
+}
+
+// --- The shared delta plan and assembler, without a system ---
+
+/// 64 byte-identical products: split at a 1 KiB cap, shard ids repeat.
+TreePtr RepetitiveCatalog(NodeIdGen* gen) {
+  TreePtr doc = TreeNode::Element("catalog", gen);
+  for (int i = 0; i < 64; ++i) {
+    TreePtr p = TreeNode::Element("product", gen);
+    p->AddChild(MakeTextElement("name", "same", gen));
+    p->AddChild(MakeTextElement("price", "100", gen));
+    p->AddChild(MakeTextElement("desc", std::string(64, 'x'), gen));
+    doc->AddChild(std::move(p));
+  }
+  return doc;
+}
+
+/// A holder cache with the manifest of (origin, "d") at `version` and
+/// every shard of `sd`.
+void SeedHolder(const ShardedDocument& sd, PeerId origin, uint64_t version,
+                TransferCache* cache) {
+  ASSERT_TRUE(cache->Put(ManifestKey(origin, "d"), sd.manifest,
+                         DigestOf(*sd.manifest), version));
+  for (const DocumentShard& s : sd.shards) {
+    ASSERT_TRUE(cache->Put(ShardDataKey(origin, "d", s.id.ToString()),
+                           s.content, s.id, kImmutableShardVersion));
+  }
+}
+
+TEST(ShardDeltaTest, PlanShipsEachMissingIdOnceAndAStaleManifest) {
+  NodeIdGen gen;
+  ShardingConfig cfg;
+  cfg.max_shard_bytes = 1024;
+  const ShardedDocument sd =
+      SplitDocument(*RepetitiveCatalog(&gen), cfg, &gen);
+  std::set<std::string> ids;
+  uint64_t distinct_bytes = 0;
+  for (const DocumentShard& s : sd.shards) {
+    if (ids.insert(s.id.ToString()).second) distinct_bytes += s.bytes;
+  }
+  ASSERT_GT(sd.shards.size(), ids.size());
+  const PeerId origin(0);
+
+  // A holder with nothing: the manifest, and each distinct id once.
+  const ShardDelta cold = PlanShardDelta(sd, nullptr, origin, "d", 2);
+  EXPECT_TRUE(cold.ships_manifest());
+  EXPECT_EQ(cold.distinct.size(), ids.size());
+  EXPECT_EQ(cold.missing.size(), ids.size());
+  EXPECT_EQ(cold.bytes(), sd.manifest_bytes + distinct_bytes);
+
+  // A complete holder at the planned version ships nothing.
+  TransferCache cache;
+  SeedHolder(sd, origin, /*version=*/2, &cache);
+  const ShardDelta warm = PlanShardDelta(sd, &cache, origin, "d", 2);
+  EXPECT_FALSE(warm.ships_manifest());
+  EXPECT_TRUE(warm.missing.empty());
+  EXPECT_EQ(warm.reused(), ids.size());
+  EXPECT_EQ(warm.reused_bytes, distinct_bytes);
+  EXPECT_EQ(warm.bytes(), 0u);
+
+  // One version later its manifest is stale: only the manifest ships.
+  const ShardDelta stale = PlanShardDelta(sd, &cache, origin, "d", 3);
+  EXPECT_TRUE(stale.ships_manifest());
+  EXPECT_TRUE(stale.missing.empty());
+  EXPECT_EQ(stale.bytes(), sd.manifest_bytes);
+}
+
+TEST(ShardDeltaTest, AMissingShardLeavesTheCopyIncomplete) {
+  NodeIdGen gen;
+  Rng rng(46);
+  TreePtr doc = MakeCatalog(64, &gen, &rng);
+  ShardingConfig cfg;
+  cfg.max_shard_bytes = 1024;
+  const ShardedDocument sd = SplitDocument(*doc, cfg, &gen);
+  const PeerId origin(0);
+  TransferCache cache;
+  SeedHolder(sd, origin, /*version=*/2, &cache);
+
+  TreePtr copy = AssembleResident(cache, origin, "d", *sd.manifest, &gen);
+  ASSERT_NE(copy, nullptr);
+  EXPECT_TRUE(TreesEqualUnordered(*copy, *doc));
+  EXPECT_GT(ResidentShardBytes(cache, origin, "d", *sd.manifest), 0u);
+
+  const DocumentShard& lost = sd.shards.back();
+  ASSERT_TRUE(cache.Erase(ShardDataKey(origin, "d", lost.id.ToString())));
+  const uint64_t minted = gen.minted();
+  EXPECT_EQ(AssembleResident(cache, origin, "d", *sd.manifest, &gen),
+            nullptr);
+  EXPECT_EQ(gen.minted(), minted);  // gave up before building anything
+  EXPECT_EQ(ResidentShardBytes(cache, origin, "d", *sd.manifest), 0u);
+  // The next delta is exactly the lost shard.
+  const ShardDelta gap = PlanShardDelta(sd, &cache, origin, "d", 2);
+  EXPECT_FALSE(gap.ships_manifest());
+  ASSERT_EQ(gap.missing.size(), 1u);
+  EXPECT_EQ(gap.missing[0]->id.ToString(), lost.id.ToString());
+  EXPECT_EQ(gap.bytes(), lost.bytes);
 }
 
 // --- Sharded replication through the system ---
@@ -832,6 +929,67 @@ TEST(ShardedReplicaTest, ColdDeltaNeverPricesAboveWholeTransfer) {
   ExprPtr doc = Expr::Doc("d", f.origin);
   EXPECT_LE(cached.Estimate(f.client, doc).remote_bytes,
             plain.Estimate(f.client, doc).remote_bytes);
+}
+
+TEST(ShardedReplicaTest, DeltaPriceIsWhatTheNextReadShips) {
+  ShardedPeers f;
+  ReplicaManager& replicas = f.sys.replicas();
+  const size_t kTree = static_cast<size_t>(wire::MessageClass::kTree);
+  // Tree bytes one read-path fetch encodes (at launch, synchronously):
+  // the manifest when stale plus every shard it ships.
+  auto fetch = [&] {
+    const uint64_t before = f.sys.wire_stats().class_bytes[kTree];
+    bool delivered = false;
+    EXPECT_TRUE(replicas.FetchForRead(
+        f.client, f.origin, "d",
+        [&delivered](TreePtr t) { delivered = t != nullptr; }));
+    const uint64_t shipped = f.sys.wire_stats().class_bytes[kTree] - before;
+    f.sys.RunToQuiescence();
+    EXPECT_TRUE(delivered);
+    return shipped;
+  };
+  uint64_t priced = 0;
+  // Cold reader: the manifest and every distinct shard.
+  ASSERT_TRUE(replicas.ShardedDeltaBytes(f.client, f.origin, "d", &priced));
+  EXPECT_EQ(fetch(), priced);
+  // After a one-product mutation: the stale manifest and the dirty shard.
+  f.MutateOneProduct(120);
+  ASSERT_TRUE(replicas.ShardedDeltaBytes(f.client, f.origin, "d", &priced));
+  EXPECT_GT(priced, 0u);
+  EXPECT_EQ(fetch(), priced);
+  // A complete fresh copy: nothing.
+  ASSERT_TRUE(replicas.ShardedDeltaBytes(f.client, f.origin, "d", &priced));
+  EXPECT_EQ(priced, 0u);
+  EXPECT_EQ(fetch(), 0u);
+}
+
+TEST(ShardedReplicaTest, DurableRejoinReinstallsOnlyACompleteCopy) {
+  for (const bool evict_one : {false, true}) {
+    SCOPED_TRACE(evict_one ? "one shard evicted while down" : "complete");
+    ShardedPeers f;
+    Evaluator ev(&f.sys, CachingOptions());
+    ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
+    ASSERT_TRUE(f.sys.replicas().IsCachedCopy(f.client, "d"));
+
+    f.sys.CrashPeer(f.client, CrashMode::kDurableCache);
+    EXPECT_FALSE(f.sys.replicas().IsCachedCopy(f.client, "d"));
+    EXPECT_FALSE(f.sys.catalog()->IsAdvertised(ResourceKind::kDocument, "d",
+                                               f.client));
+    if (evict_one) {
+      const ShardedDocument* sd = f.sys.replicas().OriginShards(f.origin, "d");
+      ASSERT_NE(sd, nullptr);
+      ASSERT_TRUE(f.sys.replicas().CacheFor(f.client)->Erase(ShardDataKey(
+          f.origin, "d", sd->shards.front().id.ToString())));
+    }
+    f.sys.RejoinPeer(f.client);
+    f.sys.RunToQuiescence();
+
+    EXPECT_EQ(f.sys.replicas().HasFresh(f.client, f.origin, "d"), !evict_one);
+    EXPECT_EQ(f.sys.replicas().IsCachedCopy(f.client, "d"), !evict_one);
+    EXPECT_EQ(f.sys.catalog()->IsAdvertised(ResourceKind::kDocument, "d",
+                                            f.client),
+              !evict_one);
+  }
 }
 
 TEST(ShardedReplicaTest, NestedManifestDocumentReplicatesEndToEnd) {
