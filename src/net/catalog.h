@@ -228,20 +228,32 @@ class CentralCatalog : public CatalogBackend {
 /// A real Chord-style DHT over the peer ids: each peer owns the arc of a
 /// 64-bit hash ring ending at its point; entry `name` lives at the
 /// successor of hash(name). Lookups route greedily through finger
-/// intervals (successor of cur + 2^j), giving O(log P) hops, each hop a
-/// ControlRoundtrip on the actual cur->next link. Advertisement deltas
-/// route as digest messages holder -> responsible node (holders cache
-/// their responsible-node addresses, the standard one-hop put) and
-/// coalesce under Begin/EndAdvertiseBatch.
+/// intervals, giving O(log P) hops, each hop a ControlRoundtrip on the
+/// actual cur->next link. Advertisement deltas route as digest messages
+/// holder -> responsible node (holders cache their responsible-node
+/// addresses, the standard one-hop put) and coalesce under
+/// Begin/EndAdvertiseBatch.
+///
+/// Fingers are proximity-aware (proximity neighbour selection, Dabek et
+/// al., NSDI 2004): finger j of `cur` is, among the first 16 live ring
+/// nodes of the interval [cur + 2^j, cur + 2^(j+1)) that do not overshoot
+/// the responsible node, the one with the cheapest priced hop from `cur`
+/// on the topology of the Network the lookup travels. Ties go to the
+/// first node in ring order, so on a uniform topology every route is the
+/// classic successor-of-(cur + 2^j) route. Each hop uses the highest j
+/// with 2^j <= the remaining ring distance; that interval always holds
+/// the responsible node, so it is never empty. Ring points are hashes, so
+/// on a WAN/region/rack hierarchy this keeps a route inside the
+/// requester's region until its last hop.
 ///
 /// The ring is rebuilt lazily when peer_count changes, so fleet bring-up
 /// (P AddPeer calls) does not pay P ring builds. Liveness-aware routing
 /// (SetPeerLive): a crashed peer stays a ring member, but successor
 /// resolution walks past it — its arc is absorbed by the next live peer,
-/// the lazy form of Chord's successor-list repair — and finger targets
-/// resolve through the same filter, so every hop of every route lands on
-/// a live node. Rejoin restores the peer's arc on the next resolution;
-/// no explicit finger tables exist to fix up.
+/// the lazy form of Chord's successor-list repair — and fingers are
+/// resolved when a route uses them, through the same filter, so every hop
+/// of every route lands on a live node. Rejoin restores the peer's arc on
+/// the next resolution; no finger tables exist to fix up.
 class ChordDhtCatalog : public CatalogBackend {
  public:
   ChordDhtCatalog() = default;
@@ -252,15 +264,6 @@ class ChordDhtCatalog : public CatalogBackend {
   LookupResult LookupNow(ResourceKind kind, const std::string& name,
                          PeerId from, const Network& net) override;
   void SetPeerLive(PeerId peer, bool live) override;
-
-  /// The peer whose arc covers hash(name) — where the entry's digest
-  /// traffic lands. Invalid when the ring is empty.
-  PeerId ResponsibleNode(ResourceKind kind, const std::string& name) const;
-  /// Routing path from `from` to the responsible node, excluding `from`
-  /// itself and including the responsible node; empty when `from` is
-  /// responsible (or outside the ring).
-  std::vector<PeerId> Route(ResourceKind kind, const std::string& name,
-                            PeerId from) const;
 
  protected:
   void OnAdvertiseDelta(ResourceKind kind, const std::string& name,
@@ -281,12 +284,20 @@ class ChordDhtCatalog : public CatalogBackend {
   static uint64_t KeyPoint(const std::string& map_key);
   /// True unless the peer is marked down via SetPeerLive.
   bool IsLive(uint32_t index) const { return down_.count(index) == 0; }
+  /// Index into ring_ of the first entry at or clockwise of `point`.
+  size_t RingIndexOf(uint64_t point) const;
   /// The first *live* peer at or clockwise of `point` (a crashed
   /// successor is skipped — its arc falls to the next live peer).
   uint32_t SuccessorOf(uint64_t point) const;
-  /// Next routing hop from `cur` toward `responsible` for `target`.
-  uint32_t NextHop(uint32_t cur, uint32_t responsible,
-                   uint64_t target) const;
+  /// Routing path from `from` to the responsible node, excluding `from`
+  /// itself and including the responsible node; empty when `from` is
+  /// responsible (or outside the ring). Hops are priced on `topo`.
+  std::vector<PeerId> Route(ResourceKind kind, const std::string& name,
+                            PeerId from, const Topology& topo) const;
+  /// Next routing hop from `cur` toward `responsible` (see the class
+  /// comment for the finger choice).
+  uint32_t NextHop(const Topology& topo, uint32_t cur,
+                   uint32_t responsible) const;
   /// One digest message holder -> responsible covering `deltas` entries.
   void SendDigest(uint32_t holder, uint32_t responsible, uint64_t deltas);
 

@@ -1,7 +1,10 @@
 #include "query/parser.h"
 
+#include <charconv>
+
 #include "common/str_util.h"
 #include "query/lexer.h"
+#include "xml/tree.h"
 
 namespace axml {
 namespace aql {
@@ -35,11 +38,11 @@ class Parser {
       }
       if (Cur().IsIdent("where")) {
         Advance();
-        AXML_ASSIGN_OR_RETURN(q.where, ParseCond());
+        AXML_ASSIGN_OR_RETURN(q.where, ParseCond(/*depth=*/0));
       }
       if (!Cur().IsIdent("return")) return Err("expected 'return'");
       Advance();
-      AXML_ASSIGN_OR_RETURN(q.ret, ParseCons());
+      AXML_ASSIGN_OR_RETURN(q.ret, ParseCons(/*depth=*/0));
     } else {
       // Bare path expression sugar.
       AXML_ASSIGN_OR_RETURN(Source src, ParseSource());
@@ -75,6 +78,9 @@ class Parser {
   Status Err(std::string msg) const {
     return Status::ParseError(
         StrCat("offset ", Cur().offset, ": ", msg));
+  }
+  Status TooDeep() const {
+    return Err(StrCat("nested deeper than ", kMaxNestingDepth));
   }
 
   Result<ForClause> ParseForClause() {
@@ -121,7 +127,13 @@ class Parser {
         return Err("expected input index in input(...)");
       }
       s.kind = Source::Kind::kInput;
-      s.input_index = std::stoi(Cur().text);
+      // The leading integer of the number token ("1e3" reads as 1).
+      const std::string& num = Cur().text;
+      if (std::from_chars(num.data(), num.data() + num.size(),
+                          s.input_index)
+              .ec != std::errc()) {
+        return Err("input index out of range");
+      }
       if (s.input_index < 0) return Err("negative input index");
       Advance();
       if (!Cur().Is(TokKind::kRParen)) return Err("expected ')'");
@@ -190,46 +202,55 @@ class Parser {
     return Err("expected $var, '.', string or number");
   }
 
-  Result<CondPtr> ParseCond() {
-    AXML_ASSIGN_OR_RETURN(CondPtr first, ParseConj());
-    if (!Cur().IsIdent("or")) return first;
+  // Conditions and constructors recurse once per '(' / 'not(' / element
+  // constructor; `depth` counts the ones enclosing the current position.
+  // The recursive functions keep small frames (the leaves are parsed by
+  // helpers), so the deepest accepted nesting fits the call stack of a
+  // sanitizer build too.
+
+  /// `or` of `and`s of atoms; a single operand is returned unwrapped.
+  Result<CondPtr> ParseCond(size_t depth) {
+    if (depth > kMaxNestingDepth) return TooDeep();
+    std::vector<CondPtr> disjuncts;
+    do {
+      if (!disjuncts.empty()) Advance();  // 'or'
+      std::vector<CondPtr> conjuncts;
+      do {
+        if (!conjuncts.empty()) Advance();  // 'and'
+        AXML_ASSIGN_OR_RETURN(CondPtr atom, ParseAtom(depth));
+        conjuncts.push_back(std::move(atom));
+      } while (Cur().IsIdent("and"));
+      disjuncts.push_back(Junction(Cond::Kind::kAnd, std::move(conjuncts)));
+    } while (Cur().IsIdent("or"));
+    return Junction(Cond::Kind::kOr, std::move(disjuncts));
+  }
+
+  static CondPtr Junction(Cond::Kind kind, std::vector<CondPtr> operands) {
+    if (operands.size() == 1) return std::move(operands.front());
     auto node = std::make_unique<Cond>();
-    node->kind = Cond::Kind::kOr;
-    node->children.push_back(std::move(first));
-    while (Cur().IsIdent("or")) {
-      Advance();
-      AXML_ASSIGN_OR_RETURN(CondPtr next, ParseConj());
-      node->children.push_back(std::move(next));
-    }
+    node->kind = kind;
+    node->children = std::move(operands);
     return node;
   }
 
-  Result<CondPtr> ParseConj() {
-    AXML_ASSIGN_OR_RETURN(CondPtr first, ParseAtom());
-    if (!Cur().IsIdent("and")) return first;
+  /// `(cond)`, `not(cond)`, or a leaf condition.
+  Result<CondPtr> ParseAtom(size_t depth) {
+    const bool negated = Cur().IsIdent("not") && Ahead(1).Is(TokKind::kLParen);
+    if (!negated && !Cur().Is(TokKind::kLParen)) return ParseLeafCond();
+    if (negated) Advance();
+    Advance();  // '('
+    AXML_ASSIGN_OR_RETURN(CondPtr inner, ParseCond(depth + 1));
+    if (!Cur().Is(TokKind::kRParen)) return Err("expected ')'");
+    Advance();
+    if (!negated) return inner;
     auto node = std::make_unique<Cond>();
-    node->kind = Cond::Kind::kAnd;
-    node->children.push_back(std::move(first));
-    while (Cur().IsIdent("and")) {
-      Advance();
-      AXML_ASSIGN_OR_RETURN(CondPtr next, ParseAtom());
-      node->children.push_back(std::move(next));
-    }
+    node->kind = Cond::Kind::kNot;
+    node->children.push_back(std::move(inner));
     return node;
   }
 
-  Result<CondPtr> ParseAtom() {
-    if (Cur().IsIdent("not") && Ahead(1).Is(TokKind::kLParen)) {
-      Advance();
-      Advance();
-      AXML_ASSIGN_OR_RETURN(CondPtr inner, ParseCond());
-      if (!Cur().Is(TokKind::kRParen)) return Err("expected ')'");
-      Advance();
-      auto node = std::make_unique<Cond>();
-      node->kind = Cond::Kind::kNot;
-      node->children.push_back(std::move(inner));
-      return node;
-    }
+  /// `contains(operand, "literal")`, a comparison, or an existence test.
+  Result<CondPtr> ParseLeafCond() {
     if (Cur().IsIdent("contains") && Ahead(1).Is(TokKind::kLParen)) {
       Advance();
       Advance();
@@ -247,13 +268,6 @@ class Parser {
       if (!Cur().Is(TokKind::kRParen)) return Err("expected ')'");
       Advance();
       return node;
-    }
-    if (Cur().Is(TokKind::kLParen)) {
-      Advance();
-      AXML_ASSIGN_OR_RETURN(CondPtr inner, ParseCond());
-      if (!Cur().Is(TokKind::kRParen)) return Err("expected ')'");
-      Advance();
-      return inner;
     }
     // Comparison or existence.
     AXML_ASSIGN_OR_RETURN(Operand lhs, ParseOperand());
@@ -297,48 +311,64 @@ class Parser {
     return node;
   }
 
-  Result<ConsPtr> ParseCons() {
-    if (Cur().Is(TokKind::kLt)) {
-      Advance();
-      if (!Cur().Is(TokKind::kIdent)) return Err("expected element name");
-      auto node = std::make_unique<Cons>();
-      node->kind = Cons::Kind::kElement;
-      node->elem_label = InternLabel(Cur().text);
-      std::string tag = Cur().text;
-      Advance();
-      if (Cur().Is(TokKind::kEmptyEnd)) {
-        Advance();
-        return node;
-      }
-      if (!Cur().Is(TokKind::kGt)) return Err("expected '>'");
-      Advance();
-      if (!Cur().Is(TokKind::kLBrace)) {
-        return Err("expected '{' inside element constructor");
-      }
-      Advance();
-      if (!Cur().Is(TokKind::kRBrace)) {
-        AXML_ASSIGN_OR_RETURN(ConsPtr child, ParseCons());
+  /// `<tag/>`, `<tag>{ cons, ... }</tag>`, or a leaf constructor.
+  Result<ConsPtr> ParseCons(size_t depth) {
+    if (depth > kMaxNestingDepth) return TooDeep();
+    if (!Cur().Is(TokKind::kLt)) return ParseLeafCons();
+    auto node = std::make_unique<Cons>();
+    node->kind = Cons::Kind::kElement;
+    AXML_ASSIGN_OR_RETURN(bool has_content, ParseStartTag(node.get()));
+    if (!has_content) return node;
+    if (!Cur().Is(TokKind::kRBrace)) {
+      do {
+        if (!node->children.empty()) Advance();  // ','
+        AXML_ASSIGN_OR_RETURN(ConsPtr child, ParseCons(depth + 1));
         node->children.push_back(std::move(child));
-        while (Cur().Is(TokKind::kComma)) {
-          Advance();
-          AXML_ASSIGN_OR_RETURN(ConsPtr next, ParseCons());
-          node->children.push_back(std::move(next));
-        }
-      }
-      if (!Cur().Is(TokKind::kRBrace)) return Err("expected '}'");
-      Advance();
-      if (!Cur().Is(TokKind::kTagClose)) {
-        return Err(StrCat("expected closing tag for <", tag, ">"));
-      }
-      Advance();
-      if (!Cur().IsIdent(tag)) {
-        return Err(StrCat("mismatched closing tag, expected </", tag, ">"));
-      }
-      Advance();
-      if (!Cur().Is(TokKind::kGt)) return Err("expected '>'");
-      Advance();
-      return node;
+      } while (Cur().Is(TokKind::kComma));
     }
+    AXML_RETURN_NOT_OK(ParseEndTag(*node));
+    return node;
+  }
+
+  /// `<tag/>` (false) or `<tag>{` (true), naming `node` after the tag.
+  Result<bool> ParseStartTag(Cons* node) {
+    Advance();  // '<'
+    if (!Cur().Is(TokKind::kIdent)) return Err("expected element name");
+    node->elem_label = InternLabel(Cur().text);
+    Advance();
+    if (Cur().Is(TokKind::kEmptyEnd)) {
+      Advance();
+      return false;
+    }
+    if (!Cur().Is(TokKind::kGt)) return Err("expected '>'");
+    Advance();
+    if (!Cur().Is(TokKind::kLBrace)) {
+      return Err("expected '{' inside element constructor");
+    }
+    Advance();
+    return true;
+  }
+
+  /// `}</tag>` closing `node`.
+  Status ParseEndTag(const Cons& node) {
+    const std::string& tag = LabelText(node.elem_label);
+    if (!Cur().Is(TokKind::kRBrace)) return Err("expected '}'");
+    Advance();
+    if (!Cur().Is(TokKind::kTagClose)) {
+      return Err(StrCat("expected closing tag for <", tag, ">"));
+    }
+    Advance();
+    if (!Cur().IsIdent(tag)) {
+      return Err(StrCat("mismatched closing tag, expected </", tag, ">"));
+    }
+    Advance();
+    if (!Cur().Is(TokKind::kGt)) return Err("expected '>'");
+    Advance();
+    return Status::OK();
+  }
+
+  /// `count($var)` or an operand.
+  Result<ConsPtr> ParseLeafCons() {
     if (Cur().IsIdent("count") && Ahead(1).Is(TokKind::kLParen)) {
       Advance();
       Advance();

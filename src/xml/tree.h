@@ -15,6 +15,7 @@
 #ifndef AXML_XML_TREE_H_
 #define AXML_XML_TREE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -28,6 +29,12 @@ namespace axml {
 
 class TreeNode;
 using TreePtr = std::shared_ptr<TreeNode>;
+
+/// Deepest nesting the decoders accept: the XML and AQL text parsers and
+/// the wire decoder. Real documents and queries stay far below it; a
+/// hostile input that nests deeper is rejected with a ParseError long
+/// before recursive descent exhausts the stack.
+constexpr size_t kMaxNestingDepth = 4096;
 
 /// Mints fresh NodeIds on behalf of one peer (§2: each tree resides on
 /// exactly one peer; its nodes are identified within that peer).

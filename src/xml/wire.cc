@@ -12,10 +12,6 @@ namespace wire {
 
 namespace {
 
-/// Decode recursion cap: a hostile buffer can claim nesting deeper than
-/// any real document; bail with a Status long before the stack does.
-constexpr size_t kMaxDecodeDepth = 4096;
-
 Status Malformed(const char* what) {
   return Status::ParseError(StrCat("wire: malformed buffer (", what, ")"));
 }
@@ -250,7 +246,7 @@ void EncodeNode(const CanonNode& c, const std::vector<uint32_t>& index_of,
 
 Result<TreePtr> DecodeNode(Reader* r, const std::vector<LabelId>& labels,
                            NodeIdGen* gen, size_t depth) {
-  if (depth > kMaxDecodeDepth) return Malformed("nesting too deep");
+  if (depth > kMaxNestingDepth) return Malformed("nesting too deep");
   uint8_t tag = 0;
   if (!r->ReadByte(&tag)) return Malformed("truncated node tag");
   if (tag == kTagText) {

@@ -1,14 +1,16 @@
 #include "xml/xml_parser.h"
 
 #include <cctype>
+#include <string>
+#include <vector>
 
 #include "common/str_util.h"
 
 namespace axml {
 namespace {
 
-/// Recursive-descent parser over a string_view. Tracks line numbers for
-/// error messages.
+/// Single-pass parser over a string_view; nested elements are kept on an
+/// explicit stack. Tracks line numbers for error messages.
 class Parser {
  public:
   Parser(std::string_view text, NodeIdGen* gen) : text_(text), gen_(gen) {}
@@ -91,13 +93,13 @@ class Parser {
     }
   }
 
-  Result<TreePtr> ParseElement() {
+  /// Parses a start tag at pos_ with its attributes. `*empty` is set for
+  /// a self-closing tag, which has no content and no end tag.
+  Result<TreePtr> ParseStartTag(bool* empty) {
     if (!Consume('<')) return Error("expected '<'");
     std::string_view name = ParseName();
     if (name.empty()) return Error("expected element name");
     TreePtr elem = TreeNode::Element(name, gen_);
-
-    // Attributes.
     for (;;) {
       SkipWs();
       if (AtEnd()) return Error("unexpected end inside element tag");
@@ -122,63 +124,91 @@ class Parser {
       attr_node->AddChild(TreeNode::Text(std::move(value)));
       elem->AddChild(std::move(attr_node));
     }
+    *empty = ConsumeSeq("/>");
+    if (!*empty && !Consume('>')) return Error("expected '>'");
+    return elem;
+  }
 
-    if (ConsumeSeq("/>")) return elem;
-    if (!Consume('>')) return Error("expected '>'");
-
-    // Content.
+  /// An element whose end tag has not been read yet, with the character
+  /// data collected since its last child.
+  struct OpenElement {
+    TreePtr elem;
     std::string pending_text;
-    auto flush_text = [&] {
-      if (pending_text.empty()) return;
-      // Drop whitespace-only runs between elements; trim boundary
-      // whitespace from mixed-content runs so indented (pretty) output
-      // reparses to the same tree.
-      std::string unescaped = XmlUnescape(pending_text);
-      std::string_view trimmed = StripWhitespace(unescaped);
-      if (!trimmed.empty()) {
-        elem->AddChild(TreeNode::Text(std::string(trimmed)));
-      }
-      pending_text.clear();
-    };
+  };
 
+  /// Adds the collected text of `open` as a text child. Whitespace-only
+  /// runs between elements are dropped, and boundary whitespace is
+  /// trimmed from mixed-content runs, so indented (pretty) output
+  /// reparses to the same tree.
+  static void FlushText(OpenElement* open) {
+    if (open->pending_text.empty()) return;
+    std::string unescaped = XmlUnescape(open->pending_text);
+    std::string_view trimmed = StripWhitespace(unescaped);
+    if (!trimmed.empty()) {
+      open->elem->AddChild(TreeNode::Text(std::string(trimmed)));
+    }
+    open->pending_text.clear();
+  }
+
+  /// Parses the element at pos_ and everything nested in it. Open
+  /// elements live on an explicit stack, not the call stack, and
+  /// nesting past kMaxNestingDepth is a ParseError.
+  Result<TreePtr> ParseElement() {
+    bool empty = false;
+    AXML_ASSIGN_OR_RETURN(TreePtr root, ParseStartTag(&empty));
+    if (empty) return root;
+    std::vector<OpenElement> open;
+    open.push_back({std::move(root), {}});
     for (;;) {
+      OpenElement& top = open.back();
       if (AtEnd()) return Error("unexpected end inside element content");
-      if (Peek() == '<') {
-        if (ConsumeSeq("<!--")) {
-          while (!AtEnd() && !ConsumeSeq("-->")) Advance();
-          continue;
-        }
-        if (ConsumeSeq("<![CDATA[")) {
-          size_t cstart = pos_;
-          while (!AtEnd() && text_.substr(pos_, 3) != "]]>") Advance();
-          if (AtEnd()) return Error("unterminated CDATA section");
-          pending_text.append(text_.substr(cstart, pos_ - cstart));
-          ConsumeSeq("]]>");
-          continue;
-        }
-        if (ConsumeSeq("<?")) {
-          while (!AtEnd() && !ConsumeSeq("?>")) Advance();
-          continue;
-        }
-        if (PeekAt(1) == '/') {
-          flush_text();
-          Advance();  // '<'
-          Advance();  // '/'
-          std::string_view close = ParseName();
-          if (close != elem->label_text()) {
-            return Error(StrCat("mismatched closing tag '", close,
-                                "', expected '", elem->label_text(), "'"));
-          }
-          SkipWs();
-          if (!Consume('>')) return Error("expected '>' in closing tag");
-          return elem;
-        }
-        flush_text();
-        AXML_ASSIGN_OR_RETURN(TreePtr child, ParseElement());
-        elem->AddChild(std::move(child));
-      } else {
-        pending_text.push_back(Peek());
+      if (Peek() != '<') {
+        top.pending_text.push_back(Peek());
         Advance();
+        continue;
+      }
+      if (ConsumeSeq("<!--")) {
+        while (!AtEnd() && !ConsumeSeq("-->")) Advance();
+        continue;
+      }
+      if (ConsumeSeq("<![CDATA[")) {
+        size_t cstart = pos_;
+        while (!AtEnd() && text_.substr(pos_, 3) != "]]>") Advance();
+        if (AtEnd()) return Error("unterminated CDATA section");
+        top.pending_text.append(text_.substr(cstart, pos_ - cstart));
+        ConsumeSeq("]]>");
+        continue;
+      }
+      if (ConsumeSeq("<?")) {
+        while (!AtEnd() && !ConsumeSeq("?>")) Advance();
+        continue;
+      }
+      FlushText(&top);
+      if (PeekAt(1) == '/') {
+        Advance();  // '<'
+        Advance();  // '/'
+        std::string_view close = ParseName();
+        if (close != top.elem->label_text()) {
+          return Error(StrCat("mismatched closing tag '", close,
+                              "', expected '", top.elem->label_text(),
+                              "'"));
+        }
+        SkipWs();
+        if (!Consume('>')) return Error("expected '>' in closing tag");
+        TreePtr done = std::move(top.elem);
+        open.pop_back();
+        if (open.empty()) return done;
+        open.back().elem->AddChild(std::move(done));
+        continue;
+      }
+      if (open.size() >= kMaxNestingDepth) {
+        return Error(StrCat("elements nested deeper than ", kMaxNestingDepth));
+      }
+      AXML_ASSIGN_OR_RETURN(TreePtr child, ParseStartTag(&empty));
+      if (empty) {
+        top.elem->AddChild(std::move(child));
+      } else {
+        open.push_back({std::move(child), {}});
       }
     }
   }

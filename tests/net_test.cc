@@ -3,11 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "net/catalog.h"
 #include "net/event_loop.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "obs/trace.h"
 
 namespace axml {
 namespace {
@@ -477,6 +486,191 @@ TEST_F(CatalogKindTest, RegisterUnregisterRoundTrips) {
     EXPECT_TRUE(cat->LookupNow(ResourceKind::kDocument, "d", PeerId(2), net)
                     .holders.empty());
   }
+}
+
+// --- Chord routing ---
+
+/// Drives routed Chord lookups one at a time on a traced Network and
+/// reads each route back off the "control" spans the hops leave.
+class ChordRouteTest : public ::testing::Test {
+ protected:
+  void Build(Topology topo, uint32_t peers) {
+    peers_ = peers;
+    net_ = std::make_unique<Network>(&loop_, std::move(topo));
+    net_->set_tracer(&tracer_);
+    tracer_.set_enabled(true);
+    cat_.set_peer_count(peers);
+  }
+
+  /// The peers a live Lookup from `from` visits, in order, excluding
+  /// `from` and the response hop; the last one is the key's owner.
+  std::vector<PeerId> RouteOf(const std::string& key, PeerId from) {
+    tracer_.Clear();
+    bool done = false;
+    cat_.Lookup(ResourceKind::kDocument, key, from, net_.get(),
+                [&](const LookupResult&) { done = true; });
+    loop_.Run();
+    EXPECT_TRUE(done) << key << " from " << from;
+    std::vector<PeerId> route;
+    PeerId cur = from;
+    for (const TraceSpan& s : tracer_.Events()) {
+      if (s.category != "net" || s.name != "control") continue;
+      // The span's detail names the receiver: "-> p<index>".
+      const PeerId to(static_cast<uint32_t>(std::stoul(s.detail.substr(4))));
+      EXPECT_EQ(s.peer, cur) << "hops are not a chain: " << s.ToString();
+      if (to == from) break;  // the response (or a local index read)
+      route.push_back(to);
+      cur = to;
+    }
+    return route;
+  }
+
+  static std::vector<std::string> ClassKeys() {
+    // The fleet_read shape: 8 origins x 4 documents, one class each.
+    std::vector<std::string> keys;
+    for (int o = 0; o < 8; ++o) {
+      for (int d = 0; d < 4; ++d) keys.push_back(StrCat("cls_d", o, "_", d));
+    }
+    return keys;
+  }
+
+  EventLoop loop_;
+  Tracer tracer_{[this] { return loop_.now(); }};
+  std::unique_ptr<Network> net_;
+  ChordDhtCatalog cat_;
+  uint32_t peers_ = 0;
+};
+
+TEST_F(ChordRouteTest, HierarchicalRoutesStayInRegionUntilTheLastHop) {
+  Topology::HierarchySpec spec;
+  spec.regions = 2;
+  spec.racks_per_region = 4;
+  spec.peers_per_rack = 128;  // 1024 peers, the fleet_read ring
+  Build(Topology::Hierarchical(spec), spec.peer_count());
+  const std::vector<std::string> keys = ClassKeys();
+  const Topology& topo = net_->topology();
+  const size_t max_hops = std::bit_width(peers_) - 1;  // log2 P
+  double wan_crossings = 0;
+  double delay_s = 0;
+  size_t routes = 0;
+  for (uint32_t i = 0; i < peers_; ++i) {
+    const PeerId from(i);
+    for (const std::string& key : keys) {
+      const std::vector<PeerId> route = RouteOf(key, from);
+      ASSERT_LE(route.size(), max_hops) << key << " from " << from;
+      double route_s = 0;
+      PeerId cur = from;
+      for (PeerId next : route) {
+        wan_crossings += topo.RegionOf(cur) != topo.RegionOf(next);
+        route_s += topo.Get(cur, next).TransferTime(kCatalogMsgBytes);
+        cur = next;
+      }
+      if (!route.empty()) {
+        route_s += topo.Get(cur, from).TransferTime(kCatalogMsgBytes);
+      }
+      // LookupNow prices the route the live lookup sent.
+      const LookupResult now =
+          cat_.LookupNow(ResourceKind::kDocument, key, from, *net_);
+      ASSERT_DOUBLE_EQ(now.delay_s, route_s) << key << " from " << from;
+      delay_s += now.delay_s;
+      ++routes;
+    }
+  }
+  // Hash-placed fingers cross the WAN on about half the hops (1.96 per
+  // route); proximity fingers leave only the forced last crossing, to
+  // an owner in the other region (0.5 per route).
+  EXPECT_LE(wan_crossings / routes, 0.55);
+  EXPECT_LE(delay_s / routes, 0.110);
+}
+
+// Reference model of the classic Chord route: finger j of `cur` is the
+// successor of cur + 2^j, and each hop takes the farthest finger that
+// does not overshoot the key's owner. The ring points restate the
+// catalog's: splitmix64 of (peer index + 1), FNV-1a of "d:" + name.
+uint64_t SplitMix(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+std::vector<PeerId> ClassicRoute(uint32_t peers, const std::string& key,
+                                 uint32_t from) {
+  std::vector<std::pair<uint64_t, uint32_t>> ring;
+  for (uint32_t i = 0; i < peers; ++i) ring.emplace_back(SplitMix(i + 1), i);
+  std::sort(ring.begin(), ring.end());
+  auto successor = [&](uint64_t point) {
+    auto it = std::lower_bound(ring.begin(), ring.end(),
+                               std::pair<uint64_t, uint32_t>{point, 0});
+    return it == ring.end() ? ring.front().second : it->second;
+  };
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (unsigned char c : "d:" + key) {
+    h ^= c;
+    h *= 0x100000001B3ULL;
+  }
+  const uint32_t owner = successor(SplitMix(h));
+  std::vector<PeerId> route;
+  for (uint32_t cur = from; cur != owner;) {
+    const uint64_t cur_pt = SplitMix(cur + 1);
+    const uint64_t span = SplitMix(owner + 1) - cur_pt;
+    for (int j = 63; j >= 0; --j) {
+      const uint32_t f = successor(cur_pt + (uint64_t{1} << j));
+      const uint64_t d = SplitMix(f + 1) - cur_pt;
+      if (d != 0 && d <= span) {
+        cur = f;
+        break;
+      }
+    }
+    route.push_back(PeerId(cur));
+  }
+  return route;
+}
+
+TEST_F(ChordRouteTest, UniformTopologyKeepsTheClassicRoute) {
+  // Every candidate costs the same, so the ring-order tie-break picks
+  // the classic finger on every hop. The small ring has owners whose
+  // arc ends right before the requester's point.
+  for (uint32_t peers : {16u, 256u}) {
+    Build(Topology(LinkParams{0.010, 1e6}), peers);
+    for (const std::string& key : ClassKeys()) {
+      for (uint32_t i = 0; i < peers; ++i) {
+        ASSERT_EQ(RouteOf(key, PeerId(i)), ClassicRoute(peers, key, i))
+            << key << " from p" << i << " of " << peers;
+      }
+    }
+  }
+}
+
+TEST_F(ChordRouteTest, CrashedFirstHopIsSkippedAndTheOwnerStillAnswers) {
+  Topology::HierarchySpec spec;
+  spec.regions = 2;
+  spec.racks_per_region = 4;
+  spec.peers_per_rack = 16;  // 128 peers
+  Build(Topology::Hierarchical(spec), spec.peer_count());
+  cat_.Register(ResourceKind::kDocument, "cls_d0_0", PeerId(5));
+  // A requester whose route is at least two hops, so its first hop is
+  // a proximity choice rather than the owner itself.
+  PeerId from;
+  std::vector<PeerId> before;
+  for (uint32_t i = 0; i < peers_ && before.size() < 2; ++i) {
+    from = PeerId(i);
+    before = RouteOf("cls_d0_0", from);
+  }
+  ASSERT_GE(before.size(), 2u);
+  const PeerId first_hop = before.front();
+  const PeerId owner = before.back();
+  cat_.SetPeerLive(first_hop, false);
+  net_->SetPeerUp(first_hop, false);
+  const std::vector<PeerId> after = RouteOf("cls_d0_0", from);
+  ASSERT_FALSE(after.empty());
+  EXPECT_EQ(std::count(after.begin(), after.end(), first_hop), 0);
+  EXPECT_EQ(after.back(), owner);
+  const LookupResult r =
+      cat_.LookupNow(ResourceKind::kDocument, "cls_d0_0", from, *net_);
+  ASSERT_EQ(r.holders.size(), 1u);
+  EXPECT_EQ(r.holders[0], PeerId(5));
+  EXPECT_EQ(r.messages, after.size() + 1);
 }
 
 }  // namespace

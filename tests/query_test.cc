@@ -183,19 +183,83 @@ TEST_P(AqlRoundTripTest, UnparseReparse) {
   EXPECT_EQ(r2.value().ToString(), text);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, AqlRoundTripTest,
-    ::testing::Values(
-        "for $x in input(0) return $x",
-        "for $b in doc(\"cat\")/catalog/product where $b/price < 30 "
-        "return <cheap>{ $b/name, $b/price }</cheap>",
-        "for $a in input(0)//x for $b in $a/y where $b/z = \"k\" return $b",
-        "for $x in input(0) where $x/a >= 1 and $x/b != \"q\" return "
-        "<r>{ count($x) }</r>",
-        "for $x in input(0)//item where contains($x/t, \"abc\") or "
-        "not($x/u) return <out>{ \"lit\", $x }</out>",
-        "input(0)//a/text()",
-        "for $x in input(0)/*/b return $x"));
+const char* const kAqlCorpus[] = {
+    "for $x in input(0) return $x",
+    "for $b in doc(\"cat\")/catalog/product where $b/price < 30 "
+    "return <cheap>{ $b/name, $b/price }</cheap>",
+    "for $a in input(0)//x for $b in $a/y where $b/z = \"k\" return $b",
+    "for $x in input(0) where $x/a >= 1 and $x/b != \"q\" return "
+    "<r>{ count($x) }</r>",
+    "for $x in input(0)//item where contains($x/t, \"abc\") or "
+    "not($x/u) return <out>{ \"lit\", $x }</out>",
+    "input(0)//a/text()",
+    "for $x in input(0)/*/b return $x"};
+
+INSTANTIATE_TEST_SUITE_P(Corpus, AqlRoundTripTest,
+                         ::testing::ValuesIn(kAqlCorpus));
+
+std::string NestedWhere(size_t depth) {
+  return "for $x in input(0) where " + std::string(depth, '(') +
+         "$x/a = 1" + std::string(depth, ')') + " return $x";
+}
+
+TEST(AqlParserTest, NestingDepthIsBounded) {
+  // Parentheses, not(...) and element constructors each recurse once;
+  // past the shared limit the parser fails with a typed error instead
+  // of exhausting the stack.
+  EXPECT_TRUE(Query::Parse(NestedWhere(kMaxNestingDepth)).ok());
+  for (size_t depth : {kMaxNestingDepth + 1, size_t{100000}}) {
+    auto r = Query::Parse(NestedWhere(depth));
+    ASSERT_FALSE(r.ok()) << depth;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  }
+  std::string nots = "for $x in input(0) where ";
+  for (int i = 0; i < 100000; ++i) nots += "not(";
+  EXPECT_EQ(Query::Parse(nots + "$x").status().code(),
+            StatusCode::kParseError);
+  std::string cons = "for $x in input(0) return ";
+  for (int i = 0; i < 100000; ++i) cons += "<a>{ ";
+  EXPECT_EQ(Query::Parse(cons + "$x").status().code(),
+            StatusCode::kParseError);
+}
+
+TEST(AqlParserTest, OutOfRangeInputIndexIsAParseError) {
+  auto r = Query::Parse("for $x in input(99999999999) return $x");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+}
+
+// Seeded mutation fuzz over the round-trip corpus: every truncation and
+// many random byte edits of each entry must either parse to a query
+// whose canonical text reparses to itself or fail with a ParseError —
+// never crash, throw or hang.
+TEST(AqlParserFuzzTest, TruncatedAndMutatedTextParsesOrFailsWithStatus) {
+  Rng rng(testing::TestSeed(0xA91F));
+  size_t parsed = 0;
+  size_t rejected = 0;
+  auto check = [&](const std::string& text) {
+    auto r = Query::Parse(text);
+    if (!r.ok()) {
+      ++rejected;
+      EXPECT_EQ(r.status().code(), StatusCode::kParseError) << text;
+      return;
+    }
+    ++parsed;
+    auto back = Query::Parse(r.value().text());
+    ASSERT_TRUE(back.ok()) << back.status() << " on " << r.value().text();
+    EXPECT_EQ(back.value(), r.value()) << text;
+  };
+  constexpr std::string_view kSyntax = "()<>{}/$,=!\"0 ";
+  for (const char* entry : kAqlCorpus) {
+    const std::string text = entry;
+    for (size_t cut = 0; cut < text.size(); ++cut) check(text.substr(0, cut));
+    for (int i = 0; i < 2000; ++i) {
+      check(testing::MutateText(text, kSyntax, &rng));
+    }
+  }
+  EXPECT_GT(parsed, 0u) << "no mutation survived — not fuzzing the parser";
+  EXPECT_GT(rejected, 0u) << "no mutation was rejected — not fuzzing";
+}
 
 // --- Executor ---
 

@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -78,6 +79,31 @@ inline bool ResultsEqual(const std::vector<TreePtr>& a,
   std::sort(ca.begin(), ca.end());
   std::sort(cb.begin(), cb.end());
   return ca == cb;
+}
+
+/// One seeded fuzz input: `text` with 1-4 random byte inserts, deletes
+/// or overwrites. Half the written bytes come from `syntax`, the bytes
+/// the parser under test branches on, so edits reach past the lexer.
+inline std::string MutateText(std::string text, std::string_view syntax,
+                              Rng* rng) {
+  for (size_t e = 1 + rng->Index(4); e > 0; --e) {
+    const size_t at = rng->Index(text.size() + 1);
+    const char c = rng->Bernoulli(0.5)
+                       ? syntax[rng->Index(syntax.size())]
+                       : static_cast<char>(rng->Uniform(256));
+    switch (rng->Index(3)) {
+      case 0:
+        text.insert(text.begin() + at, c);
+        break;
+      case 1:
+        if (at < text.size()) text.erase(at, 1);
+        break;
+      default:
+        if (at < text.size()) text[at] = c;
+        break;
+    }
+  }
+  return text;
 }
 
 }  // namespace testing

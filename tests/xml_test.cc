@@ -126,16 +126,17 @@ TEST_P(XmlRoundTripTest, ParseSerializeParse) {
   EXPECT_EQ(SerializeCompact(*r2.value()), text);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, XmlRoundTripTest,
-    ::testing::Values(
-        "<a/>",
-        "<a>t</a>",
-        "<a x=\"1\"><b/><b>2</b></a>",
-        "<catalog><product><name>n</name><price>3</price></product></catalog>",
-        "<sc><peer>p1</peer><service>s</service><param1><x/></param1></sc>",
-        "<a>&amp;&lt;&gt;</a>",
-        "<deep><l1><l2><l3><l4>v</l4></l3></l2></l1></deep>"));
+const char* const kXmlCorpus[] = {
+    "<a/>",
+    "<a>t</a>",
+    "<a x=\"1\"><b/><b>2</b></a>",
+    "<catalog><product><name>n</name><price>3</price></product></catalog>",
+    "<sc><peer>p1</peer><service>s</service><param1><x/></param1></sc>",
+    "<a>&amp;&lt;&gt;</a>",
+    "<deep><l1><l2><l3><l4>v</l4></l3></l2></l1></deep>"};
+
+INSTANTIATE_TEST_SUITE_P(Corpus, XmlRoundTripTest,
+                         ::testing::ValuesIn(kXmlCorpus));
 
 TEST(XmlRoundTripTest, RandomTreesRoundTrip) {
   Rng rng(42);
@@ -147,6 +148,58 @@ TEST(XmlRoundTripTest, RandomTreesRoundTrip) {
     ASSERT_TRUE(back.ok()) << back.status() << " on " << text;
     EXPECT_TRUE(TreesEqualUnordered(*t, *back.value())) << text;
   }
+}
+
+std::string NestedXml(size_t depth) {
+  std::string text;
+  for (size_t i = 0; i < depth; ++i) text += "<a>";
+  for (size_t i = 0; i < depth; ++i) text += "</a>";
+  return text;
+}
+
+TEST(XmlParserTest, NestingDepthIsBounded) {
+  // The wire decoder's limit: deeper input is rejected with a typed
+  // error before recursive descent can exhaust the stack.
+  NodeIdGen gen;
+  EXPECT_TRUE(ParseXml(NestedXml(kMaxNestingDepth), &gen).ok());
+  for (size_t depth : {kMaxNestingDepth + 1, size_t{100000}}) {
+    auto r = ParseXml(NestedXml(depth), &gen);
+    ASSERT_FALSE(r.ok()) << depth;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  }
+}
+
+// Seeded mutation fuzz over the round-trip corpus: every truncation and
+// many random byte edits of each entry must either parse to a tree that
+// round-trips or fail with a ParseError — never crash or hang.
+TEST(XmlParserFuzzTest, TruncatedAndMutatedTextParsesOrFailsWithStatus) {
+  Rng rng(testing::TestSeed(0x3A11));
+  NodeIdGen gen;
+  size_t parsed = 0;
+  size_t rejected = 0;
+  auto check = [&](const std::string& text) {
+    auto r = ParseXml(text, &gen);
+    if (!r.ok()) {
+      ++rejected;
+      EXPECT_EQ(r.status().code(), StatusCode::kParseError) << text;
+      return;
+    }
+    ++parsed;
+    const std::string out = SerializeCompact(*r.value());
+    auto back = ParseXml(out, &gen);
+    ASSERT_TRUE(back.ok()) << back.status() << " on " << out;
+    EXPECT_TRUE(TreesEqualUnordered(*r.value(), *back.value())) << text;
+  };
+  constexpr std::string_view kSyntax = "<>/=\"'&;#![]-?x ";
+  for (const char* entry : kXmlCorpus) {
+    const std::string text = entry;
+    for (size_t cut = 0; cut < text.size(); ++cut) check(text.substr(0, cut));
+    for (int i = 0; i < 2000; ++i) {
+      check(testing::MutateText(text, kSyntax, &rng));
+    }
+  }
+  EXPECT_GT(parsed, 0u) << "no mutation survived — not fuzzing the parser";
+  EXPECT_GT(rejected, 0u) << "no mutation was rejected — not fuzzing";
 }
 
 TEST(XmlSerializerTest, PrettyFormIsIndentedAndReparsable) {
