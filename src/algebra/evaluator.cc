@@ -30,6 +30,14 @@ void EvalCounters::ExportMetrics(MetricSink& sink) const {
   sink.Value("sharded_fetches", sharded_fetches);
   sink.Value("coalesced_joins", coalesced_joins);
   sink.Value("refresh_waits", refresh_waits);
+  static constexpr const char* kKind[] = {"origin", "copy"};
+  static constexpr const char* kZone[] = {"self", "rack", "region", "wan"};
+  MetricSink pick = sink.Scoped("pick");
+  for (size_t k = 0; k < 2; ++k) {
+    for (size_t z = 0; z < 4; ++z) {
+      pick.Value(StrCat(kKind[k], "_", kZone[z]), picks[k][z]);
+    }
+  }
 }
 
 Evaluator::Evaluator(AxmlSystem* system, EvalOptions options)
@@ -46,6 +54,16 @@ void Evaluator::Fail(Status s) {
   if (async_status_.ok()) {
     async_status_ = std::move(s);
   }
+}
+
+void Evaluator::CountPick(PeerId reader, const ClassMember& member) {
+  const Topology& topo = sys_->network().topology();
+  const PeerId at = member.peer;
+  const size_t zone = at == reader                               ? 0
+                      : topo.RackOf(at) == topo.RackOf(reader)     ? 1
+                      : topo.RegionOf(at) == topo.RegionOf(reader) ? 2
+                                                                   : 3;
+  ++counters_.picks[sys_->replicas().IsCachedCopy(at, member.name)][zone];
 }
 
 void Evaluator::Trace(std::string what) {
@@ -264,6 +282,7 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
         Fail(member.status());
         return;
       }
+      CountPick(ctx, *member);
       Trace(StrCat("pickDoc ", class_name, "@any -> ", member->name, "@",
                    member->peer.ToString()));
       DeployExpr(ctx, Expr::Doc(member->name, member->peer), emit);

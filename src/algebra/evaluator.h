@@ -89,8 +89,14 @@ struct EvalCounters {
   uint64_t sharded_fetches = 0;  ///< shard delta fetches launched
   uint64_t coalesced_joins = 0;  ///< reads that joined an in-flight copy
   uint64_t refresh_waits = 0;  ///< reads parked behind an eager refresh
+  /// d@any picks by what was picked, [durable member (origin), cached
+  /// copy], and where it sits relative to the reader, [the reader itself,
+  /// its rack, its region, across the WAN] (Topology::RackOf/RegionOf;
+  /// peers outside a Hierarchical topology share one rack).
+  uint64_t picks[2][4] = {};
 
-  /// Registry retrofit: every field above under its own name.
+  /// Registry retrofit: every field above under its own name; `picks`
+  /// as pick/{origin,copy}_{self,rack,region,wan}.
   void ExportMetrics(MetricSink& sink) const;
 };
 
@@ -188,6 +194,9 @@ class Evaluator {
   /// and invokes `deliver` with the landed copy at arrival time.
   void Ship(PeerId from, PeerId to, const TreePtr& tree,
             std::function<void(TreePtr)> deliver);
+
+  /// Counts a d@any pick of `member` by `reader` in counters_.picks.
+  void CountPick(PeerId reader, const ClassMember& member);
 
   /// Records an asynchronous failure (first one wins).
   void Fail(Status s);

@@ -36,8 +36,9 @@ uint64_t HashKey(const std::string& s) {
 uint64_t RingDist(uint64_t a, uint64_t b) { return b - a; }
 
 // Live nodes of one finger interval priced as next-hop candidates. On
-// the 1024-peer two-region fleet ring, 16 leave only the forced last
-// WAN crossing (0.50 per route); 8 give 0.51 and 4 give 0.66.
+// a single 1024-peer ring spanning two regions, 16 left only the forced
+// last WAN crossing (0.50 per route); 8 gave 0.51 and 4 gave 0.66. On a
+// region ring they choose between rack and region links.
 constexpr size_t kFingerCandidates = 16;
 
 }  // namespace
@@ -54,14 +55,30 @@ void CatalogStats::ExportMetrics(MetricSink& sink) const {
 
 void CatalogBackend::Register(ResourceKind kind, const std::string& name,
                               PeerId holder) {
+  Advertise(kind, name, holder, /*copy=*/false);
+}
+
+void CatalogBackend::RegisterCopy(ResourceKind kind, const std::string& name,
+                                  PeerId holder) {
+  Advertise(kind, name, holder, /*copy=*/true);
+}
+
+void CatalogBackend::Advertise(ResourceKind kind, const std::string& name,
+                               PeerId holder, bool copy) {
   auto& v = entries_[MapKey(kind, name)];
-  if (std::find(v.begin(), v.end(), holder) != v.end()) {
+  auto it = std::find_if(v.begin(), v.end(),
+                         [&](const Entry& e) { return e.holder == holder; });
+  if (it == v.end()) {
+    v.push_back(Entry{holder, copy});
+    OnAdvertiseDelta(kind, name, holder, /*add=*/true, copy);
+  } else if (it->copy && !copy) {
+    // A durable write promoted the copy: its entry widens to durable.
+    it->copy = false;
+    OnAdvertiseDelta(kind, name, holder, /*add=*/true, /*copy=*/false);
+  } else {
     // Already advertised: the delta protocol makes this free.
     ++stats_.advertise_noops;
-    return;
   }
-  v.push_back(holder);
-  OnAdvertiseDelta(kind, name, holder, /*add=*/true);
 }
 
 void CatalogBackend::Unregister(ResourceKind kind, const std::string& name,
@@ -72,25 +89,28 @@ void CatalogBackend::Unregister(ResourceKind kind, const std::string& name,
     return;
   }
   auto& v = it->second;
-  auto pos = std::remove(v.begin(), v.end(), holder);
+  auto pos = std::find_if(v.begin(), v.end(),
+                          [&](const Entry& e) { return e.holder == holder; });
   if (pos == v.end()) {
     ++stats_.advertise_noops;
     return;
   }
-  v.erase(pos, v.end());
+  const bool copy = pos->copy;
+  v.erase(pos);
   if (v.empty()) entries_.erase(it);
-  OnAdvertiseDelta(kind, name, holder, /*add=*/false);
+  OnAdvertiseDelta(kind, name, holder, /*add=*/false, copy);
 }
 
 void CatalogBackend::OnAdvertiseDelta(ResourceKind kind,
                                       const std::string& name, PeerId holder,
-                                      bool add) {
+                                      bool add, bool copy) {
   // Default: the delta happened but cost nothing on the wire (the seed's
   // "registration is charged lazily on lookup" model).
   (void)kind;
   (void)name;
   (void)holder;
   (void)add;
+  (void)copy;
   RecordAdvertise(0, 0, 1);
 }
 
@@ -99,22 +119,45 @@ void CatalogBackend::EndAdvertiseBatch() {
   if (--advertise_batch_depth_ == 0) FlushAdvertiseBatch();
 }
 
-const std::vector<PeerId>* CatalogBackend::Holders(
+const std::vector<CatalogBackend::Entry>* CatalogBackend::Entries(
     ResourceKind kind, const std::string& name) const {
   auto it = entries_.find(MapKey(kind, name));
   return it == entries_.end() ? nullptr : &it->second;
 }
 
+std::vector<PeerId> CatalogBackend::Holders(ResourceKind kind,
+                                            const std::string& name) const {
+  std::vector<PeerId> holders;
+  if (const auto* entries = Entries(kind, name)) {
+    holders.reserve(entries->size());
+    for (const Entry& e : *entries) holders.push_back(e.holder);
+  }
+  return holders;
+}
+
 bool CatalogBackend::IsAdvertised(ResourceKind kind, const std::string& name,
                                   PeerId holder) const {
-  const std::vector<PeerId>* h = Holders(kind, name);
-  return h != nullptr && std::find(h->begin(), h->end(), holder) != h->end();
+  const std::vector<Entry>* entries = Entries(kind, name);
+  return entries != nullptr &&
+         std::any_of(entries->begin(), entries->end(),
+                     [&](const Entry& e) { return e.holder == holder; });
 }
 
 size_t CatalogBackend::HolderCount(ResourceKind kind,
                                    const std::string& name) const {
-  const std::vector<PeerId>* h = Holders(kind, name);
-  return h == nullptr ? 0 : h->size();
+  const std::vector<Entry>* entries = Entries(kind, name);
+  return entries == nullptr ? 0 : entries->size();
+}
+
+bool CatalogBackend::VisibleFrom(ResourceKind kind, const std::string& name,
+                                 PeerId holder, PeerId from,
+                                 const Topology& topo) const {
+  (void)kind;
+  (void)name;
+  (void)holder;
+  (void)from;
+  (void)topo;
+  return true;
 }
 
 double CatalogBackend::MaxNodeLoadShare() const {
@@ -153,7 +196,7 @@ LookupResult CentralCatalog::LookupNow(ResourceKind kind,
                                        const std::string& name, PeerId from,
                                        const Network& net) {
   LookupResult r;
-  if (const auto* h = Holders(kind, name)) r.holders = *h;
+  r.holders = Holders(kind, name);
   // Request to the server + response back.
   r.delay_s = net.topology().Get(from, server_).TransferTime(
                   kCatalogMsgBytes) +
@@ -187,38 +230,50 @@ uint64_t ChordDhtCatalog::KeyPoint(const std::string& map_key) {
   return HashKey(map_key);
 }
 
-void ChordDhtCatalog::EnsureRing() const {
-  if (!ring_dirty_) return;
-  ring_.clear();
-  ring_.reserve(peer_count_);
+void ChordDhtCatalog::EnsureRings(const Topology& topo) const {
+  if (!rings_dirty_ && ring_regions_ == topo.regions()) return;
+  ring_regions_ = topo.regions();
+  rings_.clear();
+  ring_of_.assign(peer_count_, 0);
+  std::map<uint32_t, uint32_t> ring_of_region;
   for (uint32_t i = 0; i < peer_count_; ++i) {
-    ring_.emplace_back(PeerPoint(i), i);
+    const auto [it, fresh] = ring_of_region.try_emplace(
+        topo.RegionOf(PeerId(i)), static_cast<uint32_t>(rings_.size()));
+    if (fresh) rings_.emplace_back();
+    ring_of_[i] = it->second;
+    rings_[it->second].emplace_back(PeerPoint(i), i);
   }
-  std::sort(ring_.begin(), ring_.end());
-  ring_dirty_ = false;
+  for (Ring& ring : rings_) std::sort(ring.begin(), ring.end());
+  rings_dirty_ = false;
 }
 
-size_t ChordDhtCatalog::RingIndexOf(uint64_t point) const {
+const ChordDhtCatalog::Ring& ChordDhtCatalog::RingOf(PeerId peer) const {
+  const bool member = peer.is_concrete() && peer.index() < ring_of_.size();
+  return rings_[member ? ring_of_[peer.index()] : 0];
+}
+
+size_t ChordDhtCatalog::RingIndexOf(const Ring& ring, uint64_t point) {
   auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), point,
+      ring.begin(), ring.end(), point,
       [](const std::pair<uint64_t, uint32_t>& e, uint64_t p) {
         return e.first < p;
       });
-  return it == ring_.end() ? 0 : static_cast<size_t>(it - ring_.begin());
+  return it == ring.end() ? 0 : static_cast<size_t>(it - ring.begin());
 }
 
-uint32_t ChordDhtCatalog::SuccessorOf(uint64_t point) const {
-  const size_t first = RingIndexOf(point);
+uint32_t ChordDhtCatalog::SuccessorOf(const Ring& ring,
+                                      uint64_t point) const {
+  const size_t first = RingIndexOf(ring, point);
   // Successor-list repair, lazily: a crashed successor is skipped and
   // its arc falls to the next live peer, so digests and lookups keep
   // landing on reachable nodes through churn. When every peer is down
   // (quiesced test teardown) the nominal successor is returned — the
   // network gate stops the traffic anyway.
-  for (size_t n = 0; n < ring_.size(); ++n) {
-    const uint32_t peer = ring_[(first + n) % ring_.size()].second;
+  for (size_t n = 0; n < ring.size(); ++n) {
+    const uint32_t peer = ring[(first + n) % ring.size()].second;
     if (IsLive(peer)) return peer;
   }
-  return ring_[first].second;
+  return ring[first].second;
 }
 
 void ChordDhtCatalog::SetPeerLive(PeerId peer, bool live) {
@@ -233,24 +288,24 @@ void ChordDhtCatalog::SetPeerLive(PeerId peer, bool live) {
   }
 }
 
-uint32_t ChordDhtCatalog::NextHop(const Topology& topo, uint32_t cur,
-                                  uint32_t responsible) const {
+uint32_t ChordDhtCatalog::NextHop(const Topology& topo, const Ring& ring,
+                                  uint32_t cur, uint32_t owner) const {
   const uint64_t cur_pt = PeerPoint(cur);
-  const uint64_t span = RingDist(cur_pt, PeerPoint(responsible));
+  const uint64_t span = RingDist(cur_pt, PeerPoint(owner));
   // Greedy finger routing takes the farthest finger that does not
-  // overshoot the responsible node. Finger j covers ring distances
-  // [2^j, 2^(j+1)); every j with 2^j > span overshoots, and the interval
-  // of the highest j with 2^j <= span always holds the responsible node
-  // itself, so that interval (clipped to the span) is the only one a hop
-  // needs. The strict `<` keeps ring order on ties, which makes a
-  // uniform topology pick the classic successor of cur + 2^j.
+  // overshoot the owner. Finger j covers ring distances [2^j, 2^(j+1));
+  // every j with 2^j > span overshoots, and the interval of the highest
+  // j with 2^j <= span always holds the owner itself, so that interval
+  // (clipped to the span) is the only one a hop needs. The strict `<`
+  // keeps ring order on ties, which makes a uniform topology pick the
+  // classic successor of cur + 2^j.
   const uint64_t lo = std::bit_floor(span);
-  const size_t first = RingIndexOf(cur_pt + lo);
-  uint32_t best = responsible;
+  const size_t first = RingIndexOf(ring, cur_pt + lo);
+  uint32_t best = owner;
   double best_delay = std::numeric_limits<double>::infinity();
   size_t live = 0;
-  for (size_t n = 0; n < ring_.size() && live < kFingerCandidates; ++n) {
-    const auto& [point, peer] = ring_[(first + n) % ring_.size()];
+  for (size_t n = 0; n < ring.size() && live < kFingerCandidates; ++n) {
+    const auto& [point, peer] = ring[(first + n) % ring.size()];
     const uint64_t d = RingDist(cur_pt, point);
     if (d < lo || d > span) break;  // wrapped round to `cur`, or past
     if (!IsLive(peer)) continue;
@@ -269,29 +324,58 @@ std::vector<PeerId> ChordDhtCatalog::Route(ResourceKind kind,
                                            const std::string& name,
                                            PeerId from,
                                            const Topology& topo) const {
-  EnsureRing();
+  EnsureRings(topo);
   std::vector<PeerId> path;
-  if (ring_.empty()) return path;
-  const uint32_t responsible = SuccessorOf(KeyPoint(MapKey(kind, name)));
+  if (rings_.empty()) return path;
+  const Ring& ring = RingOf(from);
+  const uint32_t owner = SuccessorOf(ring, KeyPoint(MapKey(kind, name)));
   // Requesters outside the ring (tests with ad-hoc ids) enter through
-  // the responsible node directly.
+  // the owner directly.
   if (!from.is_concrete() || from.index() >= peer_count_) {
-    path.push_back(PeerId(responsible));
+    path.push_back(PeerId(owner));
     return path;
   }
   uint32_t cur = from.index();
-  while (cur != responsible) {
-    cur = NextHop(topo, cur, responsible);
+  while (cur != owner) {
+    cur = NextHop(topo, ring, cur, owner);
     path.push_back(PeerId(cur));
   }
   return path;
+}
+
+bool ChordDhtCatalog::SeenFrom(const Entry& e, PeerId from,
+                               const Topology& topo) {
+  // A copy was told only to its own region's owner.
+  return !e.copy || topo.RegionOf(e.holder) == topo.RegionOf(from);
+}
+
+bool ChordDhtCatalog::VisibleFrom(ResourceKind kind, const std::string& name,
+                                  PeerId holder, PeerId from,
+                                  const Topology& topo) const {
+  const std::vector<Entry>* entries = Entries(kind, name);
+  if (entries == nullptr) return true;
+  auto it = std::find_if(entries->begin(), entries->end(),
+                         [&](const Entry& e) { return e.holder == holder; });
+  return it == entries->end() || SeenFrom(*it, from, topo);
+}
+
+std::vector<PeerId> ChordDhtCatalog::HoldersSeenFrom(
+    ResourceKind kind, const std::string& name, PeerId from,
+    const Topology& topo) const {
+  std::vector<PeerId> holders;
+  if (const auto* entries = Entries(kind, name)) {
+    for (const Entry& e : *entries) {
+      if (SeenFrom(e, from, topo)) holders.push_back(e.holder);
+    }
+  }
+  return holders;
 }
 
 LookupResult ChordDhtCatalog::LookupNow(ResourceKind kind,
                                         const std::string& name, PeerId from,
                                         const Network& net) {
   LookupResult r;
-  if (const auto* h = Holders(kind, name)) r.holders = *h;
+  r.holders = HoldersSeenFrom(kind, name, from, net.topology());
   const std::vector<PeerId> route = Route(kind, name, from, net.topology());
   PeerId cur = from;
   for (PeerId next : route) {
@@ -300,7 +384,7 @@ LookupResult ChordDhtCatalog::LookupNow(ResourceKind kind,
     cur = next;
   }
   if (cur != from) {
-    // Response hop responsible -> requester.
+    // Response hop owner -> requester.
     r.delay_s += net.topology().Get(cur, from).TransferTime(kCatalogMsgBytes);
     ++r.messages;
   }
@@ -324,7 +408,6 @@ struct ChordDhtCatalog::LookupChain {
 
 void ChordDhtCatalog::Lookup(ResourceKind kind, const std::string& name,
                              PeerId from, Network* net, LookupCallback cb) {
-  EnsureRing();
   ++stats_.lookups;
   auto st = std::make_shared<LookupChain>();
   st->kind = kind;
@@ -344,11 +427,11 @@ void ChordDhtCatalog::LookupStep(const std::shared_ptr<LookupChain>& st) {
   // callback owns the chain, so it is freed when the lookup completes.
   if (st->i >= st->route.size()) {
     LookupResult r;
-    // Holders snapshot when the request reaches the responsible node.
-    if (const auto* h = Holders(st->kind, st->name)) r.holders = *h;
-    const PeerId responsible =
-        st->route.empty() ? st->from : st->route.back();
-    if (responsible == st->from) {
+    // Holders snapshot when the request reaches the region owner.
+    r.holders =
+        HoldersSeenFrom(st->kind, st->name, st->from, st->net->topology());
+    const PeerId owner = st->route.empty() ? st->from : st->route.back();
+    if (owner == st->from) {
       // The requester owns the entry's arc: a local index read.
       r.delay_s = st->delay_s;
       r.messages = st->messages;
@@ -358,14 +441,14 @@ void ChordDhtCatalog::LookupStep(const std::shared_ptr<LookupChain>& st) {
       return;
     }
     const double back = st->net->topology()
-                            .Get(responsible, st->from)
+                            .Get(owner, st->from)
                             .TransferTime(kCatalogMsgBytes);
     r.delay_s = st->delay_s + back;
     r.messages = st->messages + 1;
     r.bytes = r.messages * kCatalogMsgBytes;
     stats_.lookup_messages += 1;
     stats_.lookup_bytes += kCatalogMsgBytes;
-    st->net->ControlRoundtrip(responsible, st->from, 1, kCatalogMsgBytes,
+    st->net->ControlRoundtrip(owner, st->from, 1, kCatalogMsgBytes,
                               back, [st, r] { st->cb(r); });
     return;
   }
@@ -387,24 +470,31 @@ void ChordDhtCatalog::LookupStep(const std::shared_ptr<LookupChain>& st) {
 
 void ChordDhtCatalog::OnAdvertiseDelta(ResourceKind kind,
                                        const std::string& name, PeerId holder,
-                                       bool add) {
+                                       bool add, bool copy) {
   (void)add;
   if (net_ == nullptr || !holder.is_concrete()) {
     // Standalone (no network attached): free, like the seed.
     RecordAdvertise(0, 0, 1);
     return;
   }
-  EnsureRing();
-  if (ring_.empty()) {
+  EnsureRings(net_->topology());
+  if (rings_.empty()) {
     RecordAdvertise(0, 0, 1);
     return;
   }
-  const uint32_t responsible = SuccessorOf(KeyPoint(MapKey(kind, name)));
-  if (in_advertise_batch()) {
-    ++pending_digests_[{holder.index(), responsible}];
-    return;
+  // A durable entry goes to the key's owner in every region, a copy only
+  // to the owner in the holder's region.
+  const uint64_t key = KeyPoint(MapKey(kind, name));
+  const Ring& home = RingOf(holder);
+  for (const Ring& ring : rings_) {
+    if (copy && &ring != &home) continue;
+    const uint32_t owner = SuccessorOf(ring, key);
+    if (in_advertise_batch()) {
+      ++pending_digests_[{holder.index(), owner}];
+    } else {
+      SendDigest(holder.index(), owner, 1);
+    }
   }
-  SendDigest(holder.index(), responsible, 1);
 }
 
 void ChordDhtCatalog::FlushAdvertiseBatch() {
@@ -418,9 +508,9 @@ void ChordDhtCatalog::FlushAdvertiseBatch() {
   pending_digests_.clear();
 }
 
-void ChordDhtCatalog::SendDigest(uint32_t holder, uint32_t responsible,
+void ChordDhtCatalog::SendDigest(uint32_t holder, uint32_t owner,
                                  uint64_t deltas) {
-  if (holder == responsible) {
+  if (holder == owner) {
     // The holder owns the entry's arc: a local index write.
     RecordAdvertise(0, 0, deltas);
     return;
@@ -428,7 +518,7 @@ void ChordDhtCatalog::SendDigest(uint32_t holder, uint32_t responsible,
   const uint64_t bytes =
       kCatalogMsgBytes + (deltas - 1) * kCatalogDigestEntryBytes;
   const PeerId h(holder);
-  const PeerId r(responsible);
+  const PeerId r(owner);
   const double d = net_->topology().Get(h, r).TransferTime(bytes);
   RecordAdvertise(1, bytes, deltas);
   AddNodeLoad(r);
@@ -441,11 +531,8 @@ LookupResult FloodCatalog::LookupNow(ResourceKind kind,
                                      const std::string& name, PeerId from,
                                      const Network& net) {
   LookupResult r;
-  const std::vector<PeerId>* holders = Holders(kind, name);
-  std::unordered_set<PeerId> holder_set;
-  if (holders != nullptr) {
-    holder_set.insert(holders->begin(), holders->end());
-  }
+  const std::vector<PeerId> holders = Holders(kind, name);
+  const std::unordered_set<PeerId> holder_set(holders.begin(), holders.end());
 
   // BFS over the neighbor graph up to the TTL, counting one message per
   // edge traversed (the classic Gnutella cost). If no neighbor graph is
@@ -455,7 +542,7 @@ LookupResult FloodCatalog::LookupNow(ResourceKind kind,
     r.messages = n;
     r.bytes = static_cast<uint64_t>(n) * kCatalogMsgBytes;
     r.delay_s = net.topology().default_link().latency_s * 2;
-    if (holders != nullptr) r.holders = *holders;
+    r.holders = holders;
     return r;
   }
 

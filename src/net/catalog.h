@@ -10,15 +10,16 @@
 //
 //  - CentralCatalog:  one index server; lookup = RTT to the server plus a
 //                     small request/response payload.
-//  - ChordDhtCatalog: a real Chord-style ring over the peer ids. Lookups
-//                     route hop-by-hop through finger intervals, each hop
-//                     a Network::ControlRoundtrip on the actual link — so
-//                     DHT traffic is priced, traced and fault-injectable
-//                     like every other message. Advertisements route as
-//                     digest messages to the responsible node and batch
-//                     (Begin/EndAdvertiseBatch), so re-advertising an
-//                     unchanged entry is free and bulk installs pay per
-//                     delta, not per call.
+//  - ChordDhtCatalog: a real Chord-style ring per topology region over
+//                     the peer ids. Lookups route hop-by-hop through
+//                     finger intervals to a key owner in the requester's
+//                     region, each hop a Network::ControlRoundtrip on the
+//                     actual link — so DHT traffic is priced, traced and
+//                     fault-injectable like every other message.
+//                     Advertisements route as digest messages to the key
+//                     owners and batch (Begin/EndAdvertiseBatch), so
+//                     re-advertising an unchanged entry is free and bulk
+//                     installs pay per delta, not per call.
 //  - FloodCatalog:    Gnutella-style flooding over the topology's
 //                     neighbor graph with a TTL; cost = one message per
 //                     edge visited, delay = the depth at which the
@@ -91,13 +92,20 @@ class CatalogBackend {
   /// and reports.
   virtual const char* backend_name() const = 0;
 
-  /// Advertises that `holder` provides `name`. Only an *effective* delta
-  /// (the entry was not already advertised) reaches the backend's
-  /// routing hook; a repeat Register is a counted no-op.
-  virtual void Register(ResourceKind kind, const std::string& name,
-                        PeerId holder);
-  virtual void Unregister(ResourceKind kind, const std::string& name,
-                          PeerId holder);
+  /// Advertises that `holder` provides `name` durably (an installed
+  /// document or service). Only an *effective* delta (the entry was not
+  /// already advertised) reaches the backend's routing hook; a repeat
+  /// Register is a counted no-op. Registering a cached copy's entry
+  /// durably (a write promoted the copy) widens its scope.
+  void Register(ResourceKind kind, const std::string& name, PeerId holder);
+  /// Advertises a cached copy of `name` at `holder`. The entry is the
+  /// same as a durable one for every backend but Chord, which tells only
+  /// the holder's region (see ChordDhtCatalog).
+  void RegisterCopy(ResourceKind kind, const std::string& name,
+                    PeerId holder);
+  /// Retracts `holder`'s entry, durable or copy, from wherever it was
+  /// advertised.
+  void Unregister(ResourceKind kind, const std::string& name, PeerId holder);
 
   /// True when `holder` currently advertises `name`. Free (no modeled
   /// traffic): used by tests and the replica layer to check registration
@@ -106,6 +114,14 @@ class CatalogBackend {
                     PeerId holder) const;
   /// Number of peers advertising `name` (free, like IsAdvertised).
   size_t HolderCount(ResourceKind kind, const std::string& name) const;
+
+  /// True when a lookup of `name` from `from` would report `holder`: the
+  /// entry is durable, unknown, or a copy the requester's key owner was
+  /// told about. Only Chord scopes copies; the others see every entry.
+  /// Free, like IsAdvertised: the d@any pick filters its members by it.
+  virtual bool VisibleFrom(ResourceKind kind, const std::string& name,
+                           PeerId holder, PeerId from,
+                           const Topology& topo) const;
 
   /// Resolves `name` from peer `from`: charges modeled traffic on `net`
   /// and invokes `cb` after the modeled delay.
@@ -167,10 +183,17 @@ class CatalogBackend {
   void ResetStats();
 
  protected:
+  /// One advertisement: its holder, and whether it is a cached copy.
+  struct Entry {
+    PeerId holder;
+    bool copy = false;
+  };
+
   /// Invoked once for every effective advertisement delta (add or
-  /// remove). Backends route / price it; the default is free.
+  /// remove) of a durable entry or a copy. Backends route / price it;
+  /// the default is free.
   virtual void OnAdvertiseDelta(ResourceKind kind, const std::string& name,
-                                PeerId holder, bool add);
+                                PeerId holder, bool add, bool copy);
   /// Invoked when the last advertisement batch window closes.
   virtual void FlushAdvertiseBatch() {}
   /// Invoked when set_peer_count changes the value.
@@ -191,8 +214,11 @@ class CatalogBackend {
   }
   bool in_advertise_batch() const { return advertise_batch_depth_ > 0; }
 
-  const std::vector<PeerId>* Holders(ResourceKind kind,
-                                     const std::string& name) const;
+  const std::vector<Entry>* Entries(ResourceKind kind,
+                                    const std::string& name) const;
+  /// Every holder of `name`, in advertisement order.
+  std::vector<PeerId> Holders(ResourceKind kind,
+                              const std::string& name) const;
   static std::string MapKey(ResourceKind kind, const std::string& name) {
     return (kind == ResourceKind::kDocument ? "d:" : "s:") + name;
   }
@@ -202,7 +228,10 @@ class CatalogBackend {
   CatalogStats stats_;
 
  private:
-  std::map<std::string, std::vector<PeerId>> entries_;
+  void Advertise(ResourceKind kind, const std::string& name, PeerId holder,
+                 bool copy);
+
+  std::map<std::string, std::vector<Entry>> entries_;
   std::map<uint32_t, uint64_t> node_load_;
   uint32_t advertise_batch_depth_ = 0;
 };
@@ -225,35 +254,48 @@ class CentralCatalog : public CatalogBackend {
   PeerId server_;
 };
 
-/// A real Chord-style DHT over the peer ids: each peer owns the arc of a
-/// 64-bit hash ring ending at its point; entry `name` lives at the
-/// successor of hash(name). Lookups route greedily through finger
-/// intervals, giving O(log P) hops, each hop a ControlRoundtrip on the
-/// actual cur->next link. Advertisement deltas route as digest messages
-/// holder -> responsible node (holders cache their responsible-node
-/// addresses, the standard one-hop put) and coalesce under
-/// Begin/EndAdvertiseBatch.
+/// A real Chord-style DHT over the peer ids, one ring per topology
+/// region (the hierarchical DHT of Coral and Canon). Each peer owns the
+/// arc of its region's 64-bit hash ring ending at its point; in region r,
+/// entry `name` lives at the successor of hash(name) on r's ring — the
+/// key's *region owner*. The regions are those of the Topology a lookup
+/// travels on (Topology::RegionOf); a topology without regions is one
+/// region, so its ring and routes are the classic single-ring ones.
 ///
-/// Fingers are proximity-aware (proximity neighbour selection, Dabek et
-/// al., NSDI 2004): finger j of `cur` is, among the first 16 live ring
-/// nodes of the interval [cur + 2^j, cur + 2^(j+1)) that do not overshoot
-/// the responsible node, the one with the cheapest priced hop from `cur`
-/// on the topology of the Network the lookup travels. Ties go to the
-/// first node in ring order, so on a uniform topology every route is the
-/// classic successor-of-(cur + 2^j) route. Each hop uses the highest j
-/// with 2^j <= the remaining ring distance; that interval always holds
-/// the responsible node, so it is never empty. Ring points are hashes, so
-/// on a WAN/region/rack hierarchy this keeps a route inside the
-/// requester's region until its last hop.
+/// Lookups route greedily through finger intervals of the requester's
+/// region ring, giving O(log P/R) hops, each hop a ControlRoundtrip on
+/// the actual cur->next link, and end at that region's owner: no hop and
+/// no response leaves the region. Fingers are proximity-aware (proximity
+/// neighbour selection, Dabek et al., NSDI 2004): finger j of `cur` is,
+/// among the first 16 live ring nodes of the interval [cur + 2^j,
+/// cur + 2^(j+1)) that do not overshoot the owner, the one with the
+/// cheapest priced hop from `cur`. Ties go to the first node in ring
+/// order, so on a uniform topology every route is the classic
+/// successor-of-(cur + 2^j) route. Each hop uses the highest j with
+/// 2^j <= the remaining ring distance; that interval always holds the
+/// owner, so it is never empty.
 ///
-/// The ring is rebuilt lazily when peer_count changes, so fleet bring-up
-/// (P AddPeer calls) does not pay P ring builds. Liveness-aware routing
-/// (SetPeerLive): a crashed peer stays a ring member, but successor
-/// resolution walks past it — its arc is absorbed by the next live peer,
-/// the lazy form of Chord's successor-list repair — and fingers are
-/// resolved when a route uses them, through the same filter, so every hop
-/// of every route lands on a live node. Rejoin restores the peer's arc on
-/// the next resolution; no finger tables exist to fix up.
+/// Advertisement deltas route as digest messages holder -> owner
+/// (holders cache their owners' addresses, the standard one-hop put) and
+/// coalesce per (holder, owner) under Begin/EndAdvertiseBatch. Scope:
+///  - a durable entry (Register) goes to the owner in every region;
+///  - a cached copy (RegisterCopy) goes only to the owner in the holder's
+///    own region.
+/// So a region owner knows the durable members plus its own region's
+/// copies, and that is all a lookup from the region may report
+/// (VisibleFrom; the d@any pick filters its members the same way). A
+/// copy across the WAN never beats the member it replicates on a
+/// cache-aware or nearest pick, so hiding it changes no such pick.
+///
+/// The rings are rebuilt lazily when peer_count or the topology's regions
+/// change, so fleet bring-up (P AddPeer calls) does not pay P ring
+/// builds. Liveness-aware routing (SetPeerLive): a crashed peer stays a
+/// ring member, but successor resolution walks past it — its arc is
+/// absorbed by the next live peer of its region ring, the lazy form of
+/// Chord's successor-list repair — and fingers are resolved when a route
+/// uses them, through the same filter, so every hop of every route lands
+/// on a live node. Rejoin restores the peer's arc on the next
+/// resolution; no finger tables exist to fix up.
 class ChordDhtCatalog : public CatalogBackend {
  public:
   ChordDhtCatalog() = default;
@@ -263,51 +305,71 @@ class ChordDhtCatalog : public CatalogBackend {
               Network* net, LookupCallback cb) override;
   LookupResult LookupNow(ResourceKind kind, const std::string& name,
                          PeerId from, const Network& net) override;
+  bool VisibleFrom(ResourceKind kind, const std::string& name, PeerId holder,
+                   PeerId from, const Topology& topo) const override;
   void SetPeerLive(PeerId peer, bool live) override;
 
  protected:
   void OnAdvertiseDelta(ResourceKind kind, const std::string& name,
-                        PeerId holder, bool add) override;
+                        PeerId holder, bool add, bool copy) override;
   void FlushAdvertiseBatch() override;
-  void OnPeerCountChanged() override { ring_dirty_ = true; }
+  void OnPeerCountChanged() override { rings_dirty_ = true; }
 
  private:
   struct LookupChain;
+  /// (point, peer index) of one region's peers, sorted by point.
+  using Ring = std::vector<std::pair<uint64_t, uint32_t>>;
+
   /// Takes the next hop of a routed lookup, or answers it once the
-  /// responsible node is reached.
+  /// region owner is reached.
   void LookupStep(const std::shared_ptr<LookupChain>& st);
 
-  void EnsureRing() const;
+  /// Rebuilds the region rings when peer_count or `topo`'s regions have
+  /// changed since the last build.
+  void EnsureRings(const Topology& topo) const;
+  /// The ring of `peer`'s region; requesters outside the ring (tests
+  /// with ad-hoc ids) use the first ring.
+  const Ring& RingOf(PeerId peer) const;
   /// Ring position of peer `index` (a splitmix64 point, deterministic).
   static uint64_t PeerPoint(uint32_t index);
   /// Ring position of an entry key.
   static uint64_t KeyPoint(const std::string& map_key);
   /// True unless the peer is marked down via SetPeerLive.
   bool IsLive(uint32_t index) const { return down_.count(index) == 0; }
-  /// Index into ring_ of the first entry at or clockwise of `point`.
-  size_t RingIndexOf(uint64_t point) const;
-  /// The first *live* peer at or clockwise of `point` (a crashed
-  /// successor is skipped — its arc falls to the next live peer).
-  uint32_t SuccessorOf(uint64_t point) const;
-  /// Routing path from `from` to the responsible node, excluding `from`
-  /// itself and including the responsible node; empty when `from` is
-  /// responsible (or outside the ring). Hops are priced on `topo`.
+  /// Index into `ring` of the first entry at or clockwise of `point`.
+  static size_t RingIndexOf(const Ring& ring, uint64_t point);
+  /// The first *live* peer of `ring` at or clockwise of `point` (a
+  /// crashed successor is skipped — its arc falls to the next live peer).
+  uint32_t SuccessorOf(const Ring& ring, uint64_t point) const;
+  /// True when `from`'s region owner knows entry `e` (see VisibleFrom).
+  static bool SeenFrom(const Entry& e, PeerId from, const Topology& topo);
+  /// Holders a lookup from `from` reports.
+  std::vector<PeerId> HoldersSeenFrom(ResourceKind kind,
+                                      const std::string& name, PeerId from,
+                                      const Topology& topo) const;
+  /// Routing path from `from` to its region owner, excluding `from`
+  /// itself and including the owner; empty when `from` is the owner.
+  /// Regions come from, and hops are priced on, `topo`.
   std::vector<PeerId> Route(ResourceKind kind, const std::string& name,
                             PeerId from, const Topology& topo) const;
-  /// Next routing hop from `cur` toward `responsible` (see the class
+  /// Next routing hop from `cur` toward `owner` on `ring` (see the class
   /// comment for the finger choice).
-  uint32_t NextHop(const Topology& topo, uint32_t cur,
-                   uint32_t responsible) const;
-  /// One digest message holder -> responsible covering `deltas` entries.
-  void SendDigest(uint32_t holder, uint32_t responsible, uint64_t deltas);
+  uint32_t NextHop(const Topology& topo, const Ring& ring, uint32_t cur,
+                   uint32_t owner) const;
+  /// One digest message holder -> owner covering `deltas` entries.
+  void SendDigest(uint32_t holder, uint32_t owner, uint64_t deltas);
 
-  /// (point, peer index), sorted by point; rebuilt lazily.
-  mutable std::vector<std::pair<uint64_t, uint32_t>> ring_;
-  mutable bool ring_dirty_ = true;
+  /// One ring per region, in order of the regions' first peer index.
+  mutable std::vector<Ring> rings_;
+  /// Index into rings_ of each peer.
+  mutable std::vector<uint32_t> ring_of_;
+  /// The topology regions (Topology::regions) the rings were built from.
+  mutable std::vector<uint32_t> ring_regions_;
+  mutable bool rings_dirty_ = true;
   /// Peers currently crashed (by index); routing skips them.
   std::set<uint32_t> down_;
   /// Deltas pending in the open batch window, coalesced per
-  /// (holder, responsible) pair.
+  /// (holder, owner) pair.
   std::map<std::pair<uint32_t, uint32_t>, uint64_t> pending_digests_;
 };
 

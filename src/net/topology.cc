@@ -49,6 +49,11 @@ uint32_t Topology::RegionOf(PeerId p) const {
   return region_of_[p.index()];
 }
 
+uint32_t Topology::RackOf(PeerId p) const {
+  if (!p.is_concrete() || p.index() >= rack_of_.size()) return UINT32_MAX;
+  return rack_of_[p.index()];
+}
+
 void Topology::AddNeighborEdge(PeerId a, PeerId b) {
   neighbors_[a].push_back(b);
   neighbors_[b].push_back(a);

@@ -96,6 +96,11 @@ class Topology {
   /// Region index of `p` in a Hierarchical topology; UINT32_MAX for
   /// peers outside the hierarchy (or a non-hierarchical topology).
   uint32_t RegionOf(PeerId p) const;
+  /// Rack index of `p`, like RegionOf.
+  uint32_t RackOf(PeerId p) const;
+  /// Region of every peer of a Hierarchical topology by index; empty for
+  /// a non-hierarchical one.
+  const std::vector<uint32_t>& regions() const { return region_of_; }
 
  private:
   static uint64_t Key(PeerId a, PeerId b) {

@@ -1,6 +1,7 @@
 #include "peer/generic.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/str_util.h"
 
@@ -102,8 +103,17 @@ Result<ClassMember> GenericCatalog::PickDocument(
       }
     }
   }
-  Result<ClassMember> picked = Pick(doc_classes_, "document", class_name,
-                                    from, policy, net, nominal_bytes);
+  const std::vector<ClassMember>* members = DocumentMembers(class_name);
+  std::vector<ClassMember> visible;
+  auto hidden = [&](const ClassMember& m) { return !visibility_(m, from); };
+  if (members != nullptr && visibility_ &&
+      std::any_of(members->begin(), members->end(), hidden)) {
+    std::remove_copy_if(members->begin(), members->end(),
+                        std::back_inserter(visible), hidden);
+    members = &visible;
+  }
+  Result<ClassMember> picked = Pick(members, "document", class_name, from,
+                                    policy, net, nominal_bytes);
   if (picked.ok() && from.is_concrete()) {
     // Demand signal for proactive placement: who keeps resolving which
     // class. Only concrete callers count — a copy can only be seeded at
@@ -117,20 +127,19 @@ Result<ClassMember> GenericCatalog::PickDocument(
 Result<ClassMember> GenericCatalog::PickService(
     const std::string& class_name, PeerId from, PickPolicy policy,
     const Network& net, uint64_t nominal_bytes) {
-  return Pick(svc_classes_, "service", class_name, from, policy, net,
-              nominal_bytes);
+  return Pick(ServiceMembers(class_name), "service", class_name, from,
+              policy, net, nominal_bytes);
 }
 
 Result<ClassMember> GenericCatalog::Pick(
-    const std::map<std::string, std::vector<ClassMember>>& classes,
-    const char* what, const std::string& class_name, PeerId from,
-    PickPolicy policy, const Network& net, uint64_t nominal_bytes) {
-  auto it = classes.find(class_name);
-  if (it == classes.end() || it->second.empty()) {
+    const std::vector<ClassMember>* candidates, const char* what,
+    const std::string& class_name, PeerId from, PickPolicy policy,
+    const Network& net, uint64_t nominal_bytes) {
+  if (candidates == nullptr || candidates->empty()) {
     return Status::NotFound(
         StrCat("no members in ", what, " class \"", class_name, "\""));
   }
-  const std::vector<ClassMember>& members = it->second;
+  const std::vector<ClassMember>& members = *candidates;
   const ClassMember* chosen = nullptr;
   switch (policy) {
     case PickPolicy::kFirst:

@@ -154,6 +154,16 @@ class GenericCatalog {
     doc_validator_ = std::move(fn);
   }
 
+  /// Which members caller `from` may pick at all: what its resource
+  /// catalog tells it exists (a region-scoped catalog does not report
+  /// cached copies outside the caller's region). Applied to document
+  /// picks after the freshness sweep. Unset = every member is visible.
+  using MemberVisibility =
+      std::function<bool(const ClassMember& member, PeerId from)>;
+  void set_member_visibility(MemberVisibility fn) {
+    visibility_ = std::move(fn);
+  }
+
   /// Per-member payload-size estimate for kCacheAware (actual serialized
   /// bytes of that member's copy). Unset = `nominal_bytes` for everyone.
   using MemberSizeHint = std::function<uint64_t(const ClassMember&)>;
@@ -162,10 +172,10 @@ class GenericCatalog {
   }
 
  private:
-  Result<ClassMember> Pick(
-      const std::map<std::string, std::vector<ClassMember>>& classes,
-      const char* what, const std::string& class_name, PeerId from,
-      PickPolicy policy, const Network& net, uint64_t nominal_bytes);
+  Result<ClassMember> Pick(const std::vector<ClassMember>* candidates,
+                           const char* what, const std::string& class_name,
+                           PeerId from, PickPolicy policy, const Network& net,
+                           uint64_t nominal_bytes);
 
   std::map<std::string, std::vector<ClassMember>> doc_classes_;
   std::map<std::string, std::vector<ClassMember>> svc_classes_;
@@ -181,6 +191,7 @@ class GenericCatalog {
   PickPolicy default_policy_ = PickPolicy::kNearest;
   Rng rng_;
   MemberValidator doc_validator_;
+  MemberVisibility visibility_;
   MemberSizeHint size_hint_;
 };
 

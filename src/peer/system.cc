@@ -37,6 +37,13 @@ AxmlSystem::AxmlSystem(Topology topology)
       [this](const std::string& cls, PeerId from, uint64_t demand) {
         replicas_.OnPickDemand(cls, from, demand);
       });
+  // A pick sees what the caller's catalog lookup reports: every member,
+  // except cached copies a region-scoped catalog keeps in their region.
+  generics_.set_member_visibility([this](const ClassMember& m, PeerId from) {
+    return catalog_ == nullptr ||
+           catalog_->VisibleFrom(ResourceKind::kDocument, m.name, m.peer,
+                                 from, network_->topology());
+  });
   // Encoded sizes are memoized per (member, doc version) — computing
   // one walks the whole tree, and the pick consults every member. The
   // hint is the *wire* size (what fetching the member would move), not

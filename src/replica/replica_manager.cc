@@ -141,15 +141,19 @@ void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
     }
   }
   // A durable put keeps the catalog entry (the peer genuinely holds a
-  // document of this name now); a removal must retract it — the listener
-  // fires for both, so check which one happened. Membership in the
-  // origin's classes goes either way: the write may have broken
-  // equivalence.
+  // document of this name now) and widens it from the copy's scope to a
+  // durable one; a removal must retract it — the listener fires for
+  // both, so check which one happened. Membership in the origin's
+  // classes goes either way: the write may have broken equivalence.
   if (sys_ != nullptr) {
     const Peer* holder = sys_->peer(owner);
     const bool still_exists = holder != nullptr && holder->HasDocument(name);
-    if (!still_exists && sys_->catalog() != nullptr) {
-      sys_->catalog()->Unregister(ResourceKind::kDocument, name, owner);
+    if (CatalogBackend* catalog = sys_->catalog()) {
+      if (still_exists) {
+        catalog->Register(ResourceKind::kDocument, name, owner);
+      } else {
+        catalog->Unregister(ResourceKind::kDocument, name, owner);
+      }
     }
     LeaveGenericClasses(ClassMember{name, owner});
   }
@@ -247,7 +251,7 @@ void ReplicaManager::InstallAndAdvertise(PeerId reader, PeerId origin,
   holder->PutDocument(name, std::move(tree));
   installed_[{reader, name}] = origin;
   if (sys_->catalog() != nullptr) {
-    sys_->catalog()->Register(ResourceKind::kDocument, name, reader);
+    sys_->catalog()->RegisterCopy(ResourceKind::kDocument, name, reader);
   }
   for (const std::string& cls :
        sys_->generics().DocumentClassesOf(ClassMember{name, origin})) {

@@ -7,6 +7,7 @@
 #include <bit>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,8 @@
 #include "net/network.h"
 #include "net/topology.h"
 #include "obs/trace.h"
+#include "peer/generic.h"
+#include "peer/system.h"
 
 namespace axml {
 namespace {
@@ -525,6 +528,12 @@ class ChordRouteTest : public ::testing::Test {
     return route;
   }
 
+  /// The node a lookup from `from` resolves at: its region's key owner.
+  PeerId OwnerOf(const std::string& key, PeerId from) {
+    const std::vector<PeerId> route = RouteOf(key, from);
+    return route.empty() ? from : route.back();
+  }
+
   static std::vector<std::string> ClassKeys() {
     // The fleet_read shape: 8 origins x 4 documents, one class each.
     std::vector<std::string> keys;
@@ -541,7 +550,7 @@ class ChordRouteTest : public ::testing::Test {
   uint32_t peers_ = 0;
 };
 
-TEST_F(ChordRouteTest, HierarchicalRoutesStayInRegionUntilTheLastHop) {
+TEST_F(ChordRouteTest, HierarchicalLookupsResolveInsideTheRequestersRegion) {
   Topology::HierarchySpec spec;
   spec.regions = 2;
   spec.racks_per_region = 4;
@@ -549,8 +558,9 @@ TEST_F(ChordRouteTest, HierarchicalRoutesStayInRegionUntilTheLastHop) {
   Build(Topology::Hierarchical(spec), spec.peer_count());
   const std::vector<std::string> keys = ClassKeys();
   const Topology& topo = net_->topology();
-  const size_t max_hops = std::bit_width(peers_) - 1;  // log2 P
-  double wan_crossings = 0;
+  // Each region is its own ring of P / regions peers.
+  const size_t max_hops = std::bit_width(peers_ / spec.regions) - 1;
+  size_t wan_crossings = 0;
   double delay_s = 0;
   size_t routes = 0;
   for (uint32_t i = 0; i < peers_; ++i) {
@@ -576,11 +586,10 @@ TEST_F(ChordRouteTest, HierarchicalRoutesStayInRegionUntilTheLastHop) {
       ++routes;
     }
   }
-  // Hash-placed fingers cross the WAN on about half the hops (1.96 per
-  // route); proximity fingers leave only the forced last crossing, to
-  // an owner in the other region (0.5 per route).
-  EXPECT_LE(wan_crossings / routes, 0.55);
-  EXPECT_LE(delay_s / routes, 0.110);
+  // Every key has an owner in each region, so no hop (and no response)
+  // crosses the 80 ms WAN: lookups cost rack and region links only.
+  EXPECT_EQ(wan_crossings, 0u);
+  EXPECT_LE(delay_s / routes, 0.025);
 }
 
 // Reference model of the classic Chord route: finger j of `cur` is the
@@ -642,6 +651,101 @@ TEST_F(ChordRouteTest, UniformTopologyKeepsTheClassicRoute) {
   }
 }
 
+/// The 128-peer two-region ring: region 0 is peers 0-63, region 1 is
+/// peers 64-127.
+Topology::HierarchySpec TwoRegions128() {
+  Topology::HierarchySpec spec;
+  spec.regions = 2;
+  spec.racks_per_region = 4;
+  spec.peers_per_rack = 16;
+  return spec;
+}
+
+TEST_F(ChordRouteTest, DurableEntriesReachEveryRegionOwnerAndCopiesTheirOwn) {
+  const Topology::HierarchySpec spec = TwoRegions128();
+  Build(Topology::Hierarchical(spec), spec.peer_count());
+  cat_.AttachNetwork(net_.get());
+  const std::string key = "cls_d0_0";
+  const PeerId owner_a = OwnerOf(key, PeerId(0));
+  const PeerId owner_b = OwnerOf(key, PeerId(64));
+  ASSERT_EQ(net_->topology().RegionOf(owner_a), 0u);
+  ASSERT_EQ(net_->topology().RegionOf(owner_b), 1u);
+  // Holders that own the key in neither region.
+  const PeerId durable_holder(owner_a == PeerId(1) ? 2 : 1);
+  const PeerId copy_holder(owner_b == PeerId(65) ? 66 : 65);
+
+  // The peers each advertisement call sends a digest to.
+  auto digests = [&](auto advertise) {
+    tracer_.Clear();
+    const uint64_t before = cat_.stats().advertise_messages;
+    advertise();
+    loop_.Run();
+    std::vector<PeerId> to;
+    for (const TraceSpan& s : tracer_.Events()) {
+      if (s.category != "net" || s.name != "control") continue;
+      to.push_back(
+          PeerId(static_cast<uint32_t>(std::stoul(s.detail.substr(4)))));
+    }
+    EXPECT_EQ(cat_.stats().advertise_messages - before, to.size());
+    std::sort(to.begin(), to.end());
+    return to;
+  };
+  std::vector<PeerId> both = {owner_a, owner_b};
+  std::sort(both.begin(), both.end());
+  // A durable entry: one digest to the key's owner in each region, and
+  // its retraction the same.
+  EXPECT_EQ(digests([&] {
+              cat_.Register(ResourceKind::kDocument, key, durable_holder);
+            }),
+            both);
+  EXPECT_EQ(digests([&] {
+              cat_.Unregister(ResourceKind::kDocument, key, durable_holder);
+            }),
+            both);
+  // A cached copy: one digest, to its own region's owner, and so is its
+  // retraction.
+  EXPECT_EQ(digests([&] {
+              cat_.RegisterCopy(ResourceKind::kDocument, key, copy_holder);
+            }),
+            std::vector<PeerId>{owner_b});
+  const Topology& topo = net_->topology();
+  EXPECT_TRUE(cat_.VisibleFrom(ResourceKind::kDocument, key, copy_holder,
+                               PeerId(100), topo));
+  EXPECT_FALSE(cat_.VisibleFrom(ResourceKind::kDocument, key, copy_holder,
+                                PeerId(10), topo));
+  EXPECT_EQ(digests([&] {
+              cat_.Unregister(ResourceKind::kDocument, key, copy_holder);
+            }),
+            std::vector<PeerId>{owner_b});
+}
+
+TEST_F(ChordRouteTest, CrashedRegionOwnerHandsItsLookupsToTheNextNodeOfItsRing) {
+  const Topology::HierarchySpec spec = TwoRegions128();
+  Build(Topology::Hierarchical(spec), spec.peer_count());
+  const std::string key = "cls_d1_2";
+  const PeerId owner_a = OwnerOf(key, PeerId(0));
+  const PeerId owner_b = OwnerOf(key, PeerId(64));
+  // Region 1's ring in point order: its owner's live successor there
+  // takes the arc over, whichever node follows on the global order.
+  std::vector<std::pair<uint64_t, uint32_t>> ring_b;
+  for (uint32_t i = 64; i < 128; ++i) ring_b.emplace_back(SplitMix(i + 1), i);
+  std::sort(ring_b.begin(), ring_b.end());
+  size_t pos = 0;
+  while (ring_b[pos].second != owner_b.index()) ++pos;
+  const PeerId next_b(ring_b[(pos + 1) % ring_b.size()].second);
+
+  cat_.SetPeerLive(owner_b, false);
+  net_->SetPeerUp(owner_b, false);
+  for (uint32_t i = 0; i < peers_; ++i) {
+    if (PeerId(i) == owner_b) continue;
+    EXPECT_EQ(OwnerOf(key, PeerId(i)), i < 64 ? owner_a : next_b)
+        << "from p" << i;
+  }
+  cat_.SetPeerLive(owner_b, true);
+  net_->SetPeerUp(owner_b, true);
+  EXPECT_EQ(OwnerOf(key, PeerId(100)), owner_b);
+}
+
 TEST_F(ChordRouteTest, CrashedFirstHopIsSkippedAndTheOwnerStillAnswers) {
   Topology::HierarchySpec spec;
   spec.regions = 2;
@@ -671,6 +775,50 @@ TEST_F(ChordRouteTest, CrashedFirstHopIsSkippedAndTheOwnerStillAnswers) {
   ASSERT_EQ(r.holders.size(), 1u);
   EXPECT_EQ(r.holders[0], PeerId(5));
   EXPECT_EQ(r.messages, after.size() + 1);
+}
+
+// --- Region-scoped d@any picks ---
+
+TEST(RegionScopedPickTest, RandomPicksNeverLandOnAnotherRegionsCopy) {
+  Topology::HierarchySpec spec;
+  spec.regions = 2;
+  spec.racks_per_region = 2;
+  spec.peers_per_rack = 4;  // region 0 is peers 0-7, region 1 is 8-15
+  AxmlSystem sys(Topology::Hierarchical(spec));
+  for (uint32_t i = 0; i < spec.peer_count(); ++i) {
+    sys.AddPeer(StrCat("p", i));
+  }
+  sys.SetCatalog(std::make_unique<ChordDhtCatalog>());
+  // One durable origin in region 0 and a cached copy in each region.
+  const PeerId origin(0);
+  const PeerId copy_a(5);
+  const PeerId copy_b(9);
+  sys.catalog()->Register(ResourceKind::kDocument, "d", origin);
+  sys.generics().AddDocumentMember("cls", ClassMember{"d", origin});
+  for (PeerId copy : {copy_a, copy_b}) {
+    sys.catalog()->RegisterCopy(ResourceKind::kDocument, "d", copy);
+    sys.generics().AddDocumentMember("cls", ClassMember{"d", copy});
+  }
+  // Each reader picks among what its region's key owner knows: the
+  // origin and its own region's copy, never the other region's copy.
+  for (const auto& [reader, own, other] :
+       {std::tuple{PeerId(14), copy_b, copy_a},
+        std::tuple{PeerId(2), copy_a, copy_b}}) {
+    bool picked_own = false;
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+      sys.generics().SeedRandom(seed);
+      const Result<ClassMember> m = sys.generics().PickDocument(
+          "cls", reader, PickPolicy::kRandom, sys.network());
+      ASSERT_TRUE(m.ok()) << m.status().ToString();
+      ASSERT_NE(m->peer, other) << "seed " << seed << " reader " << reader;
+      picked_own |= m->peer == own;
+    }
+    EXPECT_TRUE(picked_own) << "reader " << reader;
+    // The reader's catalog lookup reports the same holders.
+    const LookupResult r = sys.catalog()->LookupNow(
+        ResourceKind::kDocument, "d", reader, sys.network());
+    EXPECT_EQ(r.holders, (std::vector<PeerId>{origin, own}));
+  }
 }
 
 }  // namespace
