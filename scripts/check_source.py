@@ -1,17 +1,9 @@
 #!/usr/bin/env python3
 """Project-specific source lints the compiler cannot enforce.
 
-Seven checks over src/ (and tests/, bench/, examples/ where noted),
+Six checks over src/ (and tests/, bench/, examples/ where noted),
 each pinning a repo-wide contract that used to live only in review
 comments:
-
-  metrics-drift        Every stats struct (``struct FooStats`` /
-                       ``struct FooCounters`` in src/**.h) must declare
-                       ``void ExportMetrics(MetricSink&...)`` so the
-                       metrics registry (src/obs/metrics.h) sees every
-                       counter — a struct that skips the retrofit drifts
-                       out of Snapshot() silently. Derived value types
-                       with no counters of record are allowlisted.
 
   determinism          The simulator is deterministic by construction:
                        one seeded Rng (common/rng.h), virtual time from
@@ -77,12 +69,6 @@ import sys
 from typing import Iterable, Iterator, NamedTuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-# metrics-drift: value types without counters of record. PairStats is a
-# per-link slice NetStats::ExportMetrics flattens itself; LabelStats /
-# TreeStats are derived tree-shape summaries recomputed per call, not
-# accumulating counters.
-METRICS_EXEMPT = {"PairStats", "LabelStats", "TreeStats"}
 
 # raw-new-delete: intentionally leaky process-wide singletons (never
 # destroyed, so no destruction-order fiasco at exit).
@@ -167,41 +153,6 @@ def cxx_files(dirs: Iterable[str]) -> Iterator[pathlib.Path]:
             continue
         for ext in ("*.h", "*.cc", "*.cpp"):
             yield from sorted(root.rglob(ext))
-
-
-# --- metrics-drift ---
-
-_STATS_DECL_RE = re.compile(r"^\s*(?:struct|class)\s+(\w*(?:Stats|Counters))\b")
-_EXPORT_RE = re.compile(r"void\s+ExportMetrics\s*\(\s*MetricSink\s*&")
-
-
-def check_metrics_drift(sf: SourceFile) -> Iterator[Finding]:
-    """Each *Stats/*Counters type must declare ExportMetrics(MetricSink&)."""
-    for i, line in enumerate(sf.code, 1):
-        m = _STATS_DECL_RE.match(line)
-        if not m or line.rstrip().endswith(";"):  # skip forward decls
-            continue
-        name = m.group(1)
-        if name in METRICS_EXEMPT or suppressed(sf, i, "metrics-drift"):
-            continue
-        # Scan the type body: from the declaration to its closing brace
-        # at the declaration's indent level.
-        depth = 0
-        body: list[str] = []
-        for body_line in sf.code[i - 1 :]:
-            body.append(body_line)
-            depth += body_line.count("{") - body_line.count("}")
-            if depth <= 0 and "{" in "".join(body):
-                break
-        if not _EXPORT_RE.search("\n".join(body)):
-            yield Finding(
-                sf.path,
-                i,
-                "metrics-drift",
-                f"{name} declares no 'void ExportMetrics(MetricSink&)' — "
-                "counters invisible to MetricRegistry::Snapshot() "
-                "(allowlist derived value types in check_source.py)",
-            )
 
 
 # --- determinism ---
@@ -421,11 +372,8 @@ def run_checks() -> list[Finding]:
         sf = load(path)
         rel_parts = path.relative_to(REPO_ROOT).parts
         top = rel_parts[0]
-        if top == "src" and path.suffix == ".h":
-            findings.extend(check_metrics_drift(sf))
+        if top == "src":
             findings.extend(check_header_hygiene(sf))
-        elif top == "src":
-            findings.extend(check_header_hygiene(sf))  # #pragma once ban
         if top == "src" and "fault_injector" in path.name:
             findings.extend(check_injected_rng(sf))
         rel_posix = "/".join(rel_parts)

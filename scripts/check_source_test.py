@@ -43,27 +43,6 @@ def marked_lines(sf: cs.SourceFile, marker: str = "MUST be flagged") -> list[int
     return sorted(i for i, line in enumerate(sf.raw, 1) if marker in line)
 
 
-class MetricsDriftTest(unittest.TestCase):
-    def test_flags_exactly_the_drifting_struct(self) -> None:
-        sf = fixture("bad_metrics_drift.h", pose_as="bad_metrics_drift.h")
-        findings = list(cs.check_metrics_drift(sf))
-        self.assertEqual(len(findings), 1, findings)
-        self.assertIn("DriftStats", findings[0].message)
-        self.assertEqual(
-            findings[0].line,
-            next(i for i, line in enumerate(sf.raw, 1) if "struct DriftStats" in line),
-        )
-
-    def test_exempt_names_are_skipped(self) -> None:
-        sf = fixture("bad_metrics_drift.h", pose_as="bad_metrics_drift.h")
-        renamed = cs.SourceFile(
-            sf.path,
-            [line.replace("DriftStats", "PairStats") for line in sf.raw],
-            [line.replace("DriftStats", "PairStats") for line in sf.code],
-        )
-        self.assertEqual(list(cs.check_metrics_drift(renamed)), [])
-
-
 class DeterminismTest(unittest.TestCase):
     def test_flags_each_marked_line_and_honors_waiver(self) -> None:
         sf = fixture("bad_determinism.cc")

@@ -23,28 +23,18 @@ EmitFn Swallow() {
 
 }  // namespace
 
-void EvalCounters::ExportMetrics(MetricSink& sink) const {
-  sink.Value("replica_hits", replica_hits);
-  sink.Value("sharded_hits", sharded_hits);
-  sink.Value("remote_fetches", remote_fetches);
-  sink.Value("sharded_fetches", sharded_fetches);
-  sink.Value("coalesced_joins", coalesced_joins);
-  sink.Value("refresh_waits", refresh_waits);
-  static constexpr const char* kKind[] = {"origin", "copy"};
-  static constexpr const char* kZone[] = {"self", "rack", "region", "wan"};
-  MetricSink pick = sink.Scoped("pick");
-  for (size_t k = 0; k < 2; ++k) {
-    for (size_t z = 0; z < 4; ++z) {
-      pick.Value(StrCat(kKind[k], "_", kZone[z]), picks[k][z]);
-    }
-  }
+const char* PickName(size_t i) {
+  static constexpr const char* kNames[] = {
+      "origin_self", "origin_rack", "origin_region", "origin_wan",
+      "copy_self",   "copy_rack",   "copy_region",   "copy_wan"};
+  return kNames[i];
 }
 
 Evaluator::Evaluator(AxmlSystem* system, EvalOptions options)
     : sys_(system), options_(options) {
   AXML_CHECK(system != nullptr);
   metrics_source_ = sys_->metrics().RegisterSource(
-      "eval", [this](MetricSink& sink) { counters_.ExportMetrics(sink); });
+      "eval", [this](MetricSink& sink) { ExportCounters(counters_, sink); });
 }
 
 Evaluator::~Evaluator() { sys_->metrics().UnregisterSource(metrics_source_); }

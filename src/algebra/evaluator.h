@@ -79,6 +79,10 @@ struct TraceEvent {
   std::string what;
 };
 
+/// Name of EvalCounters::picks cell i in row-major order:
+/// {origin,copy}_{self,rack,region,wan}.
+const char* PickName(size_t i);
+
 /// Counters for the evaluator's replica read path. Each Evaluator mounts
 /// its own into the system's MetricRegistry at "eval/..." for its
 /// lifetime (several evaluators on one system sum there).
@@ -95,10 +99,16 @@ struct EvalCounters {
   /// peers outside a Hierarchical topology share one rack).
   uint64_t picks[2][4] = {};
 
-  /// Registry retrofit: every field above under its own name; `picks`
-  /// as pick/{origin,copy}_{self,rack,region,wan}.
-  void ExportMetrics(MetricSink& sink) const;
+  static constexpr auto kCounters = std::make_tuple(
+      Counter{"replica_hits", &EvalCounters::replica_hits},
+      Counter{"sharded_hits", &EvalCounters::sharded_hits},
+      Counter{"remote_fetches", &EvalCounters::remote_fetches},
+      Counter{"sharded_fetches", &EvalCounters::sharded_fetches},
+      Counter{"coalesced_joins", &EvalCounters::coalesced_joins},
+      Counter{"refresh_waits", &EvalCounters::refresh_waits},
+      Counter{"pick/", &EvalCounters::picks, PickName});
 };
+static_assert(CountersCover<EvalCounters>());
 
 /// What an evaluation produced and what it cost.
 struct EvalOutcome {

@@ -43,16 +43,6 @@ constexpr size_t kFingerCandidates = 16;
 
 }  // namespace
 
-void CatalogStats::ExportMetrics(MetricSink& sink) const {
-  sink.Value("lookups", lookups);
-  sink.Value("lookup_messages", lookup_messages);
-  sink.Value("lookup_bytes", lookup_bytes);
-  sink.Value("advertise_messages", advertise_messages);
-  sink.Value("advertise_bytes", advertise_bytes);
-  sink.Value("advertise_deltas", advertise_deltas);
-  sink.Value("advertise_noops", advertise_noops);
-}
-
 void CatalogBackend::Register(ResourceKind kind, const std::string& name,
                               PeerId holder) {
   Advertise(kind, name, holder, /*copy=*/false);
@@ -173,7 +163,7 @@ double CatalogBackend::MaxNodeLoadShare() const {
 }
 
 void CatalogBackend::ExportMetrics(MetricSink& sink) const {
-  stats_.ExportMetrics(sink);
+  ExportCounters(stats_, sink);
   uint64_t total = 0;
   uint64_t max = 0;
   for (const auto& [node, n] : node_load_) {

@@ -75,8 +75,16 @@ struct CatalogStats {
   uint64_t advertise_deltas = 0;
   uint64_t advertise_noops = 0;
 
-  void ExportMetrics(MetricSink& sink) const;
+  static constexpr auto kCounters = std::make_tuple(
+      Counter{"lookups", &CatalogStats::lookups},
+      Counter{"lookup_messages", &CatalogStats::lookup_messages},
+      Counter{"lookup_bytes", &CatalogStats::lookup_bytes},
+      Counter{"advertise_messages", &CatalogStats::advertise_messages},
+      Counter{"advertise_bytes", &CatalogStats::advertise_bytes},
+      Counter{"advertise_deltas", &CatalogStats::advertise_deltas},
+      Counter{"advertise_noops", &CatalogStats::advertise_noops});
 };
+static_assert(CountersCover<CatalogStats>());
 
 /// Interface shared by all catalog backends. The base class owns the
 /// authoritative name -> holders index (synchronously consistent, as in

@@ -1,23 +1,6 @@
 #include "net/fault_injector.h"
 
-#include "common/str_util.h"
-
 namespace axml {
-
-std::string FaultStats::ToString() const {
-  return StrCat("judged=", judged, " delivered=", delivered,
-                " dropped=", dropped,
-                " partition_dropped=", partition_dropped,
-                " delayed=", delayed);
-}
-
-void FaultStats::ExportMetrics(MetricSink& sink) const {
-  sink.Value("judged", judged);
-  sink.Value("delivered", delivered);
-  sink.Value("dropped", dropped);
-  sink.Value("partition_dropped", partition_dropped);
-  sink.Value("delayed", delayed);
-}
 
 void FaultInjector::SetLinkConfig(PeerId from, PeerId to,
                                   const FaultConfig& config) {

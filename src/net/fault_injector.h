@@ -62,11 +62,16 @@ struct FaultStats {
   uint64_t partition_dropped = 0;///< losses to a partition window
   uint64_t delayed = 0;          ///< spike or reorder hold-backs applied
 
-  std::string ToString() const;
+  std::string ToString() const { return CountersToString(*this); }
 
-  /// Registry retrofit: every field above under its own name.
-  void ExportMetrics(MetricSink& sink) const;
+  static constexpr auto kCounters = std::make_tuple(
+      Counter{"judged", &FaultStats::judged},
+      Counter{"delivered", &FaultStats::delivered},
+      Counter{"dropped", &FaultStats::dropped},
+      Counter{"partition_dropped", &FaultStats::partition_dropped},
+      Counter{"delayed", &FaultStats::delayed});
 };
+static_assert(CountersCover<FaultStats>());
 
 /// Rules on the fate of each network message. Owned by whoever owns the
 /// Rng (tests, benches, the soak harness); the Network only borrows it

@@ -1,7 +1,5 @@
 #include "net/net_stats.h"
 
-#include "common/str_util.h"
-
 namespace axml {
 
 void NetStats::Record(PeerId from, PeerId to, uint64_t bytes) {
@@ -49,41 +47,9 @@ void NetStats::RecordNotify(PeerId from, PeerId to, uint64_t bytes) {
 // now pins the full sweep).
 void NetStats::Reset() { *this = NetStats(); }
 
-void NetStats::ExportMetrics(MetricSink& sink) const {
-  sink.Value("total_messages", total_messages_);
-  sink.Value("total_bytes", total_bytes_);
-  sink.Value("remote_messages", remote_messages_);
-  sink.Value("remote_bytes", remote_bytes_);
-  sink.Value("control_messages", control_messages_);
-  sink.Value("control_bytes", control_bytes_);
-  sink.Value("notify_messages", notify_messages_);
-  sink.Value("notify_bytes", notify_bytes_);
-  sink.Value("dropped_messages", dropped_messages_);
-  sink.Value("dropped_bytes", dropped_bytes_);
-  for (size_t i = 0; i < wire::kMessageClassCount; ++i) {
-    const char* name =
-        wire::MessageClassName(static_cast<wire::MessageClass>(i));
-    sink.Value(StrCat("class_msgs_", name), class_messages_[i]);
-    sink.Value(StrCat("class_bytes_", name), class_bytes_[i]);
-  }
-  sink.Histo("msg_bytes", msg_bytes_);
-}
-
 PairStats NetStats::Pair(PeerId from, PeerId to) const {
   auto it = pairs_.find(Key(from, to));
   return it == pairs_.end() ? PairStats{} : it->second;
-}
-
-std::string NetStats::ToString() const {
-  return StrCat("messages=", total_messages_, " bytes=", total_bytes_,
-                " remote_messages=", remote_messages_,
-                " remote_bytes=", remote_bytes_,
-                " control_messages=", control_messages_,
-                " control_bytes=", control_bytes_,
-                " notify_messages=", notify_messages_,
-                " notify_bytes=", notify_bytes_,
-                " dropped_messages=", dropped_messages_,
-                " dropped_bytes=", dropped_bytes_);
 }
 
 }  // namespace axml

@@ -76,12 +76,7 @@ class NetStats {
   /// their mean per-message size).
   const Histogram& message_bytes_histogram() const { return msg_bytes_; }
 
-  /// Emits every counter (and the size histogram) into `sink` under its
-  /// accessor's name — the registry retrofit. A test pins that these
-  /// exports and the typed accessors never drift.
-  void ExportMetrics(MetricSink& sink) const;
-
-  std::string ToString() const;
+  std::string ToString() const { return CountersToString(*this); }
 
  private:
   static uint64_t Key(PeerId a, PeerId b) {
@@ -108,7 +103,29 @@ class NetStats {
   uint64_t class_bytes_[wire::kMessageClassCount] = {};
   Histogram msg_bytes_;
   std::unordered_map<uint64_t, PairStats> pairs_;
+
+ public:
+  /// Every counter above, under its registry name (obs/metrics.h).
+  static constexpr auto kCounters = std::make_tuple(
+      Counter{"total_messages", &NetStats::total_messages_},
+      Counter{"total_bytes", &NetStats::total_bytes_},
+      Counter{"remote_messages", &NetStats::remote_messages_},
+      Counter{"remote_bytes", &NetStats::remote_bytes_},
+      Counter{"control_messages", &NetStats::control_messages_},
+      Counter{"control_bytes", &NetStats::control_bytes_},
+      Counter{"notify_messages", &NetStats::notify_messages_},
+      Counter{"notify_bytes", &NetStats::notify_bytes_},
+      Counter{"dropped_messages", &NetStats::dropped_messages_},
+      Counter{"dropped_bytes", &NetStats::dropped_bytes_},
+      Counter{"class_msgs_", &NetStats::class_messages_,
+              &wire::MessageClassName},
+      Counter{"class_bytes_", &NetStats::class_bytes_,
+              &wire::MessageClassName},
+      Counter{"msg_bytes", &NetStats::msg_bytes_});
 };
+// pairs_ is the per-link breakdown, not a counter of record.
+static_assert(CountersCover<NetStats>(
+    sizeof(std::unordered_map<uint64_t, PairStats>)));
 
 }  // namespace axml
 

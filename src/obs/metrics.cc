@@ -59,6 +59,15 @@ void MetricSink::Histo(const std::string& name, const Histogram& h) {
   }
 }
 
+std::string FormatValues(const std::map<std::string, uint64_t>& values) {
+  std::string out;
+  for (const auto& [name, v] : values) {
+    if (!out.empty()) out += ' ';
+    out += StrCat(name, "=", v);
+  }
+  return out;
+}
+
 uint64_t MetricsSnapshot::ValueOr(const std::string& name,
                                   uint64_t fallback) const {
   auto it = values.find(name);
@@ -104,20 +113,9 @@ void MetricRegistry::UnregisterSource(SourceId id) {
   }
 }
 
-uint64_t* MetricRegistry::FindOrCreateCounter(const std::string& name) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-  auto it = counters_.find(name);
-  if (it != counters_.end()) return it->second;
-  counter_cells_.push_back(0);
-  return counters_.emplace(name, &counter_cells_.back()).first->second;
-}
-
 MetricsSnapshot MetricRegistry::Snapshot() const {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   MetricsSnapshot snap;
-  for (const auto& [name, cell] : counters_) {
-    snap.values[name] += *cell;
-  }
   for (const Source& source : sources_) {
     MetricSink sink(source.prefix, &snap.values);
     source.fn(sink);

@@ -10,11 +10,12 @@
 // form. This registry is that layer:
 //
 //  - values carry hierarchical slash-separated names
-//    ("peer/3/replica/cache/hit_bytes", "net/notify_bytes");
-//  - the existing stat structs are *retrofitted*, not replaced: each
-//    keeps its typed fields and accessors and registers an export
-//    callback that reads those very fields at snapshot time, so the
-//    registry and the legacy accessors cannot drift (a test pins this);
+//    ("replica/cache/hits", "net/notify_bytes");
+//  - each stat struct keeps its typed fields and lists them once, in a
+//    `kCounters` table of names and member pointers (Counter below)
+//    that the export, the ToString line and the cross-peer sum all
+//    read; a static_assert (CountersCover) next to each table fails the
+//    build when a field is left out of it;
 //  - Snapshot() captures everything at one instant; DiffSince() turns
 //    two snapshots into a per-interval delta — the shape every bench
 //    and soak-test quiescence check wants;
@@ -31,10 +32,12 @@
 #define AXML_OBS_METRICS_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/sequence_checker.h"
@@ -95,13 +98,102 @@ class MetricSink {
 
   /// A sink writing into the same snapshot at `<prefix>/<sub>` — how a
   /// composite source (the ReplicaManager) mounts its sub-structs'
-  /// ExportMetrics at their own places in the namespace.
+  /// counters at their own places in the namespace.
   MetricSink Scoped(const std::string& sub) const;
 
  private:
   std::string prefix_;
   std::map<std::string, uint64_t>* out_;
 };
+
+// --- Counter tables ---
+//
+// A stats struct lists its counters once, as a member
+//   static constexpr auto kCounters = std::make_tuple(
+//       Counter{"hits", &FooStats::hits}, ...);
+// followed, after the struct, by
+//   static_assert(CountersCover<FooStats>());
+// ExportCounters, CountersToString and AddCounters run that table.
+
+/// One table entry: a uint64_t counter exported as `name`, a (possibly
+/// nested) uint64_t array whose cell i, in row-major order, is exported
+/// as `<name><cell_name(E(i))>`, or a Histogram flattened under `name`.
+template <class S, class T, class E = size_t>
+struct Counter {
+  const char* name;
+  T S::*member;
+  const char* (*cell_name)(E) = nullptr;
+
+  void Export(const S& s, MetricSink& sink) const {
+    if constexpr (std::is_same_v<T, Histogram>) {
+      sink.Histo(name, s.*member);
+    } else {
+      for (size_t i = 0; i < sizeof(T) / sizeof(uint64_t); ++i) {
+        sink.Value(std::string(name) +
+                       (cell_name ? cell_name(static_cast<E>(i)) : ""),
+                   Cell(s.*member, i));
+      }
+    }
+  }
+  void Add(S& into, const S& from) const {
+    for (size_t i = 0; i < sizeof(T) / sizeof(uint64_t); ++i) {
+      Cell(into.*member, i) += Cell(from.*member, i);
+    }
+  }
+
+ private:
+  template <class A>
+  static auto& Cell(A& a, size_t i) {
+    if constexpr (std::rank_v<A> == 0) {
+      return a;
+    } else {
+      constexpr size_t stride = sizeof(a[0]) / sizeof(uint64_t);
+      return Cell(a[i / stride], i % stride);
+    }
+  }
+};
+template <class S, class T, class E = size_t>
+Counter(const char*, T S::*, const char* (*)(E) = nullptr)
+    -> Counter<S, T, E>;
+
+/// Emits every counter in S's table into `sink`.
+template <class S>
+void ExportCounters(const S& s, MetricSink& sink) {
+  std::apply([&](const auto&... e) { (e.Export(s, sink), ...); },
+             S::kCounters);
+}
+
+/// "name=value" for every exported value, space-separated, by name.
+std::string FormatValues(const std::map<std::string, uint64_t>& values);
+
+/// The ToString line of a stats struct: its exported values.
+template <class S>
+std::string CountersToString(const S& s) {
+  std::map<std::string, uint64_t> values;
+  MetricSink sink("", &values);
+  ExportCounters(s, sink);
+  return FormatValues(values);
+}
+
+/// Adds every counter of `from` into `into` (tables without histograms;
+/// TotalStats sums the caches with it).
+template <class S>
+void AddCounters(S& into, const S& from) {
+  std::apply([&](const auto&... e) { (e.Add(into, from), ...); },
+             S::kCounters);
+}
+
+/// True when S's table accounts for every byte of S, given
+/// `other_bytes` of members that are not counters (and tail padding).
+template <class S>
+constexpr bool CountersCover(size_t other_bytes = 0) {
+  const size_t bytes = std::apply(
+      [](const auto&... e) {
+        return (sizeof(std::declval<S&>().*e.member) + ... + size_t{0});
+      },
+      S::kCounters) + other_bytes;
+  return (bytes + alignof(S) - 1) / alignof(S) * alignof(S) == sizeof(S);
+}
 
 /// Everything the registry knew at one instant. Flat, sorted by name.
 struct MetricsSnapshot {
@@ -119,11 +211,8 @@ struct MetricsSnapshot {
   std::string ToJson() const;
 };
 
-/// The per-System metric namespace. Two kinds of values coexist:
-///  - *owned counters*: uint64 cells the registry allocates
-///    (FindOrCreateCounter) for call sites with no legacy struct;
-///  - *sources*: export callbacks mounted at a prefix, reading the
-///    retrofitted stat structs at snapshot time.
+/// The per-System metric namespace: export callbacks ("sources")
+/// mounted at a prefix, reading the stat structs at snapshot time.
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -139,11 +228,7 @@ class MetricRegistry {
   /// Removes a source; unknown ids are ignored (idempotent teardown).
   void UnregisterSource(SourceId id);
 
-  /// The owned counter cell named `name` (created zeroed on first use).
-  /// The pointer stays valid for the registry's lifetime.
-  uint64_t* FindOrCreateCounter(const std::string& name);
-
-  /// Captures owned counters and every source's exports.
+  /// Captures every source's exports.
   MetricsSnapshot Snapshot() const;
 
   size_t source_count() const {
@@ -162,11 +247,6 @@ class MetricRegistry {
       AXML_GUARDED_BY_CONTEXT(sequence_checker_);
   SourceId next_source_id_
       AXML_GUARDED_BY_CONTEXT(sequence_checker_) = 1;
-  /// deque: FindOrCreateCounter hands out stable pointers.
-  std::deque<uint64_t> counter_cells_
-      AXML_GUARDED_BY_CONTEXT(sequence_checker_);
-  std::map<std::string, uint64_t*> counters_
-      AXML_GUARDED_BY_CONTEXT(sequence_checker_);
 };
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars) —

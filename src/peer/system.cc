@@ -15,10 +15,10 @@ AxmlSystem::AxmlSystem(Topology topology)
       tracer_([this] { return loop_.now(); }) {
   replicas_.Bind(this);
   network_->set_tracer(&tracer_);
-  // The registry retrofit: both sources read the very fields the typed
-  // accessors return, so registry snapshots and accessors cannot drift.
+  // Each source reads the stats structs through their counter tables
+  // (obs/metrics.h), the same fields the typed accessors return.
   metrics_.RegisterSource("net", [this](MetricSink& sink) {
-    network_->stats().ExportMetrics(sink);
+    ExportCounters(network_->stats(), sink);
   });
   metrics_.RegisterSource("", [this](MetricSink& sink) {
     replicas_.ExportMetrics(sink);
@@ -27,7 +27,7 @@ AxmlSystem::AxmlSystem(Topology topology)
     if (catalog_ != nullptr) catalog_->ExportMetrics(sink);
   });
   metrics_.RegisterSource("wire", [this](MetricSink& sink) {
-    wire_stats_.ExportMetrics(sink);
+    ExportCounters(wire_stats_, sink);
   });
   generics_.set_document_validator(
       [this](const std::string& cls, const ClassMember& m) {

@@ -2,27 +2,10 @@
 
 #include <algorithm>
 
-#include "common/str_util.h"
 #include "peer/generic.h"
 #include "replica/replica_manager.h"
 
 namespace axml {
-
-std::string PlacementStats::ToString() const {
-  return StrCat("shipments=", shipments, " landed=", landed,
-                " shipped_bytes=", shipped_bytes,
-                " coalesced=", coalesced,
-                " budget_denied=", budget_denied, " wasted=", wasted);
-}
-
-void PlacementStats::ExportMetrics(MetricSink& sink) const {
-  sink.Value("shipments", shipments);
-  sink.Value("landed", landed);
-  sink.Value("shipped_bytes", shipped_bytes);
-  sink.Value("coalesced", coalesced);
-  sink.Value("budget_denied", budget_denied);
-  sink.Value("wasted", wasted);
-}
 
 std::vector<PlacementDecision> PlacementPolicy::Plan(
     const GenericCatalog& generics, const ReplicaManager& replicas) const {

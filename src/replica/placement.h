@@ -69,11 +69,17 @@ struct PlacementStats {
   /// the wire, or the holder's cache refused the copy).
   uint64_t wasted = 0;
 
-  std::string ToString() const;
+  std::string ToString() const { return CountersToString(*this); }
 
-  /// Registry retrofit: every field above under its own name.
-  void ExportMetrics(MetricSink& sink) const;
+  static constexpr auto kCounters = std::make_tuple(
+      Counter{"shipments", &PlacementStats::shipments},
+      Counter{"landed", &PlacementStats::landed},
+      Counter{"shipped_bytes", &PlacementStats::shipped_bytes},
+      Counter{"coalesced", &PlacementStats::coalesced},
+      Counter{"budget_denied", &PlacementStats::budget_denied},
+      Counter{"wasted", &PlacementStats::wasted});
 };
+static_assert(CountersCover<PlacementStats>());
 
 /// One planned shipment: push origin's document to `holder`.
 struct PlacementDecision {

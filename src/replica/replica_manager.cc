@@ -42,29 +42,6 @@ void CountShardDelta(const ShardDelta& delta, ShardStats* stats) {
 
 }  // namespace
 
-std::string ShardStats::ToString() const {
-  return StrCat("sharded_reads=", sharded_reads,
-                " sharded_shipments=", sharded_shipments,
-                " manifests_shipped=", manifests_shipped,
-                " shards_shipped=", shards_shipped,
-                " shard_bytes_shipped=", shard_bytes_shipped,
-                " shards_reused=", shards_reused,
-                " shard_bytes_saved=", shard_bytes_saved,
-                " full_hits=", full_hits, " partial_hits=", partial_hits);
-}
-
-void ShardStats::ExportMetrics(MetricSink& sink) const {
-  sink.Value("sharded_reads", sharded_reads);
-  sink.Value("sharded_shipments", sharded_shipments);
-  sink.Value("manifests_shipped", manifests_shipped);
-  sink.Value("shards_shipped", shards_shipped);
-  sink.Value("shard_bytes_shipped", shard_bytes_shipped);
-  sink.Value("shards_reused", shards_reused);
-  sink.Value("shard_bytes_saved", shard_bytes_saved);
-  sink.Value("full_hits", full_hits);
-  sink.Value("partial_hits", partial_hits);
-}
-
 uint64_t ReplicaManager::Version(PeerId owner, const DocName& name) const {
   auto it = versions_.find(ReplicaKey{owner, name});
   return it == versions_.end() ? 1 : it->second;
@@ -353,20 +330,7 @@ void ReplicaManager::DropAllCopies() {
 TransferCacheStats ReplicaManager::TotalStats() const {
   TransferCacheStats total;
   total.misses = uncached_misses_;
-  for (const auto& [peer, cache] : caches_) {
-    const TransferCacheStats& s = cache->stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.inserts += s.inserts;
-    total.evictions += s.evictions;
-    total.invalidations += s.invalidations;
-    total.bytes_evicted += s.bytes_evicted;
-    for (size_t i = 0; i < kEvictionPolicyCount; ++i) {
-      total.victims_by_policy[i] += s.victims_by_policy[i];
-    }
-    total.bytes_saved += s.bytes_saved;
-    total.bytes_deduped += s.bytes_deduped;
-  }
+  for (const auto& [peer, cache] : caches_) AddCounters(total, cache->stats());
   return total;
 }
 
@@ -412,33 +376,21 @@ void ReplicaManager::RearmTick(uint64_t* tick_id, SimTime interval_s,
 }
 
 void ReplicaManager::ExportMetrics(MetricSink& sink) const {
-  {
-    MetricSink s = sink.Scoped("replica/subscription");
-    subscription_stats_.ExportMetrics(s);
-  }
-  {
-    MetricSink s = sink.Scoped("replica/shard");
-    shard_stats_.ExportMetrics(s);
-  }
-  {
-    MetricSink s = sink.Scoped("replica/placement");
-    placement_stats_.ExportMetrics(s);
-  }
-  {
-    // The same sum TotalStats() returns — the drift test compares the
-    // two field by field.
-    MetricSink s = sink.Scoped("replica/cache");
-    TotalStats().ExportMetrics(s);
+  MetricSink subscription = sink.Scoped("replica/subscription");
+  ExportCounters(subscription_stats_, subscription);
+  MetricSink shard = sink.Scoped("replica/shard");
+  ExportCounters(shard_stats_, shard);
+  MetricSink placement = sink.Scoped("replica/placement");
+  ExportCounters(placement_stats_, placement);
+  MetricSink cache = sink.Scoped("replica/cache");
+  ExportCounters(TotalStats(), cache);
+  for (const auto& [peer, c] : caches_) {
+    // Re-emitting a name sums: these are fleet-wide totals.
+    cache.Value("resident_bytes", c->resident_bytes());
+    cache.Value("entry_count", c->entry_count());
   }
   sink.Value("replica/subscriptions/active",
              subscriptions_.subscription_count());
-  for (const auto& [peer, cache] : caches_) {
-    MetricSink s =
-        sink.Scoped(StrCat("peer/", peer.index(), "/replica/cache"));
-    cache->stats().ExportMetrics(s);
-    s.Value("resident_bytes", cache->resident_bytes());
-    s.Value("entry_count", cache->entry_count());
-  }
 }
 
 void ReplicaManager::ResetStats() {

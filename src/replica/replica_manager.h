@@ -111,11 +111,20 @@ struct ShardStats {
   uint64_t full_hits = 0;     ///< reads assembled entirely from residents
   uint64_t partial_hits = 0;  ///< delta reads that reused >= 1 shard
 
-  std::string ToString() const;
+  std::string ToString() const { return CountersToString(*this); }
 
-  /// Registry retrofit: every field above under its own name.
-  void ExportMetrics(MetricSink& sink) const;
+  static constexpr auto kCounters = std::make_tuple(
+      Counter{"sharded_reads", &ShardStats::sharded_reads},
+      Counter{"sharded_shipments", &ShardStats::sharded_shipments},
+      Counter{"manifests_shipped", &ShardStats::manifests_shipped},
+      Counter{"shards_shipped", &ShardStats::shards_shipped},
+      Counter{"shard_bytes_shipped", &ShardStats::shard_bytes_shipped},
+      Counter{"shards_reused", &ShardStats::shards_reused},
+      Counter{"shard_bytes_saved", &ShardStats::shard_bytes_saved},
+      Counter{"full_hits", &ShardStats::full_hits},
+      Counter{"partial_hits", &ShardStats::partial_hits});
 };
+static_assert(CountersCover<ShardStats>());
 
 /// Owns every peer's transfer cache and the document version table.
 class ReplicaManager {
@@ -497,9 +506,10 @@ class ReplicaManager {
 
   /// Mounts the whole replica layer into `sink`: subscription counters
   /// under "replica/subscription/...", shard counters under
-  /// "replica/shard/...", placement under "replica/placement/...", the
-  /// summed cache counters (TotalStats) under "replica/cache/...", and
-  /// each peer's own cache under "peer/<index>/replica/cache/...".
+  /// "replica/shard/...", placement under "replica/placement/...", and
+  /// the summed cache counters (TotalStats) plus every cache's
+  /// resident_bytes and entry_count, summed, under "replica/cache/...".
+  /// One peer's own counters stay available as FindCache(peer)->stats().
   /// AxmlSystem registers this at the registry root.
   void ExportMetrics(MetricSink& sink) const;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/str_util.h"
-
 namespace axml {
 
 const char* RefreshPolicyName(RefreshPolicy p) {
@@ -16,49 +14,6 @@ const char* RefreshPolicyName(RefreshPolicy p) {
       return "eager_refresh";
   }
   return "?";
-}
-
-std::string SubscriptionStats::ToString() const {
-  return StrCat("notifies=", notifies, " (doc=", doc_notifies,
-                " shard=", shard_notifies, ") clean_skips=", clean_skips,
-                " batched=", batched, " drops=", drops,
-                " refreshes=", refreshes, " refresh_bytes=", refresh_bytes,
-                " coalesced=", coalesced, " retries=", retries,
-                " budget_denied=", budget_denied,
-                " lease_renewals=", lease_renewals,
-                " lease_expiries=", lease_expiries,
-                " catchup_exhausted=", catchup_exhausted,
-                " ship_timeouts=", ship_timeouts,
-                " ship_retries=", ship_retries,
-                " dropped_to_lazy=", dropped_to_lazy,
-                " sweep_repairs=", sweep_repairs,
-                " sweep_resubscribes=", sweep_resubscribes,
-                " notify_repairs=", notify_repairs,
-                " down_skips=", down_skips);
-}
-
-void SubscriptionStats::ExportMetrics(MetricSink& sink) const {
-  sink.Value("notifies", notifies);
-  sink.Value("doc_notifies", doc_notifies);
-  sink.Value("shard_notifies", shard_notifies);
-  sink.Value("clean_skips", clean_skips);
-  sink.Value("batched", batched);
-  sink.Value("drops", drops);
-  sink.Value("refreshes", refreshes);
-  sink.Value("refresh_bytes", refresh_bytes);
-  sink.Value("coalesced", coalesced);
-  sink.Value("retries", retries);
-  sink.Value("budget_denied", budget_denied);
-  sink.Value("lease_renewals", lease_renewals);
-  sink.Value("lease_expiries", lease_expiries);
-  sink.Value("catchup_exhausted", catchup_exhausted);
-  sink.Value("ship_timeouts", ship_timeouts);
-  sink.Value("ship_retries", ship_retries);
-  sink.Value("dropped_to_lazy", dropped_to_lazy);
-  sink.Value("sweep_repairs", sweep_repairs);
-  sink.Value("sweep_resubscribes", sweep_resubscribes);
-  sink.Value("notify_repairs", notify_repairs);
-  sink.Value("down_skips", down_skips);
 }
 
 void SubscriptionTable::Subscribe(const ReplicaKey& key, PeerId holder) {

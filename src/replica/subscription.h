@@ -106,11 +106,32 @@ struct SubscriptionStats {
   /// unreachable; reconciliation repairs it at rejoin).
   uint64_t down_skips = 0;
 
-  std::string ToString() const;
+  std::string ToString() const { return CountersToString(*this); }
 
-  /// Registry retrofit: every field above under its own name.
-  void ExportMetrics(MetricSink& sink) const;
+  static constexpr auto kCounters = std::make_tuple(
+      Counter{"notifies", &SubscriptionStats::notifies},
+      Counter{"doc_notifies", &SubscriptionStats::doc_notifies},
+      Counter{"shard_notifies", &SubscriptionStats::shard_notifies},
+      Counter{"clean_skips", &SubscriptionStats::clean_skips},
+      Counter{"batched", &SubscriptionStats::batched},
+      Counter{"drops", &SubscriptionStats::drops},
+      Counter{"refreshes", &SubscriptionStats::refreshes},
+      Counter{"refresh_bytes", &SubscriptionStats::refresh_bytes},
+      Counter{"coalesced", &SubscriptionStats::coalesced},
+      Counter{"retries", &SubscriptionStats::retries},
+      Counter{"budget_denied", &SubscriptionStats::budget_denied},
+      Counter{"lease_renewals", &SubscriptionStats::lease_renewals},
+      Counter{"lease_expiries", &SubscriptionStats::lease_expiries},
+      Counter{"catchup_exhausted", &SubscriptionStats::catchup_exhausted},
+      Counter{"ship_timeouts", &SubscriptionStats::ship_timeouts},
+      Counter{"ship_retries", &SubscriptionStats::ship_retries},
+      Counter{"dropped_to_lazy", &SubscriptionStats::dropped_to_lazy},
+      Counter{"sweep_repairs", &SubscriptionStats::sweep_repairs},
+      Counter{"sweep_resubscribes", &SubscriptionStats::sweep_resubscribes},
+      Counter{"notify_repairs", &SubscriptionStats::notify_repairs},
+      Counter{"down_skips", &SubscriptionStats::down_skips});
 };
+static_assert(CountersCover<SubscriptionStats>());
 
 /// Who holds copies of which (owner, doc, shard). Maintained by the
 /// ReplicaManager: a successful cache insert subscribes the reader under

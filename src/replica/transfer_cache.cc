@@ -6,38 +6,6 @@
 
 namespace axml {
 
-std::string TransferCacheStats::ToString() const {
-  std::string s =
-      StrCat("hits=", hits, " misses=", misses, " inserts=", inserts,
-             " evictions=", evictions,
-             " invalidations=", invalidations,
-             " bytes_evicted=", bytes_evicted,
-             " bytes_saved=", bytes_saved,
-             " bytes_deduped=", bytes_deduped);
-  for (size_t i = 0; i < kEvictionPolicyCount; ++i) {
-    if (victims_by_policy[i] == 0) continue;
-    s += StrCat(" victims_", EvictionPolicyName(static_cast<EvictionPolicy>(i)),
-                "=", victims_by_policy[i]);
-  }
-  return s;
-}
-
-void TransferCacheStats::ExportMetrics(MetricSink& sink) const {
-  sink.Value("hits", hits);
-  sink.Value("misses", misses);
-  sink.Value("inserts", inserts);
-  sink.Value("evictions", evictions);
-  sink.Value("invalidations", invalidations);
-  sink.Value("bytes_evicted", bytes_evicted);
-  sink.Value("bytes_saved", bytes_saved);
-  sink.Value("bytes_deduped", bytes_deduped);
-  for (size_t i = 0; i < kEvictionPolicyCount; ++i) {
-    sink.Value(StrCat("victims_",
-                      EvictionPolicyName(static_cast<EvictionPolicy>(i))),
-               victims_by_policy[i]);
-  }
-}
-
 void TransferCache::set_eviction_policy(EvictionPolicy policy) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_REENTRANCY_GUARD(mutation_guard_, "TransferCache::set_eviction_policy");

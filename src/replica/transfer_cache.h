@@ -55,12 +55,21 @@ struct TransferCacheStats {
   /// Bytes not stored again because an equal blob was already resident.
   uint64_t bytes_deduped = 0;
 
-  std::string ToString() const;
+  std::string ToString() const { return CountersToString(*this); }
 
-  /// Registry retrofit: every field above, under its own name
-  /// (victims_by_policy as victims_<policy name>).
-  void ExportMetrics(MetricSink& sink) const;
+  static constexpr auto kCounters = std::make_tuple(
+      Counter{"hits", &TransferCacheStats::hits},
+      Counter{"misses", &TransferCacheStats::misses},
+      Counter{"inserts", &TransferCacheStats::inserts},
+      Counter{"evictions", &TransferCacheStats::evictions},
+      Counter{"invalidations", &TransferCacheStats::invalidations},
+      Counter{"bytes_evicted", &TransferCacheStats::bytes_evicted},
+      Counter{"bytes_saved", &TransferCacheStats::bytes_saved},
+      Counter{"bytes_deduped", &TransferCacheStats::bytes_deduped},
+      Counter{"victims_", &TransferCacheStats::victims_by_policy,
+              &EvictionPolicyName});
 };
+static_assert(CountersCover<TransferCacheStats>());
 
 /// Byte-budgeted cache of materialized remote trees with
 /// content-addressed blob sharing and pluggable eviction. One instance

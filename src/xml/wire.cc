@@ -62,21 +62,6 @@ void WireStats::RecordDecode(size_t bytes, uint64_t ns, bool ok) {
   if (timing_enabled) decode_ns.Add(ns);
 }
 
-void WireStats::ExportMetrics(MetricSink& sink) const {
-  sink.Value("encode_calls", encode_calls);
-  sink.Value("encode_bytes", encode_bytes);
-  sink.Value("decode_calls", decode_calls);
-  sink.Value("decode_bytes", decode_bytes);
-  sink.Value("decode_errors", decode_errors);
-  for (size_t i = 0; i < kMessageClassCount; ++i) {
-    const char* name = MessageClassName(static_cast<MessageClass>(i));
-    sink.Value(StrCat("msgs_", name), class_messages[i]);
-    sink.Value(StrCat("bytes_", name), class_bytes[i]);
-  }
-  sink.Histo("encode_ns", encode_ns);
-  sink.Histo("decode_ns", decode_ns);
-}
-
 MessageClass Payload::message_class() const {
   if (bytes_.size() < 2) return MessageClass::kControl;
   const uint8_t c = static_cast<uint8_t>(bytes_[1]);

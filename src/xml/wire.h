@@ -76,9 +76,22 @@ struct WireStats {
 
   void RecordEncode(MessageClass c, size_t bytes, uint64_t ns);
   void RecordDecode(size_t bytes, uint64_t ns, bool ok);
-  /// Exports under the sink's prefix (mounted at "wire/" by AxmlSystem).
-  void ExportMetrics(MetricSink& sink) const;
+
+  /// Every counter above, under its registry name (mounted at "wire/"
+  /// by AxmlSystem).
+  static constexpr auto kCounters = std::make_tuple(
+      Counter{"encode_calls", &WireStats::encode_calls},
+      Counter{"encode_bytes", &WireStats::encode_bytes},
+      Counter{"decode_calls", &WireStats::decode_calls},
+      Counter{"decode_bytes", &WireStats::decode_bytes},
+      Counter{"decode_errors", &WireStats::decode_errors},
+      Counter{"msgs_", &WireStats::class_messages, &MessageClassName},
+      Counter{"bytes_", &WireStats::class_bytes, &MessageClassName},
+      Counter{"encode_ns", &WireStats::encode_ns},
+      Counter{"decode_ns", &WireStats::decode_ns});
 };
+// timing_enabled is a switch, not a counter.
+static_assert(CountersCover<WireStats>(sizeof(bool)));
 
 /// Reads the wall clock iff `stats` wants timing; 0 otherwise. The one
 /// sanctioned nondeterminism: it only ever feeds the latency histograms.

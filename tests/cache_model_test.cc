@@ -13,7 +13,8 @@
 //   - blob refcounts match alias counts and the resident-byte sum
 //     (recomputed externally from Keys()+Peek, plus the cache's own
 //     IntegrityError cross-check),
-//   - hits + misses == Gets issued,
+//   - hits + misses == Gets issued, and the per-policy victim counts
+//     sum to the evictions,
 //   - a hit is *sound*: the returned tree is exactly the content the
 //     oracle recorded at the expected version — never stale bytes,
 //   - the evict listener fired exactly once per departing entry,
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "xml/digest.h"
 #include "replica/eviction_policy.h"
 #include "replica/transfer_cache.h"
@@ -83,13 +83,6 @@ class CacheModelHarness {
     for (const TreePtr& t : contents_) {
       canonical_.push_back(CanonicalForm(*t));
     }
-    // Registry cross-check rig: the same retrofit mount the system uses,
-    // re-verified against the typed accessors after every op.
-    registry_.RegisterSource("cache", [this](MetricSink& sink) {
-      cache_.stats().ExportMetrics(sink);
-      sink.Value("resident_bytes", cache_.resident_bytes());
-      sink.Value("entry_count", cache_.entry_count());
-    });
   }
 
   void Run(size_t ops) {
@@ -245,27 +238,10 @@ class CacheModelHarness {
     // hits + misses arithmetic.
     EXPECT_EQ(cache_.stats().hits + cache_.stats().misses, gets_issued_);
 
-    // Registry retrofit drift check: the snapshot equals the typed
-    // accessors, field for field, after every single op.
-    const MetricsSnapshot snap = registry_.Snapshot();
-    const TransferCacheStats& st = cache_.stats();
-    EXPECT_EQ(snap.ValueOr("cache/hits"), st.hits);
-    EXPECT_EQ(snap.ValueOr("cache/misses"), st.misses);
-    EXPECT_EQ(snap.ValueOr("cache/inserts"), st.inserts);
-    EXPECT_EQ(snap.ValueOr("cache/evictions"), st.evictions);
-    EXPECT_EQ(snap.ValueOr("cache/invalidations"), st.invalidations);
-    EXPECT_EQ(snap.ValueOr("cache/bytes_evicted"), st.bytes_evicted);
-    EXPECT_EQ(snap.ValueOr("cache/bytes_saved"), st.bytes_saved);
-    EXPECT_EQ(snap.ValueOr("cache/bytes_deduped"), st.bytes_deduped);
-    EXPECT_EQ(snap.ValueOr("cache/resident_bytes"), cache_.resident_bytes());
-    EXPECT_EQ(snap.ValueOr("cache/entry_count"), cache_.entry_count());
+    // Every budget eviction is charged to the policy that chose it.
     uint64_t victims = 0;
-    for (size_t i = 0; i < kEvictionPolicyCount; ++i) {
-      victims += snap.ValueOr(StrCat(
-          "cache/victims_",
-          EvictionPolicyName(static_cast<EvictionPolicy>(i))));
-    }
-    EXPECT_EQ(victims, st.evictions);
+    for (uint64_t v : cache_.stats().victims_by_policy) victims += v;
+    EXPECT_EQ(victims, cache_.stats().evictions);
 
     // Shard-granular subscription invariant: a holder driven by the
     // subscribe-on-insert / unsubscribe-on-evict rule is subscribed to
@@ -310,7 +286,6 @@ class CacheModelHarness {
   std::map<ReplicaKey, OracleDoc> oracle_;
   std::vector<ReplicaKey> departures_;
   std::set<ReplicaKey> subscribed_;  ///< mirror of resident keys
-  MetricRegistry registry_;
   uint64_t gets_issued_ = 0;
 };
 

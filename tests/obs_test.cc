@@ -1,14 +1,17 @@
 // Tests for the observability layer (src/obs/): the metrics registry
-// (histograms, sinks, snapshots, JSON dump) and the causal tracer (ring
-// buffer, scoped id propagation, Chrome-trace export) — plus the
-// system-level pins the retrofit promises: registry snapshots agree
-// exactly with the legacy typed accessors, and one mutation's
+// (histograms, sinks, counter tables, snapshots, JSON dump) and the
+// causal tracer (ring buffer, scoped id propagation, Chrome-trace
+// export) — plus system-level pins: every stats struct the system
+// mounts shows up under its documented names, and one mutation's
 // invalidation cascade shares one trace id end-to-end.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <regex>
+#include <string>
 
 #include "algebra/evaluator.h"
 #include "common/rng.h"
@@ -139,15 +142,63 @@ TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControlChars) {
   EXPECT_EQ(JsonEscape(std::string_view("a\x01z", 3)), "a\\u0001z");
 }
 
+// --- Counter tables ---
+
+const char* ToyName(size_t i) {
+  static constexpr const char* kNames[] = {"a", "b", "c", "d", "e", "f"};
+  return kNames[i];
+}
+
+struct ToyStats {
+  uint64_t hits = 0;
+  uint64_t grid[2][3] = {};
+  bool tracing = false;
+
+  static constexpr auto kCounters =
+      std::make_tuple(Counter{"hits", &ToyStats::hits},
+                      Counter{"grid_", &ToyStats::grid, ToyName});
+};
+static_assert(CountersCover<ToyStats>(sizeof(bool)));
+
+struct MissingFieldStats {
+  uint64_t listed = 0;
+  uint64_t forgotten = 0;
+
+  static constexpr auto kCounters =
+      std::make_tuple(Counter{"listed", &MissingFieldStats::listed});
+};
+static_assert(!CountersCover<MissingFieldStats>(),
+              "a field left out of the table must fail the cover check");
+
+TEST(CounterTableTest, ExportToStringAndAddWalkTheSameTable) {
+  ToyStats s;
+  s.hits = 2;
+  s.grid[1][0] = 5;  // row-major cell 3: "d"
+
+  std::map<std::string, uint64_t> out;
+  MetricSink sink("toy", &out);
+  ExportCounters(s, sink);
+  EXPECT_EQ(out.size(), 1u + 6u);
+  EXPECT_EQ(out.at("toy/hits"), 2u);
+  EXPECT_EQ(out.at("toy/grid_a"), 0u);  // zero cells are exported too
+  EXPECT_EQ(out.at("toy/grid_d"), 5u);
+
+  // The printable line lists the same values, by name.
+  EXPECT_EQ(CountersToString(s),
+            "grid_a=0 grid_b=0 grid_c=0 grid_d=5 grid_e=0 grid_f=0 hits=2");
+
+  ToyStats total;
+  AddCounters(total, s);
+  AddCounters(total, s);
+  EXPECT_EQ(total.hits, 4u);
+  EXPECT_EQ(total.grid[1][0], 10u);
+  EXPECT_EQ(total.grid[0][0], 0u);
+}
+
 // --- MetricRegistry ---
 
-TEST(MetricRegistryTest, OwnedCountersAndSources) {
+TEST(MetricRegistryTest, SourcesMountAtTheirPrefix) {
   MetricRegistry reg;
-  uint64_t* cell = reg.FindOrCreateCounter("app/widgets");
-  EXPECT_EQ(*cell, 0u);
-  *cell += 3;
-  EXPECT_EQ(reg.FindOrCreateCounter("app/widgets"), cell);
-
   uint64_t hidden = 7;
   MetricRegistry::SourceId id =
       reg.RegisterSource("sub", [&](MetricSink& sink) {
@@ -157,7 +208,6 @@ TEST(MetricRegistryTest, OwnedCountersAndSources) {
   EXPECT_EQ(reg.source_count(), 2u);
 
   MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.ValueOr("app/widgets"), 3u);
   EXPECT_EQ(snap.ValueOr("sub/x"), 7u);
   EXPECT_EQ(snap.ValueOr("rooted"), 1u);
 
@@ -294,7 +344,7 @@ TEST(TracerTest, ChromeJsonExportShape) {
   EXPECT_NE(json.find("d\\\"q"), std::string::npos);
 }
 
-// --- System-level: retrofit drift pins + causal cascade ---
+// --- System-level: documented names + causal cascade ---
 
 struct ObsRig {
   AxmlSystem sys{Topology(LinkParams{0.050, 1.0e6})};
@@ -326,7 +376,7 @@ EvalOptions CachingOptions() {
   return opts;
 }
 
-TEST(ObsSystemTest, RegistrySnapshotAgreesWithTypedAccessors) {
+TEST(ObsSystemTest, DumpMetricsShowsADocumentedNameOfEveryStruct) {
   ObsRig f;
   f.sys.replicas().set_refresh_policy(RefreshPolicy::kEagerRefresh);
   Evaluator ev(&f.sys, CachingOptions());
@@ -334,51 +384,53 @@ TEST(ObsSystemTest, RegistrySnapshotAgreesWithTypedAccessors) {
   Rng rng(17);
   f.sys.peer(f.origin)->PutDocument(
       "d", MakeCatalog(20, f.sys.peer(f.origin)->gen(), &rng));
-  f.sys.RunToQuiescence();
+  f.sys.RunToQuiescence();  // notify + eager refresh
   ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());  // hit on the refresh
 
-  const MetricsSnapshot snap = f.sys.metrics().Snapshot();
+  // A third peer's pick earns it a placement seed, shipped as shards.
+  f.sys.replicas().set_sharding_enabled(true);
+  ShardingConfig sharding;
+  sharding.max_shard_bytes = 512;
+  f.sys.replicas().set_sharding_config(sharding);
+  PlacementConfig placement;
+  placement.enabled = true;
+  placement.min_picks = 1;
+  f.sys.replicas().placement().set_config(placement);
+  f.sys.generics().AddDocumentMember("cls", ClassMember{"d", f.origin});
+  const PeerId picker = f.sys.AddPeer("picker");
+  ASSERT_TRUE(f.sys.generics()
+                  .PickDocument("cls", picker, PickPolicy::kFirst,
+                                f.sys.network())
+                  .ok());
+  EXPECT_EQ(f.sys.replicas().RunPlacement(), 1u);
+  f.sys.RunToQuiescence();
+  // A d@any read: one catalog lookup and one counted pick.
+  ASSERT_TRUE(ev.Eval(f.client, Expr::Apply(f.q, f.client,
+                                            {Expr::GenericDoc("cls")}))
+                  .ok());
 
-  const NetStats& ns = f.sys.network().stats();
-  EXPECT_EQ(snap.ValueOr("net/total_messages"), ns.total_messages());
-  EXPECT_EQ(snap.ValueOr("net/total_bytes"), ns.total_bytes());
-  EXPECT_EQ(snap.ValueOr("net/remote_bytes"), ns.remote_bytes());
-  EXPECT_EQ(snap.ValueOr("net/notify_messages"), ns.notify_messages());
-  EXPECT_EQ(snap.ValueOr("net/notify_bytes"), ns.notify_bytes());
-  EXPECT_EQ(snap.ValueOr("net/msg_bytes/count"),
-            ns.message_bytes_histogram().count());
-  EXPECT_EQ(snap.ValueOr("net/msg_bytes/sum"),
-            ns.message_bytes_histogram().sum());
-
-  const TransferCacheStats cs = f.sys.replicas().TotalStats();
-  EXPECT_GT(cs.hits, 0u);
-  EXPECT_EQ(snap.ValueOr("replica/cache/hits"), cs.hits);
-  EXPECT_EQ(snap.ValueOr("replica/cache/misses"), cs.misses);
-  EXPECT_EQ(snap.ValueOr("replica/cache/inserts"), cs.inserts);
-  EXPECT_EQ(snap.ValueOr("replica/cache/bytes_saved"), cs.bytes_saved);
-
-  const SubscriptionStats& ss = f.sys.replicas().subscription_stats();
-  EXPECT_GT(ss.refreshes, 0u);
-  EXPECT_EQ(snap.ValueOr("replica/subscription/notifies"), ss.notifies);
-  EXPECT_EQ(snap.ValueOr("replica/subscription/refreshes"), ss.refreshes);
-  EXPECT_EQ(snap.ValueOr("replica/subscription/refresh_bytes"),
-            ss.refresh_bytes);
-
-  const EvalCounters& ec = ev.counters();
-  EXPECT_GT(ec.remote_fetches + ec.replica_hits, 0u);
-  EXPECT_EQ(snap.ValueOr("eval/remote_fetches"), ec.remote_fetches);
-  EXPECT_EQ(snap.ValueOr("eval/replica_hits"), ec.replica_hits);
-
-  // The per-peer mount: the client's cache is the only one populated,
-  // so its entry sums to the aggregate.
-  EXPECT_EQ(snap.ValueOr(StrCat("peer/", f.client.index(),
-                                "/replica/cache/hits")),
-            cs.hits);
-
-  // DumpMetrics is the same snapshot as JSON.
-  const std::string dump = f.sys.DumpMetrics();
-  EXPECT_NE(dump.find("\"net/total_bytes\": "), std::string::npos);
-  EXPECT_NE(dump.find("\"replica/cache/hits\": "), std::string::npos);
+  std::map<std::string, uint64_t> dump;
+  const std::string json = f.sys.DumpMetrics();
+  const std::regex entry("\"([^\"]+)\": ([0-9]+)");
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), entry);
+       it != std::sregex_iterator(); ++it) {
+    dump[(*it)[1]] = std::stoull((*it)[2]);
+  }
+  // One name per stats struct; a trailing '/' accepts any name under it.
+  for (const char* documented :
+       {"net/total_bytes", "wire/encode_calls", "catalog/lookups",
+        "replica/cache/hits", "replica/cache/resident_bytes",
+        "replica/subscription/notifies", "replica/shard/",
+        "replica/placement/", "eval/pick/"}) {
+    const std::string name = documented;
+    uint64_t value = 0;
+    for (const auto& [key, v] : dump) {
+      if (name.back() == '/' ? key.rfind(name, 0) == 0 : key == name) {
+        value += v;
+      }
+    }
+    EXPECT_GT(value, 0u) << name << " missing or zero in " << json;
+  }
 }
 
 TEST(ObsSystemTest, EvaluatorUnmountsItsCountersOnDestruction) {

@@ -7,7 +7,7 @@
 // under every (EvictionPolicy × RefreshPolicy) pair. Sharding is on
 // with a cap small enough that the larger documents replicate as
 // manifest + data shards, so every combination also soaks the
-// shard-granular paths. Three properties must hold:
+// shard-granular paths. Four properties must hold:
 //
 //   1. No stale read ever lands: every read returns content equal to
 //      the origin's document *at read time*, whichever copy served it.
@@ -18,10 +18,9 @@
 //      subscribed to exactly the keys it has resident — so a mutation
 //      can target holders of dirty shards and skip the rest without
 //      ever leaking or dropping a subscription.
-//   4. The metrics registry mirrors the legacy typed accessors exactly
-//      at quiescence, and the causal tracer (on for the whole soak)
-//      links each sampled mutation cascade under one trace id; the
-//      buffer round-trips through the Chrome-trace export.
+//   4. The causal tracer (on for the whole soak) links each sampled
+//      mutation cascade under one trace id; the buffer round-trips
+//      through the Chrome-trace export.
 //
 // The seed comes from AXML_TEST_SEED (CI runs a 5-seed matrix).
 
@@ -147,9 +146,6 @@ class SoakHarness {
       w.island = {readers_[0], readers_[1]};
       injector_.AddPartition(w);
       sys_.network().set_fault_injector(&injector_);
-      sys_.metrics().RegisterSource("net/fault", [this](MetricSink& sink) {
-        injector_.stats().ExportMetrics(sink);
-      });
       // The repair machinery the faults are aimed at: leased
       // subscriptions, bounded shipment retries, periodic anti-entropy.
       sys_.replicas().ConfigureLeases(/*renew_interval_s=*/0.5,
@@ -252,7 +248,6 @@ class SoakHarness {
       sys_.replicas().set_anti_entropy_interval(0);
     }
     CheckQuiescentMirror();
-    CheckRegistryMirror(ev);
     // Under a fault schedule the span ring is dominated by drop/repair
     // spans and a sampled cascade's tail may be missing a hop; the
     // causal-chain assertions belong to the perfect fabric.
@@ -363,151 +358,7 @@ class SoakHarness {
     }
   }
 
-  /// Property 4a: the registry snapshot equals every legacy typed
-  /// accessor, field for field, at quiescence — the retrofit's central
-  /// promise, checked after a workload that moved every counter.
-  void CheckRegistryMirror(const Evaluator& ev) {
-    const MetricsSnapshot snap = sys_.metrics().Snapshot();
-
-    const NetStats& ns = sys_.network().stats();
-    EXPECT_EQ(snap.ValueOr("net/total_messages"), ns.total_messages());
-    EXPECT_EQ(snap.ValueOr("net/total_bytes"), ns.total_bytes());
-    EXPECT_EQ(snap.ValueOr("net/remote_messages"), ns.remote_messages());
-    EXPECT_EQ(snap.ValueOr("net/remote_bytes"), ns.remote_bytes());
-    EXPECT_EQ(snap.ValueOr("net/control_messages"), ns.control_messages());
-    EXPECT_EQ(snap.ValueOr("net/control_bytes"), ns.control_bytes());
-    EXPECT_EQ(snap.ValueOr("net/notify_messages"), ns.notify_messages());
-    EXPECT_EQ(snap.ValueOr("net/notify_bytes"), ns.notify_bytes());
-    EXPECT_EQ(snap.ValueOr("net/dropped_messages"), ns.dropped_messages());
-    EXPECT_EQ(snap.ValueOr("net/dropped_bytes"), ns.dropped_bytes());
-    EXPECT_EQ(snap.ValueOr("net/msg_bytes/count"),
-              ns.message_bytes_histogram().count());
-    EXPECT_EQ(snap.ValueOr("net/msg_bytes/sum"),
-              ns.message_bytes_histogram().sum());
-
-    const TransferCacheStats cs = sys_.replicas().TotalStats();
-    EXPECT_EQ(snap.ValueOr("replica/cache/hits"), cs.hits);
-    EXPECT_EQ(snap.ValueOr("replica/cache/misses"), cs.misses);
-    EXPECT_EQ(snap.ValueOr("replica/cache/inserts"), cs.inserts);
-    EXPECT_EQ(snap.ValueOr("replica/cache/evictions"), cs.evictions);
-    EXPECT_EQ(snap.ValueOr("replica/cache/invalidations"),
-              cs.invalidations);
-    EXPECT_EQ(snap.ValueOr("replica/cache/bytes_evicted"),
-              cs.bytes_evicted);
-    EXPECT_EQ(snap.ValueOr("replica/cache/bytes_saved"), cs.bytes_saved);
-    EXPECT_EQ(snap.ValueOr("replica/cache/bytes_deduped"),
-              cs.bytes_deduped);
-    for (size_t i = 0; i < kEvictionPolicyCount; ++i) {
-      EXPECT_EQ(snap.ValueOr(StrCat(
-                    "replica/cache/victims_",
-                    EvictionPolicyName(static_cast<EvictionPolicy>(i)))),
-                cs.victims_by_policy[i]);
-    }
-
-    const SubscriptionStats& ss = sys_.replicas().subscription_stats();
-    EXPECT_EQ(snap.ValueOr("replica/subscription/notifies"), ss.notifies);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/doc_notifies"),
-              ss.doc_notifies);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/shard_notifies"),
-              ss.shard_notifies);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/clean_skips"),
-              ss.clean_skips);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/batched"), ss.batched);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/drops"), ss.drops);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/refreshes"),
-              ss.refreshes);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/refresh_bytes"),
-              ss.refresh_bytes);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/coalesced"),
-              ss.coalesced);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/retries"), ss.retries);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/budget_denied"),
-              ss.budget_denied);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/lease_renewals"),
-              ss.lease_renewals);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/lease_expiries"),
-              ss.lease_expiries);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/catchup_exhausted"),
-              ss.catchup_exhausted);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/ship_timeouts"),
-              ss.ship_timeouts);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/ship_retries"),
-              ss.ship_retries);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/dropped_to_lazy"),
-              ss.dropped_to_lazy);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/sweep_repairs"),
-              ss.sweep_repairs);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/sweep_resubscribes"),
-              ss.sweep_resubscribes);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/notify_repairs"),
-              ss.notify_repairs);
-    EXPECT_EQ(snap.ValueOr("replica/subscription/down_skips"),
-              ss.down_skips);
-    EXPECT_EQ(snap.ValueOr("replica/subscriptions/active"),
-              sys_.replicas().subscriptions().subscription_count());
-    if (fault_mode_ == FaultMode::kFaults) {
-      // The injector's own counters mount at net/fault.
-      const FaultStats& fs = injector_.stats();
-      EXPECT_EQ(snap.ValueOr("net/fault/judged"), fs.judged);
-      EXPECT_EQ(snap.ValueOr("net/fault/delivered"), fs.delivered);
-      EXPECT_EQ(snap.ValueOr("net/fault/dropped"), fs.dropped);
-      EXPECT_EQ(snap.ValueOr("net/fault/partition_dropped"),
-                fs.partition_dropped);
-      EXPECT_EQ(snap.ValueOr("net/fault/delayed"), fs.delayed);
-    }
-
-    const ShardStats& hs = sys_.replicas().shard_stats();
-    EXPECT_EQ(snap.ValueOr("replica/shard/sharded_reads"),
-              hs.sharded_reads);
-    EXPECT_EQ(snap.ValueOr("replica/shard/sharded_shipments"),
-              hs.sharded_shipments);
-    EXPECT_EQ(snap.ValueOr("replica/shard/manifests_shipped"),
-              hs.manifests_shipped);
-    EXPECT_EQ(snap.ValueOr("replica/shard/shards_shipped"),
-              hs.shards_shipped);
-    EXPECT_EQ(snap.ValueOr("replica/shard/shard_bytes_shipped"),
-              hs.shard_bytes_shipped);
-    EXPECT_EQ(snap.ValueOr("replica/shard/shards_reused"),
-              hs.shards_reused);
-    EXPECT_EQ(snap.ValueOr("replica/shard/shard_bytes_saved"),
-              hs.shard_bytes_saved);
-    EXPECT_EQ(snap.ValueOr("replica/shard/full_hits"), hs.full_hits);
-    EXPECT_EQ(snap.ValueOr("replica/shard/partial_hits"),
-              hs.partial_hits);
-
-    const PlacementStats& ps = sys_.replicas().placement_stats();
-    EXPECT_EQ(snap.ValueOr("replica/placement/shipments"), ps.shipments);
-    EXPECT_EQ(snap.ValueOr("replica/placement/landed"), ps.landed);
-    EXPECT_EQ(snap.ValueOr("replica/placement/shipped_bytes"),
-              ps.shipped_bytes);
-    EXPECT_EQ(snap.ValueOr("replica/placement/coalesced"), ps.coalesced);
-    EXPECT_EQ(snap.ValueOr("replica/placement/budget_denied"),
-              ps.budget_denied);
-    EXPECT_EQ(snap.ValueOr("replica/placement/wasted"), ps.wasted);
-
-    const EvalCounters& ec = ev.counters();
-    EXPECT_EQ(snap.ValueOr("eval/replica_hits"), ec.replica_hits);
-    EXPECT_EQ(snap.ValueOr("eval/sharded_hits"), ec.sharded_hits);
-    EXPECT_EQ(snap.ValueOr("eval/remote_fetches"), ec.remote_fetches);
-    EXPECT_EQ(snap.ValueOr("eval/sharded_fetches"), ec.sharded_fetches);
-    EXPECT_EQ(snap.ValueOr("eval/coalesced_joins"), ec.coalesced_joins);
-    EXPECT_EQ(snap.ValueOr("eval/refresh_waits"), ec.refresh_waits);
-
-    // Per-peer mounts: each reader's cache exports under its own index.
-    for (PeerId reader : readers_) {
-      const TransferCache* cache = sys_.replicas().FindCache(reader);
-      if (cache == nullptr) continue;
-      const std::string prefix =
-          StrCat("peer/", reader.index(), "/replica/cache/");
-      EXPECT_EQ(snap.ValueOr(StrCat(prefix, "hits")), cache->stats().hits);
-      EXPECT_EQ(snap.ValueOr(StrCat(prefix, "resident_bytes")),
-                cache->resident_bytes());
-      EXPECT_EQ(snap.ValueOr(StrCat(prefix, "entry_count")),
-                cache->entry_count());
-    }
-  }
-
-  /// Property 4b: every mutation span recorded at an origin anchors a
+  /// Property 4: every mutation span recorded at an origin anchors a
   /// causal chain that reaches its notifies (and, under eager refresh,
   /// the shipment and the re-install) under the same trace id; the
   /// buffer exports as Chrome-trace JSON.
