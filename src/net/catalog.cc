@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/logging.h"
+
 namespace axml {
 
 namespace {
@@ -45,26 +47,29 @@ constexpr size_t kFingerCandidates = 16;
 
 void CatalogBackend::Register(ResourceKind kind, const std::string& name,
                               PeerId holder) {
-  Advertise(kind, name, holder, /*copy=*/false);
+  Advertise(kind, name, holder, PeerId::Invalid());
 }
 
 void CatalogBackend::RegisterCopy(ResourceKind kind, const std::string& name,
-                                  PeerId holder) {
-  Advertise(kind, name, holder, /*copy=*/true);
+                                  PeerId holder, PeerId origin) {
+  AXML_DCHECK(origin.valid());
+  Advertise(kind, name, holder, origin);
 }
 
 void CatalogBackend::Advertise(ResourceKind kind, const std::string& name,
-                               PeerId holder, bool copy) {
+                               PeerId holder, PeerId origin) {
   auto& v = entries_[MapKey(kind, name)];
   auto it = std::find_if(v.begin(), v.end(),
                          [&](const Entry& e) { return e.holder == holder; });
   if (it == v.end()) {
-    v.push_back(Entry{holder, copy});
-    OnAdvertiseDelta(kind, name, holder, /*add=*/true, copy);
-  } else if (it->copy && !copy) {
+    v.push_back(Entry{holder, origin});
+    OnAdvertiseDelta(kind, name, holder, /*add=*/true,
+                     origin.valid() ? DeltaScope::kCopy
+                                    : DeltaScope::kDurable);
+  } else if (it->copy() && !origin.valid()) {
     // A durable write promoted the copy: its entry widens to durable.
-    it->copy = false;
-    OnAdvertiseDelta(kind, name, holder, /*add=*/true, /*copy=*/false);
+    it->origin = PeerId::Invalid();
+    OnAdvertiseDelta(kind, name, holder, /*add=*/true, DeltaScope::kWiden);
   } else {
     // Already advertised: the delta protocol makes this free.
     ++stats_.advertise_noops;
@@ -85,23 +90,59 @@ void CatalogBackend::Unregister(ResourceKind kind, const std::string& name,
     ++stats_.advertise_noops;
     return;
   }
-  const bool copy = pos->copy;
+  const bool copy = pos->copy();
   v.erase(pos);
   if (v.empty()) entries_.erase(it);
-  OnAdvertiseDelta(kind, name, holder, /*add=*/false, copy);
+  OnAdvertiseDelta(kind, name, holder, /*add=*/false,
+                   copy ? DeltaScope::kCopy : DeltaScope::kDurable);
+}
+
+void CatalogBackend::RetractCopiesOf(ResourceKind kind,
+                                     const std::string& name, PeerId origin) {
+  auto it = entries_.find(MapKey(kind, name));
+  if (it == entries_.end()) return;
+  auto& v = it->second;
+  // Descent is transitive: a copy's entry names the peer it was fetched
+  // from, so each pass adds the copies of the copies found so far.
+  std::set<PeerId> sources{origin};
+  std::vector<PeerId> holders;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const Entry& e : v) {
+      if (e.copy() && sources.count(e.origin) > 0 &&
+          sources.insert(e.holder).second) {
+        holders.push_back(e.holder);
+        grew = true;
+      }
+    }
+  }
+  if (holders.empty()) return;
+  std::erase_if(v, [&](const Entry& e) {
+    return e.holder != origin && sources.count(e.holder) > 0;
+  });
+  if (v.empty()) entries_.erase(it);
+  OnRetractCopies(kind, name, origin, holders);
 }
 
 void CatalogBackend::OnAdvertiseDelta(ResourceKind kind,
                                       const std::string& name, PeerId holder,
-                                      bool add, bool copy) {
+                                      bool add, DeltaScope scope) {
   // Default: the delta happened but cost nothing on the wire (the seed's
   // "registration is charged lazily on lookup" model).
   (void)kind;
   (void)name;
   (void)holder;
-  (void)add;
-  (void)copy;
-  RecordAdvertise(0, 0, 1);
+  (void)scope;
+  RecordDigest(/*retract=*/!add, 0, 0, 1);
+}
+
+void CatalogBackend::OnRetractCopies(ResourceKind kind,
+                                     const std::string& name, PeerId origin,
+                                     const std::vector<PeerId>& holders) {
+  (void)kind;
+  (void)name;
+  (void)origin;
+  RecordDigest(/*retract=*/true, 0, 0, holders.size());
 }
 
 void CatalogBackend::EndAdvertiseBatch() {
@@ -336,7 +377,7 @@ std::vector<PeerId> ChordDhtCatalog::Route(ResourceKind kind,
 bool ChordDhtCatalog::SeenFrom(const Entry& e, PeerId from,
                                const Topology& topo) {
   // A copy was told only to its own region's owner.
-  return !e.copy || topo.RegionOf(e.holder) == topo.RegionOf(from);
+  return !e.copy() || topo.RegionOf(e.holder) == topo.RegionOf(from);
 }
 
 bool ChordDhtCatalog::VisibleFrom(ResourceKind kind, const std::string& name,
@@ -460,30 +501,62 @@ void ChordDhtCatalog::LookupStep(const std::shared_ptr<LookupChain>& st) {
 
 void ChordDhtCatalog::OnAdvertiseDelta(ResourceKind kind,
                                        const std::string& name, PeerId holder,
-                                       bool add, bool copy) {
-  (void)add;
+                                       bool add, DeltaScope scope) {
   if (net_ == nullptr || !holder.is_concrete()) {
     // Standalone (no network attached): free, like the seed.
-    RecordAdvertise(0, 0, 1);
+    RecordDigest(!add, 0, 0, 1);
     return;
   }
   EnsureRings(net_->topology());
   if (rings_.empty()) {
-    RecordAdvertise(0, 0, 1);
+    RecordDigest(!add, 0, 0, 1);
     return;
   }
   // A durable entry goes to the key's owner in every region, a copy only
-  // to the owner in the holder's region.
+  // to the owner in the holder's region, and a widened copy to the owners
+  // that have not heard of it yet.
   const uint64_t key = KeyPoint(MapKey(kind, name));
   const Ring& home = RingOf(holder);
   for (const Ring& ring : rings_) {
-    if (copy && &ring != &home) continue;
+    const bool is_home = &ring == &home;
+    if ((scope == DeltaScope::kCopy && !is_home) ||
+        (scope == DeltaScope::kWiden && is_home)) {
+      continue;
+    }
     const uint32_t owner = SuccessorOf(ring, key);
     if (in_advertise_batch()) {
-      ++pending_digests_[{holder.index(), owner}];
+      ++pending_digests_[{holder.index(), owner, !add}];
     } else {
-      SendDigest(holder.index(), owner, 1);
+      SendDigest(holder.index(), owner, 1, !add);
     }
+  }
+}
+
+void ChordDhtCatalog::OnRetractCopies(ResourceKind kind,
+                                      const std::string& name, PeerId origin,
+                                      const std::vector<PeerId>& holders) {
+  if (net_ == nullptr || !origin.is_concrete()) {
+    CatalogBackend::OnRetractCopies(kind, name, origin, holders);
+    return;
+  }
+  EnsureRings(net_->topology());
+  if (rings_.empty()) {
+    CatalogBackend::OnRetractCopies(kind, name, origin, holders);
+    return;
+  }
+  // Each copy was told only to its own region's owner; the origin sends
+  // one flat digest to each such owner, whatever the number of copies it
+  // lists there. The digest names (name, origin), not the holders, so it
+  // never grows and is never batched.
+  const uint64_t key = KeyPoint(MapKey(kind, name));
+  std::map<uint32_t, uint64_t> per_owner;
+  for (PeerId holder : holders) {
+    ++per_owner[SuccessorOf(RingOf(holder), key)];
+  }
+  for (const auto& [owner, deltas] : per_owner) {
+    SendDigest(origin.index(), owner, 1, /*retract=*/true);
+    // The digest is one entry on the wire but removes `deltas` entries.
+    RecordDigest(/*retract=*/true, 0, 0, deltas - 1);
   }
 }
 
@@ -492,25 +565,26 @@ void ChordDhtCatalog::FlushAdvertiseBatch() {
     pending_digests_.clear();
     return;
   }
-  for (const auto& [pair, deltas] : pending_digests_) {
-    SendDigest(pair.first, pair.second, deltas);
+  for (const auto& [to, deltas] : pending_digests_) {
+    const auto& [holder, owner, retract] = to;
+    SendDigest(holder, owner, deltas, retract);
   }
   pending_digests_.clear();
 }
 
-void ChordDhtCatalog::SendDigest(uint32_t holder, uint32_t owner,
-                                 uint64_t deltas) {
-  if (holder == owner) {
-    // The holder owns the entry's arc: a local index write.
-    RecordAdvertise(0, 0, deltas);
+void ChordDhtCatalog::SendDigest(uint32_t from, uint32_t owner,
+                                 uint64_t deltas, bool retract) {
+  if (from == owner) {
+    // The sender owns the entry's arc: a local index write.
+    RecordDigest(retract, 0, 0, deltas);
     return;
   }
   const uint64_t bytes =
       kCatalogMsgBytes + (deltas - 1) * kCatalogDigestEntryBytes;
-  const PeerId h(holder);
+  const PeerId h(from);
   const PeerId r(owner);
   const double d = net_->topology().Get(h, r).TransferTime(bytes);
-  RecordAdvertise(1, bytes, deltas);
+  RecordDigest(retract, 1, bytes, deltas);
   AddNodeLoad(r);
   net_->ControlRoundtrip(h, r, 1, bytes, d, [] {});
 }

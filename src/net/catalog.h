@@ -40,6 +40,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -64,14 +65,21 @@ struct LookupResult {
 };
 
 /// Aggregate traffic counters one catalog backend has generated.
-/// `advertise_noops` counts Register calls for already-advertised
-/// entries — the re-advertisements the delta protocol makes free.
+/// `advertise_*` count the digests that add or widen entries,
+/// `retract_*` the digests that remove them (a holder's Unregister, or a
+/// write's RetractCopiesOf). `advertise_deltas` counts every entry change
+/// applied at a key owner, in either direction. `advertise_noops` counts
+/// Register calls for already-advertised entries — the
+/// re-advertisements the delta protocol makes free — and Unregister
+/// calls for entries already gone.
 struct CatalogStats {
   uint64_t lookups = 0;
   uint64_t lookup_messages = 0;
   uint64_t lookup_bytes = 0;
   uint64_t advertise_messages = 0;
   uint64_t advertise_bytes = 0;
+  uint64_t retract_messages = 0;
+  uint64_t retract_bytes = 0;
   uint64_t advertise_deltas = 0;
   uint64_t advertise_noops = 0;
 
@@ -81,6 +89,8 @@ struct CatalogStats {
       Counter{"lookup_bytes", &CatalogStats::lookup_bytes},
       Counter{"advertise_messages", &CatalogStats::advertise_messages},
       Counter{"advertise_bytes", &CatalogStats::advertise_bytes},
+      Counter{"retract_messages", &CatalogStats::retract_messages},
+      Counter{"retract_bytes", &CatalogStats::retract_bytes},
       Counter{"advertise_deltas", &CatalogStats::advertise_deltas},
       Counter{"advertise_noops", &CatalogStats::advertise_noops});
 };
@@ -106,14 +116,23 @@ class CatalogBackend {
   /// Register is a counted no-op. Registering a cached copy's entry
   /// durably (a write promoted the copy) widens its scope.
   void Register(ResourceKind kind, const std::string& name, PeerId holder);
-  /// Advertises a cached copy of `name` at `holder`. The entry is the
-  /// same as a durable one for every backend but Chord, which tells only
-  /// the holder's region (see ChordDhtCatalog).
+  /// Advertises a cached copy of `name` at `holder`, fetched from
+  /// `origin` (a durable holder, or another copy for a copy of a copy).
+  /// The entry is the same as a durable one for every backend but Chord,
+  /// which tells only the holder's region (see ChordDhtCatalog).
   void RegisterCopy(ResourceKind kind, const std::string& name,
-                    PeerId holder);
+                    PeerId holder, PeerId origin);
   /// Retracts `holder`'s entry, durable or copy, from wherever it was
-  /// advertised.
+  /// advertised. The holder sends the retraction: this is the path for
+  /// drops the holder decides on its own (eviction, validation, crash).
   void Unregister(ResourceKind kind, const std::string& name, PeerId holder);
+  /// Retracts every copy entry of `name` descending from `origin`: its
+  /// copies, their copies, and so on. A write at `origin` calls this
+  /// once before it drops those copies, so the retraction is origin-sent
+  /// — one digest per key owner that lists such entries (Chord), not one
+  /// per holder.
+  void RetractCopiesOf(ResourceKind kind, const std::string& name,
+                       PeerId origin);
 
   /// True when `holder` currently advertises `name`. Free (no modeled
   /// traffic): used by tests and the replica layer to check registration
@@ -191,17 +210,30 @@ class CatalogBackend {
   void ResetStats();
 
  protected:
-  /// One advertisement: its holder, and whether it is a cached copy.
+  /// One advertisement: its holder, and for a cached copy the peer it
+  /// was fetched from (invalid for a durable entry).
   struct Entry {
     PeerId holder;
-    bool copy = false;
+    PeerId origin = PeerId::Invalid();
+    bool copy() const { return origin.valid(); }
   };
 
+  /// Which key owners an advertisement delta concerns, in Chord's
+  /// region-scoped terms: a copy's own region, every region (durable),
+  /// or every region but the holder's (a copy widened to durable: its
+  /// own region's owner already lists it).
+  enum class DeltaScope { kCopy, kDurable, kWiden };
+
   /// Invoked once for every effective advertisement delta (add or
-  /// remove) of a durable entry or a copy. Backends route / price it;
-  /// the default is free.
+  /// remove) of one holder's entry. Backends route / price it; the
+  /// default is free.
   virtual void OnAdvertiseDelta(ResourceKind kind, const std::string& name,
-                                PeerId holder, bool add, bool copy);
+                                PeerId holder, bool add, DeltaScope scope);
+  /// Invoked once per RetractCopiesOf that removed entries, with the
+  /// removed holders. Backends route / price it; the default is free.
+  virtual void OnRetractCopies(ResourceKind kind, const std::string& name,
+                               PeerId origin,
+                               const std::vector<PeerId>& holders);
   /// Invoked when the last advertisement batch window closes.
   virtual void FlushAdvertiseBatch() {}
   /// Invoked when set_peer_count changes the value.
@@ -212,9 +244,13 @@ class CatalogBackend {
     stats_.lookup_messages += messages;
     stats_.lookup_bytes += bytes;
   }
-  void RecordAdvertise(uint64_t messages, uint64_t bytes, uint64_t deltas) {
-    stats_.advertise_messages += messages;
-    stats_.advertise_bytes += bytes;
+  /// Counts `messages` digests of `bytes` that applied `deltas` entry
+  /// changes; `retract` digests remove entries.
+  void RecordDigest(bool retract, uint64_t messages, uint64_t bytes,
+                    uint64_t deltas) {
+    (retract ? stats_.retract_messages : stats_.advertise_messages) +=
+        messages;
+    (retract ? stats_.retract_bytes : stats_.advertise_bytes) += bytes;
     stats_.advertise_deltas += deltas;
   }
   void AddNodeLoad(PeerId node, uint64_t messages = 1) {
@@ -237,7 +273,7 @@ class CatalogBackend {
 
  private:
   void Advertise(ResourceKind kind, const std::string& name, PeerId holder,
-                 bool copy);
+                 PeerId origin);
 
   std::map<std::string, std::vector<Entry>> entries_;
   std::map<uint32_t, uint64_t> node_load_;
@@ -285,15 +321,26 @@ class CentralCatalog : public CatalogBackend {
 ///
 /// Advertisement deltas route as digest messages holder -> owner
 /// (holders cache their owners' addresses, the standard one-hop put) and
-/// coalesce per (holder, owner) under Begin/EndAdvertiseBatch. Scope:
+/// coalesce per (holder, owner, direction) under Begin/EndAdvertiseBatch.
+/// Scope:
 ///  - a durable entry (Register) goes to the owner in every region;
 ///  - a cached copy (RegisterCopy) goes only to the owner in the holder's
-///    own region.
+///    own region;
+///  - a copy widened to durable (Register of a copy's holder) goes to
+///    the owners of the other regions only.
 /// So a region owner knows the durable members plus its own region's
 /// copies, and that is all a lookup from the region may report
 /// (VisibleFrom; the d@any pick filters its members the same way). A
 /// copy across the WAN never beats the member it replicates on a
 /// cache-aware or nearest pick, so hiding it changes no such pick.
+///
+/// Retraction has two senders. A holder that drops its own entry
+/// (eviction, validation, crash) sends Unregister's digest to the owners
+/// it advertised to. A write drops every copy descending from its origin
+/// at once, so the origin retracts them all (RetractCopiesOf) with one
+/// flat kCatalogMsgBytes digest — "drop the copies of `name` from me" —
+/// to each region owner that lists at least one of them; the holders
+/// send nothing.
 ///
 /// The rings are rebuilt lazily when peer_count or the topology's regions
 /// change, so fleet bring-up (P AddPeer calls) does not pay P ring
@@ -319,7 +366,10 @@ class ChordDhtCatalog : public CatalogBackend {
 
  protected:
   void OnAdvertiseDelta(ResourceKind kind, const std::string& name,
-                        PeerId holder, bool add, bool copy) override;
+                        PeerId holder, bool add, DeltaScope scope) override;
+  void OnRetractCopies(ResourceKind kind, const std::string& name,
+                       PeerId origin,
+                       const std::vector<PeerId>& holders) override;
   void FlushAdvertiseBatch() override;
   void OnPeerCountChanged() override { rings_dirty_ = true; }
 
@@ -364,8 +414,10 @@ class ChordDhtCatalog : public CatalogBackend {
   /// comment for the finger choice).
   uint32_t NextHop(const Topology& topo, const Ring& ring, uint32_t cur,
                    uint32_t owner) const;
-  /// One digest message holder -> owner covering `deltas` entries.
-  void SendDigest(uint32_t holder, uint32_t owner, uint64_t deltas);
+  /// One digest message `from` -> `owner` covering `deltas` entries;
+  /// `retract` digests remove entries.
+  void SendDigest(uint32_t from, uint32_t owner, uint64_t deltas,
+                  bool retract);
 
   /// One ring per region, in order of the regions' first peer index.
   mutable std::vector<Ring> rings_;
@@ -377,8 +429,8 @@ class ChordDhtCatalog : public CatalogBackend {
   /// Peers currently crashed (by index); routing skips them.
   std::set<uint32_t> down_;
   /// Deltas pending in the open batch window, coalesced per
-  /// (holder, owner) pair.
-  std::map<std::pair<uint32_t, uint32_t>, uint64_t> pending_digests_;
+  /// (holder, owner, retract).
+  std::map<std::tuple<uint32_t, uint32_t, bool>, uint64_t> pending_digests_;
 };
 
 /// Unstructured flooding over the topology's neighbor graph.

@@ -228,7 +228,8 @@ void ReplicaManager::InstallAndAdvertise(PeerId reader, PeerId origin,
   holder->PutDocument(name, std::move(tree));
   installed_[{reader, name}] = origin;
   if (sys_->catalog() != nullptr) {
-    sys_->catalog()->RegisterCopy(ResourceKind::kDocument, name, reader);
+    sys_->catalog()->RegisterCopy(ResourceKind::kDocument, name, reader,
+                                  origin);
   }
   for (const std::string& cls :
        sys_->generics().DocumentClassesOf(ClassMember{name, origin})) {
@@ -474,6 +475,14 @@ void ReplicaManager::PushInvalidate(const ReplicaKey& key) {
     }
   }
   subscription_stats_.clean_skips += subscribed.size() - dirty_set.size();
+  // Every copy advertised under this document descends from an up dirty
+  // holder (a down one was retracted at crash), so the loop below drops
+  // them all, copies of copies through the cascade. The origin retracts
+  // their catalog entries in one go; the drops' own Unregister calls
+  // then find nothing left to send.
+  if (CatalogBackend* catalog = sys_->catalog(); catalog != nullptr) {
+    catalog->RetractCopiesOf(ResourceKind::kDocument, key.name, key.origin);
+  }
   for (PeerId holder : dirty) {
     // A crashed holder's cache is unreachable — nothing to drop, nobody
     // to notify. Its entries rot until rejoin-time reconciliation (and

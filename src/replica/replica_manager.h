@@ -525,7 +525,10 @@ class ReplicaManager {
   /// of the copy `key` held at `reader`. Invoked by the caches' evict
   /// listeners, so budget evictions retract advertisements too. Losing
   /// *any* piece of a sharded copy (manifest or data shard) retracts the
-  /// installed document — installed ⇔ fully resident in cache.
+  /// installed document — installed ⇔ fully resident in cache. The
+  /// catalog retraction is the holder's own; when a write dropped the
+  /// copy, PushInvalidate's origin-sent retraction already removed the
+  /// entry and the holder sends nothing.
   void RetractAdvertisements(PeerId reader, const ReplicaKey& key);
 
   /// Installs `tree` as reader's local document `name` and advertises it
@@ -581,7 +584,9 @@ class ReplicaManager {
   /// sharded copy; partial holders only when a data shard they hold is
   /// no longer referenced by the new version — then notifies each dirty
   /// holder, drops its dirty entries synchronously, and — under eager
-  /// refresh — starts the re-materializing shipment. Clean partial
+  /// refresh — starts the re-materializing shipment. Before the drops,
+  /// the origin retracts the catalog entries of every copy they will
+  /// take down (CatalogBackend::RetractCopiesOf). Clean partial
   /// holders are skipped entirely (SubscriptionStats::clean_skips):
   /// their shards are still current, their stale manifest is caught by
   /// the version check on its next lookup, and they were never

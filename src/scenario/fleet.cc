@@ -176,8 +176,9 @@ FleetReport FleetHarness::Run() {
                              static_cast<double>(cat.lookups);
   report.max_node_share = sys_.catalog()->MaxNodeLoadShare();
   report.lookup_bytes = cat.lookup_bytes;
-  report.advertise_messages = cat.advertise_messages;
-  report.advertise_bytes = cat.advertise_bytes;
+  // Every catalog digest, installs and retractions alike.
+  report.advertise_messages = cat.advertise_messages + cat.retract_messages;
+  report.advertise_bytes = cat.advertise_bytes + cat.retract_bytes;
 
   const NetStats& net = sys_.network().stats();
   report.wire_messages = net.total_messages();

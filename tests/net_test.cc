@@ -458,6 +458,23 @@ TEST_F(CatalogKindTest, UnregisterRemovesHolder) {
   EXPECT_GT(miss.messages, 0u);
 }
 
+TEST_F(CatalogKindTest, ChordWithoutPeersRetractsCopiesForFree) {
+  // A network attached but no peer count: there is no ring to price a
+  // digest on, so registration and write-scoped retraction are both
+  // free, as in a standalone catalog.
+  Network net(&loop_, Topology(LinkParams{0.010, 1e6}));
+  ChordDhtCatalog cat;
+  cat.AttachNetwork(&net);
+  cat.RegisterCopy(ResourceKind::kDocument, "d", PeerId(2), PeerId(1));
+  EXPECT_TRUE(cat.IsAdvertised(ResourceKind::kDocument, "d", PeerId(2)));
+  cat.RetractCopiesOf(ResourceKind::kDocument, "d", PeerId(1));
+  loop_.Run();
+  EXPECT_FALSE(cat.IsAdvertised(ResourceKind::kDocument, "d", PeerId(2)));
+  EXPECT_EQ(cat.stats().retract_messages, 0u);
+  EXPECT_EQ(cat.stats().advertise_deltas, 2u);
+  EXPECT_EQ(net.stats().control_messages(), 0u);
+}
+
 TEST_F(CatalogKindTest, RegisterUnregisterRoundTrips) {
   Network net(&loop_, Topology(LinkParams{0.010, 1e6}));
   // The round-trip contract is implementation-independent; check it on
@@ -677,7 +694,10 @@ TEST_F(ChordRouteTest, DurableEntriesReachEveryRegionOwnerAndCopiesTheirOwn) {
   // The peers each advertisement call sends a digest to.
   auto digests = [&](auto advertise) {
     tracer_.Clear();
-    const uint64_t before = cat_.stats().advertise_messages;
+    auto sent = [&] {
+      return cat_.stats().advertise_messages + cat_.stats().retract_messages;
+    };
+    const uint64_t before = sent();
     advertise();
     loop_.Run();
     std::vector<PeerId> to;
@@ -686,7 +706,7 @@ TEST_F(ChordRouteTest, DurableEntriesReachEveryRegionOwnerAndCopiesTheirOwn) {
       to.push_back(
           PeerId(static_cast<uint32_t>(std::stoul(s.detail.substr(4)))));
     }
-    EXPECT_EQ(cat_.stats().advertise_messages - before, to.size());
+    EXPECT_EQ(sent() - before, to.size());
     std::sort(to.begin(), to.end());
     return to;
   };
@@ -705,7 +725,8 @@ TEST_F(ChordRouteTest, DurableEntriesReachEveryRegionOwnerAndCopiesTheirOwn) {
   // A cached copy: one digest, to its own region's owner, and so is its
   // retraction.
   EXPECT_EQ(digests([&] {
-              cat_.RegisterCopy(ResourceKind::kDocument, key, copy_holder);
+              cat_.RegisterCopy(ResourceKind::kDocument, key, copy_holder,
+                                durable_holder);
             }),
             std::vector<PeerId>{owner_b});
   const Topology& topo = net_->topology();
@@ -717,6 +738,19 @@ TEST_F(ChordRouteTest, DurableEntriesReachEveryRegionOwnerAndCopiesTheirOwn) {
               cat_.Unregister(ResourceKind::kDocument, key, copy_holder);
             }),
             std::vector<PeerId>{owner_b});
+  // A copy widened to durable by a write: its own region's owner already
+  // lists it, so only the other region's owner hears of it.
+  EXPECT_EQ(digests([&] {
+              cat_.RegisterCopy(ResourceKind::kDocument, key, copy_holder,
+                                durable_holder);
+            }),
+            std::vector<PeerId>{owner_b});
+  EXPECT_EQ(digests([&] {
+              cat_.Register(ResourceKind::kDocument, key, copy_holder);
+            }),
+            std::vector<PeerId>{owner_a});
+  EXPECT_TRUE(cat_.VisibleFrom(ResourceKind::kDocument, key, copy_holder,
+                               PeerId(10), topo));
 }
 
 TEST_F(ChordRouteTest, CrashedRegionOwnerHandsItsLookupsToTheNextNodeOfItsRing) {
@@ -796,7 +830,7 @@ TEST(RegionScopedPickTest, RandomPicksNeverLandOnAnotherRegionsCopy) {
   sys.catalog()->Register(ResourceKind::kDocument, "d", origin);
   sys.generics().AddDocumentMember("cls", ClassMember{"d", origin});
   for (PeerId copy : {copy_a, copy_b}) {
-    sys.catalog()->RegisterCopy(ResourceKind::kDocument, "d", copy);
+    sys.catalog()->RegisterCopy(ResourceKind::kDocument, "d", copy, origin);
     sys.generics().AddDocumentMember("cls", ClassMember{"d", copy});
   }
   // Each reader picks among what its region's key owner knows: the

@@ -671,6 +671,221 @@ TEST(PushRefreshTest, CostModelKeepsFreshAssumptionDuringEagerRefresh) {
   EXPECT_GT(g_cost.Estimate(g.client, g_read).remote_bytes, 0.0);
 }
 
+// --- Write-scoped retraction on the region-scoped Chord DHT ---
+
+/// 16 peers in two regions of two racks (region 0 is p0-p7, region 1 is
+/// p8-p15) on the Chord catalog. Document "d" is durable at `origin`
+/// (region 0) and at `durable_b` (region 1, class "ed"); `copy_a` and
+/// `copy_b` cache origin's d, one per region, and `copy_of_copy` caches
+/// copy_b's, picked by d@any from copy_b's rack. No holder is a key
+/// owner of "d", so every digest they send crosses a link.
+struct RegionCopies {
+  AxmlSystem sys{Topology::Hierarchical(Spec())};
+  PeerId origin, durable_b, copy_a, copy_b, copy_of_copy;
+  /// The key owner of "d" in each region.
+  std::vector<PeerId> owners;
+  Query q = Query::Parse("for $p in input(0)/catalog/product "
+                         "return <r>{ $p/name }</r>")
+                .value();
+  Rng rng{13};
+
+  static Topology::HierarchySpec Spec() {
+    Topology::HierarchySpec spec;
+    spec.regions = 2;
+    spec.racks_per_region = 2;
+    spec.peers_per_rack = 4;
+    return spec;
+  }
+
+  /// `budget` > 0 caps every cache at that many bytes.
+  explicit RegionCopies(RefreshPolicy policy, uint64_t budget = 0) {
+    for (uint32_t i = 0; i < Spec().peer_count(); ++i) {
+      sys.AddPeer(StrCat("p", i));
+    }
+    sys.SetCatalog(std::make_unique<ChordDhtCatalog>());
+    sys.replicas().set_refresh_policy(policy);
+    if (budget > 0) sys.replicas().set_default_byte_budget(budget);
+    // A region owner answers its own lookup without a message.
+    for (uint32_t i = 0; i < Spec().peer_count(); ++i) {
+      if (sys.catalog()
+              ->LookupNow(ResourceKind::kDocument, "d", PeerId(i),
+                          sys.network())
+              .messages == 0) {
+        owners.push_back(PeerId(i));
+      }
+    }
+    EXPECT_EQ(owners.size(), 2u);
+    // The first non-owner peers of: rack 0, rack 1, rack 3, and two of
+    // rack 2.
+    auto free_in = [&](uint32_t first, size_t skip) {
+      for (uint32_t i = first; i < first + 4; ++i) {
+        if (std::count(owners.begin(), owners.end(), PeerId(i)) > 0) continue;
+        if (skip-- == 0) return PeerId(i);
+      }
+      return PeerId::Invalid();
+    };
+    origin = free_in(0, 0);
+    copy_a = free_in(4, 0);
+    durable_b = free_in(12, 0);
+    copy_b = free_in(8, 0);
+    copy_of_copy = free_in(8, 1);
+
+    TreePtr t = MakeCatalog(8, sys.peer(origin)->gen(), &rng);
+    EXPECT_TRUE(
+        sys.InstallReplicatedDocument("ed", "d", t, {origin, durable_b})
+            .ok());
+    Evaluator ev(&sys, CachingOptions());
+    for (PeerId reader : {copy_a, copy_b}) {
+      EXPECT_TRUE(
+          ev.Eval(reader, Expr::Apply(q, reader, {Expr::Doc("d", origin)}))
+              .ok());
+    }
+    EvalOptions any = CachingOptions();
+    any.pick_policy = PickPolicy::kCacheAware;
+    Evaluator any_ev(&sys, any);
+    EXPECT_TRUE(any_ev
+                    .Eval(copy_of_copy, Expr::Apply(q, copy_of_copy,
+                                                    {Expr::GenericDoc("ed")}))
+                    .ok());
+    sys.RunToQuiescence();
+  }
+
+  /// A durable write of d at its origin.
+  void Write() {
+    sys.peer(origin)->PutDocument(
+        "d", MakeCatalog(4, sys.peer(origin)->gen(), &rng));
+    sys.RunToQuiescence();
+  }
+
+  bool Advertised(PeerId holder) {
+    return sys.catalog()->IsAdvertised(ResourceKind::kDocument, "d", holder);
+  }
+
+  /// Starts recording the control messages (catalog traffic) sent from
+  /// here on.
+  void TraceControl() {
+    sys.tracer().set_enabled(true);
+    sys.tracer().Clear();
+  }
+  /// The (sender, receiver) of every control message since TraceControl,
+  /// sorted.
+  std::vector<std::pair<PeerId, PeerId>> ControlSent() const {
+    std::vector<std::pair<PeerId, PeerId>> sent;
+    for (const TraceSpan& s : sys.tracer().Events()) {
+      if (s.category != "net" || s.name != "control") continue;
+      // detail is "-> p<index>".
+      sent.emplace_back(s.peer, PeerId(static_cast<uint32_t>(
+                                    std::stoul(s.detail.substr(4)))));
+    }
+    std::sort(sent.begin(), sent.end());
+    return sent;
+  }
+};
+
+TEST(WriteRetractionTest, OneWriteSendsOneOriginDigestPerRegionOwner) {
+  RegionCopies f(RefreshPolicy::kDrop);
+  ASSERT_EQ(f.owners.size(), 2u);
+  ASSERT_EQ(f.sys.network().topology().RegionOf(f.owners[0]), 0u);
+  ASSERT_EQ(f.sys.network().topology().RegionOf(f.owners[1]), 1u);
+  ASSERT_EQ(f.sys.replicas().InstalledOrigin(f.copy_a, "d"), f.origin);
+  ASSERT_EQ(f.sys.replicas().InstalledOrigin(f.copy_b, "d"), f.origin);
+  ASSERT_EQ(f.sys.replicas().InstalledOrigin(f.copy_of_copy, "d"), f.copy_b);
+  for (PeerId copy : {f.copy_a, f.copy_b, f.copy_of_copy}) {
+    ASSERT_TRUE(f.Advertised(copy)) << copy.ToString();
+  }
+  const CatalogStats before = f.sys.catalog()->stats();
+  const uint64_t drops_before = f.sys.replicas().subscription_stats().drops;
+  f.TraceControl();
+  f.Write();
+
+  // Copies live in both regions (region 1 holds a copy and a copy of
+  // it), so the origin sends one flat digest to each region owner; the
+  // three holders send nothing.
+  const std::vector<std::pair<PeerId, PeerId>> expected = {
+      {f.origin, f.owners[0]}, {f.origin, f.owners[1]}};
+  EXPECT_EQ(f.ControlSent(), expected);
+  const CatalogStats& after = f.sys.catalog()->stats();
+  EXPECT_EQ(after.retract_messages - before.retract_messages, 2u);
+  EXPECT_EQ(after.retract_bytes - before.retract_bytes,
+            2 * kCatalogMsgBytes);
+  EXPECT_EQ(after.advertise_messages, before.advertise_messages);
+  EXPECT_EQ(after.advertise_deltas - before.advertise_deltas, 3u);
+  EXPECT_EQ(f.sys.replicas().subscription_stats().drops - drops_before, 3u);
+
+  // Every dropped copy is gone from the catalog; the durable entries
+  // stay.
+  for (PeerId copy : {f.copy_a, f.copy_b, f.copy_of_copy}) {
+    EXPECT_FALSE(f.sys.replicas().IsCachedCopy(copy, "d")) << copy.ToString();
+    EXPECT_FALSE(f.Advertised(copy)) << copy.ToString();
+  }
+  EXPECT_TRUE(f.Advertised(f.origin));
+  EXPECT_TRUE(f.Advertised(f.durable_b));
+  EXPECT_EQ(f.sys.catalog()->HolderCount(ResourceKind::kDocument, "d"), 2u);
+}
+
+TEST(WriteRetractionTest, BudgetEvictionStillSendsTheHoldersOwnDigest) {
+  // Every cache fits one catalog and not two.
+  Rng size_rng(13);
+  NodeIdGen gen;
+  const uint64_t one = wire::EncodedTreeSize(*MakeCatalog(8, &gen, &size_rng));
+  RegionCopies f(RefreshPolicy::kDrop, one + one / 2);
+  ASSERT_EQ(f.owners.size(), 2u);
+  ASSERT_TRUE(f.Advertised(f.copy_a));
+  ASSERT_TRUE(f.sys
+                  .InstallDocument(f.origin, "d2",
+                                   MakeCatalog(8, f.sys.peer(f.origin)->gen(),
+                                               &f.rng))
+                  .ok());
+  const CatalogStats before = f.sys.catalog()->stats();
+  f.TraceControl();
+  // Caching d2 at copy_a evicts its copy of d: the holder decided, so
+  // the holder retracts, to its own region's owner of "d".
+  Evaluator ev(&f.sys, CachingOptions());
+  ASSERT_TRUE(ev.Eval(f.copy_a, Expr::Apply(f.q, f.copy_a,
+                                            {Expr::Doc("d2", f.origin)}))
+                  .ok());
+  f.sys.RunToQuiescence();
+  ASSERT_TRUE(f.sys.replicas().IsCachedCopy(f.copy_a, "d2"));
+  EXPECT_FALSE(f.sys.replicas().IsCachedCopy(f.copy_a, "d"));
+  EXPECT_FALSE(f.Advertised(f.copy_a));
+  EXPECT_EQ(f.sys.catalog()->stats().retract_messages -
+                before.retract_messages,
+            1u);
+  const std::vector<std::pair<PeerId, PeerId>> sent = f.ControlSent();
+  EXPECT_EQ(std::count(sent.begin(), sent.end(),
+                       std::pair{f.copy_a, f.owners[0]}),
+            1);
+  // The other copies are untouched.
+  EXPECT_TRUE(f.Advertised(f.copy_b));
+  EXPECT_TRUE(f.Advertised(f.copy_of_copy));
+}
+
+TEST(WriteRetractionTest, LazyPolicyRetractsNothingAtWriteTime) {
+  RegionCopies f(RefreshPolicy::kLazy);
+  ASSERT_EQ(f.owners.size(), 2u);
+  const CatalogStats before = f.sys.catalog()->stats();
+  f.TraceControl();
+  f.Write();
+  // kLazy keeps its stale-advertisement window: nothing is sent and
+  // every copy stays listed...
+  EXPECT_TRUE(f.ControlSent().empty());
+  EXPECT_EQ(f.sys.catalog()->stats().retract_messages,
+            before.retract_messages);
+  for (PeerId copy : {f.copy_a, f.copy_b, f.copy_of_copy}) {
+    EXPECT_TRUE(f.Advertised(copy)) << copy.ToString();
+  }
+  // ...until a lookup drops a stale copy, which its holder retracts.
+  EXPECT_EQ(f.sys.replicas().LookupFresh(f.copy_a, f.origin, "d"), nullptr);
+  f.sys.RunToQuiescence();
+  EXPECT_FALSE(f.Advertised(f.copy_a));
+  const std::vector<std::pair<PeerId, PeerId>> expected = {
+      {f.copy_a, f.owners[0]}};
+  EXPECT_EQ(f.ControlSent(), expected);
+  EXPECT_EQ(f.sys.catalog()->stats().retract_messages -
+                before.retract_messages,
+            1u);
+}
+
 // --- d@any routed to the nearest fresh replica ---
 
 struct GenericFixture {
