@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Self-test for bench_diff.py: an exact simulated match passes, any
 simulated difference fails unless its workload is expected to move, and
-host metrics never fail.
+host metrics never fail. Also checks that the committed CI baseline,
+scripts/perfbench_baseline.json, holds one seed-1 run per workload.
 
 Runs under the stdlib unittest runner:
     python3 scripts/bench_diff_test.py
@@ -104,6 +105,18 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(self.run_main(run_set(), "not json"), 2)
         self.assertEqual(
             self.run_main(run_set(), run_set(), "--expect-move", "nope"), 2)
+
+    def test_committed_baseline_holds_one_run_per_workload(self) -> None:
+        # CI diffs its seed-1 results against this file.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        spec = json.loads((root / "BENCHMARK.json").read_text())
+        baseline = bd.load(str(root / "scripts" / "perfbench_baseline.json"))
+        self.assertEqual(set(baseline),
+                         {w["name"] for w in spec["workloads"]})
+        for runs in baseline.values():
+            self.assertEqual(len(runs), 1)
+            self.assertIs(runs[0]["correct"], True)
+            self.assertEqual(runs[0]["failed"], 0)
 
 
 if __name__ == "__main__":

@@ -404,8 +404,9 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
   if (sharded_read) {
     // Delta fetch: only the stale manifest and the shards this reader
     // lacks cross the wire; resident shards serve locally. The landing
-    // caches + installs the copy and hands back the assembled document,
-    // which stands in for the whole-document `landed` below.
+    // caches + installs the copy (unless a rack-mate served it) and
+    // hands back the assembled document, which stands in for the
+    // whole-document `landed` below.
     uint64_t delta = 0;
     const bool launched = sys_->replicas().FetchForRead(
         ctx, owner, doc_name,
@@ -473,7 +474,8 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
                 // Materialize the transferred tree as a replica: later
                 // reads (here or via d@any) hit the copy. Trees still
                 // carrying service calls are excluded — a copy freezes
-                // their activation state.
+                // their activation state — and so is a payload from
+                // the reader's own rack, which already serves it.
                 // The landed clone becomes the cache blob (and the
                 // installed local copy); every consumer — the reader
                 // that triggered the transfer and any coalesced
@@ -481,7 +483,8 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
                 // per-reader ship would have delivered.
                 bool cached = false;
                 if (options_.use_replica_cache &&
-                    !landed->ContainsServiceCall()) {
+                    !landed->ContainsServiceCall() &&
+                    sys_->replicas().AdmitReadCopy(ctx, owner)) {
                   cached = sys_->replicas().InsertCopy(
                       ctx, owner, doc_name, landed, snap_version);
                   if (cached) {

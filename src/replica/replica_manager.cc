@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "net/catalog.h"
+#include "net/topology.h"
 #include "opt/cost_model.h"
 #include "peer/peer.h"
 #include "peer/system.h"
@@ -237,6 +238,14 @@ void ReplicaManager::InstallAndAdvertise(PeerId reader, PeerId origin,
   }
 }
 
+bool ReplicaManager::AdmitReadCopy(PeerId reader, PeerId source) {
+  const Topology& topo = sys_->network().topology();
+  const uint32_t rack = topo.RackOf(reader);
+  if (rack == UINT32_MAX || rack != topo.RackOf(source)) return true;
+  ++rack_declined_;
+  return false;
+}
+
 TreePtr ReplicaManager::LookupFresh(PeerId reader, PeerId origin,
                                     const DocName& name) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
@@ -331,6 +340,7 @@ void ReplicaManager::DropAllCopies() {
 TransferCacheStats ReplicaManager::TotalStats() const {
   TransferCacheStats total;
   total.misses = uncached_misses_;
+  total.rack_declined = rack_declined_;
   for (const auto& [peer, cache] : caches_) AddCounters(total, cache->stats());
   return total;
 }
@@ -401,6 +411,7 @@ void ReplicaManager::ResetStats() {
   placement_stats_ = PlacementStats{};
   shard_stats_ = ShardStats{};
   uncached_misses_ = 0;
+  rack_declined_ = 0;
   refresh_spent_.clear();
   placement_spent_.clear();
 }
@@ -739,11 +750,14 @@ bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
         for (const DocumentShard& s : landed->shards) {
           parts[s.id.ToString()] = s.content;
         }
-        // Cache what landed (a stale snapshot is refused there but the
-        // read below still delivers it — a read observes the version it
-        // was issued against, exactly like the whole-document path).
-        InsertShardedCopy(reader, origin, name, landed->manifest,
-                          landed->shards, snap_version);
+        // Cache what landed, unless a rack-mate served it (a stale
+        // snapshot is refused there but the read below still delivers
+        // it — a read observes the version it was issued against,
+        // exactly like the whole-document path).
+        if (AdmitReadCopy(reader, origin)) {
+          InsertShardedCopy(reader, origin, name, landed->manifest,
+                            landed->shards, snap_version);
+        }
         deliver(AssembleCopy(
             *landed->manifest,
             [&parts](const std::string& id) -> TreePtr {

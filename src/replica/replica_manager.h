@@ -14,6 +14,9 @@
 //    discovery catalog lists the caching peer as a holder, and the copy
 //    joins every generic class the origin belongs to — so d@any
 //    resolution routes to the nearest fresh copy;
+//  - a read makes a copy only when its source sits outside the reader's
+//    rack (AdmitReadCopy): a source in the same rack already serves
+//    every rack-mate over the link a new copy would use;
 //  - every successful cache insert *subscribes* the holder at the origin
 //    under the inserted entry's exact key — whole-document, manifest or
 //    data shard (SubscriptionTable); a mutation at the origin pushes to
@@ -318,12 +321,12 @@ class ReplicaManager {
   /// Starts a read-path delta fetch: ships only the manifest (if stale)
   /// and the data shards `reader` lacks; resident shards are served
   /// locally (each counts a cache hit). When the transfer lands, the
-  /// copy is cached + installed + advertised (InsertShardedCopy) and
-  /// `deliver` receives the assembled document (nullptr only if the
-  /// reader peer vanished mid-flight). `delta_bytes`, when non-null,
-  /// receives the wire bytes charged. Returns false without sending when
-  /// the sharded path does not apply — callers fall back to the
-  /// whole-document transfer.
+  /// copy is cached + installed + advertised (InsertShardedCopy) unless
+  /// AdmitReadCopy declines it, and `deliver` receives the assembled
+  /// document (nullptr only if the reader peer vanished mid-flight).
+  /// `delta_bytes`, when non-null, receives the wire bytes charged.
+  /// Returns false without sending when the sharded path does not apply
+  /// — callers fall back to the whole-document transfer.
   bool FetchForRead(PeerId reader, PeerId origin, const DocName& name,
                     std::function<void(TreePtr)> deliver,
                     uint64_t* delta_bytes = nullptr);
@@ -446,6 +449,17 @@ class ReplicaManager {
   bool InsertCopy(PeerId reader, PeerId origin, const DocName& name,
                   const TreePtr& landed, uint64_t snapshot_version,
                   std::string encoded = {});
+
+  /// Read-path admission, asked by both read landings (the evaluator's
+  /// whole-document Ship and FetchForRead) before they cache: false when
+  /// `source` — the origin or a copy holder the payload came from — sits
+  /// in `reader`'s rack of a Hierarchical topology. That source already
+  /// serves every rack-mate over the rack link a new copy would use, so
+  /// the reader caches, subscribes to and advertises nothing
+  /// (TransferCacheStats::rack_declined counts each decline). Outside a
+  /// hierarchy every peer's rack is UINT32_MAX, and every read is
+  /// admitted. Placement and refresh shipments do not ask.
+  bool AdmitReadCopy(PeerId reader, PeerId source);
 
   /// The fresh cached copy of origin's `name` held by `reader`, or
   /// nullptr. A stale copy is dropped (cache, local document, catalog,
@@ -669,6 +683,8 @@ class ReplicaManager {
   /// Misses by peers that never cached anything (LookupFresh must not
   /// allocate a cache just to count one); folded into TotalStats.
   uint64_t uncached_misses_ = 0;
+  /// AdmitReadCopy declines; folded into TotalStats.
+  uint64_t rack_declined_ = 0;
 
   // Fault-tolerance knobs (all off by default; see the public block).
   SimTime lease_renew_interval_ = 0;

@@ -54,6 +54,10 @@ struct TransferCacheStats {
   uint64_t bytes_saved = 0;
   /// Bytes not stored again because an equal blob was already resident.
   uint64_t bytes_deduped = 0;
+  /// Read landings not cached because their source sits in the reader's
+  /// rack (ReplicaManager::AdmitReadCopy; counted manager-side, so a
+  /// single cache's stats always read 0).
+  uint64_t rack_declined = 0;
 
   std::string ToString() const { return CountersToString(*this); }
 
@@ -66,6 +70,7 @@ struct TransferCacheStats {
       Counter{"bytes_evicted", &TransferCacheStats::bytes_evicted},
       Counter{"bytes_saved", &TransferCacheStats::bytes_saved},
       Counter{"bytes_deduped", &TransferCacheStats::bytes_deduped},
+      Counter{"rack_declined", &TransferCacheStats::rack_declined},
       Counter{"victims_", &TransferCacheStats::victims_by_policy,
               &EvictionPolicyName});
 };

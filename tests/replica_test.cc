@@ -675,10 +675,14 @@ TEST(PushRefreshTest, CostModelKeepsFreshAssumptionDuringEagerRefresh) {
 
 /// 16 peers in two regions of two racks (region 0 is p0-p7, region 1 is
 /// p8-p15) on the Chord catalog. Document "d" is durable at `origin`
-/// (region 0) and at `durable_b` (region 1, class "ed"); `copy_a` and
-/// `copy_b` cache origin's d, one per region, and `copy_of_copy` caches
-/// copy_b's, picked by d@any from copy_b's rack. No holder is a key
-/// owner of "d", so every digest they send crosses a link.
+/// (rack 0) and at `durable_b` (rack 1, class "ed"); `copy_a` (rack 1)
+/// and `copy_b` (rack 2) cache origin's d, one per region, and
+/// `copy_of_copy` caches copy_b's, picked by d@any from rack 3. A read
+/// served from the reader's own rack makes no copy, so copy_of_copy sits
+/// in the one rack without a member, where copy_b, a region link away,
+/// is its strictly nearest member (every other one is across the WAN).
+/// No holder is a key owner of "d", so every digest they send crosses a
+/// link.
 struct RegionCopies {
   AxmlSystem sys{Topology::Hierarchical(Spec())};
   PeerId origin, durable_b, copy_a, copy_b, copy_of_copy;
@@ -715,8 +719,8 @@ struct RegionCopies {
       }
     }
     EXPECT_EQ(owners.size(), 2u);
-    // The first non-owner peers of: rack 0, rack 1, rack 3, and two of
-    // rack 2.
+    // The first non-owner peers of rack 0, rack 2 and rack 3, and two
+    // of rack 1.
     auto free_in = [&](uint32_t first, size_t skip) {
       for (uint32_t i = first; i < first + 4; ++i) {
         if (std::count(owners.begin(), owners.end(), PeerId(i)) > 0) continue;
@@ -726,9 +730,9 @@ struct RegionCopies {
     };
     origin = free_in(0, 0);
     copy_a = free_in(4, 0);
-    durable_b = free_in(12, 0);
+    durable_b = free_in(4, 1);
     copy_b = free_in(8, 0);
-    copy_of_copy = free_in(8, 1);
+    copy_of_copy = free_in(12, 0);
 
     TreePtr t = MakeCatalog(8, sys.peer(origin)->gen(), &rng);
     EXPECT_TRUE(
@@ -884,6 +888,165 @@ TEST(WriteRetractionTest, LazyPolicyRetractsNothingAtWriteTime) {
   EXPECT_EQ(f.sys.catalog()->stats().retract_messages -
                 before.retract_messages,
             1u);
+}
+
+// --- Read admission: a rack-mate's payload makes no copy ---
+
+/// Two racks of two peers in one region, central catalog, kDrop. "d" is
+/// durable at `origin` (rack 0, class "ed"); `mate` shares its rack, and
+/// `far` and `far_mate` share rack 1.
+struct TwoRacks {
+  AxmlSystem sys{Topology::Hierarchical(Spec())};
+  PeerId origin, mate, far, far_mate;
+  Query q = Query::Parse("for $p in input(0)/catalog/product "
+                         "return <r>{ $p/name }</r>")
+                .value();
+  Rng rng{13};
+
+  static Topology::HierarchySpec Spec() {
+    Topology::HierarchySpec spec;
+    spec.regions = 1;
+    spec.racks_per_region = 2;
+    spec.peers_per_rack = 2;
+    return spec;
+  }
+
+  TwoRacks() {
+    origin = sys.AddPeer("origin");
+    mate = sys.AddPeer("mate");
+    far = sys.AddPeer("far");
+    far_mate = sys.AddPeer("far_mate");
+    EXPECT_TRUE(sys.InstallReplicatedDocument(
+                       "ed", "d", MakeCatalog(8, sys.peer(origin)->gen(), &rng),
+                       {origin})
+                    .ok());
+  }
+
+  bool Read(Evaluator* ev, PeerId reader) {
+    return ev->Eval(reader, Expr::Apply(q, reader, {Expr::Doc("d", origin)}))
+        .ok();
+  }
+  bool ReadAny(Evaluator* ev, PeerId reader) {
+    return ev->Eval(reader, Expr::Apply(q, reader, {Expr::GenericDoc("ed")}))
+        .ok();
+  }
+  /// A durable write of d at its origin; returns the notify messages it
+  /// sent.
+  uint64_t Write() {
+    const uint64_t before = sys.network().stats().notify_messages();
+    sys.peer(origin)->PutDocument(
+        "d", MakeCatalog(4, sys.peer(origin)->gen(), &rng));
+    sys.RunToQuiescence();
+    return sys.network().stats().notify_messages() - before;
+  }
+  bool Advertised(PeerId holder) {
+    return sys.catalog()->IsAdvertised(ResourceKind::kDocument, "d", holder);
+  }
+  size_t Members() { return sys.generics().DocumentMembers("ed")->size(); }
+};
+
+TEST(CopyAdmissionTest, ReadFromOwnRackMakesNoCopy) {
+  TwoRacks f;
+  Evaluator ev(&f.sys, CachingOptions());
+  ASSERT_TRUE(f.Read(&ev, f.mate));
+
+  EXPECT_EQ(f.sys.replicas().FindCache(f.mate), nullptr);
+  EXPECT_FALSE(f.sys.replicas().IsCachedCopy(f.mate, "d"));
+  EXPECT_FALSE(f.sys.peer(f.mate)->HasDocument("d"));
+  EXPECT_FALSE(
+      f.sys.replicas().subscriptions().IsSubscribed(ReplicaKey{f.origin, "d"},
+                                                    f.mate));
+  EXPECT_FALSE(f.Advertised(f.mate));
+  EXPECT_EQ(f.Members(), 1u);
+  EXPECT_EQ(f.sys.replicas().TotalStats().rack_declined, 1u);
+  EXPECT_EQ(f.sys.replicas().TotalStats().inserts, 0u);
+
+  // Nothing to invalidate: the write notifies nobody.
+  EXPECT_EQ(f.Write(), 0u);
+  EXPECT_EQ(f.sys.replicas().subscription_stats().drops, 0u);
+}
+
+TEST(CopyAdmissionTest, ReadFromAnotherRackInstallsAndAdvertises) {
+  TwoRacks f;
+  Evaluator ev(&f.sys, CachingOptions());
+  ASSERT_TRUE(f.Read(&ev, f.far));
+
+  EXPECT_TRUE(f.sys.replicas().HasFresh(f.far, f.origin, "d"));
+  EXPECT_EQ(f.sys.replicas().InstalledOrigin(f.far, "d"), f.origin);
+  EXPECT_TRUE(
+      f.sys.replicas().subscriptions().IsSubscribed(ReplicaKey{f.origin, "d"},
+                                                    f.far));
+  EXPECT_TRUE(f.Advertised(f.far));
+  EXPECT_EQ(f.Members(), 2u);
+  EXPECT_EQ(f.sys.replicas().TotalStats().rack_declined, 0u);
+
+  // The write notifies the holder and drops its copy.
+  EXPECT_EQ(f.Write(), 1u);
+  EXPECT_FALSE(f.sys.replicas().IsCachedCopy(f.far, "d"));
+  EXPECT_FALSE(f.Advertised(f.far));
+}
+
+TEST(CopyAdmissionTest, RackMateDAnyLandsOnTheRacksSingleCopy) {
+  TwoRacks f;
+  EvalOptions any = CachingOptions();
+  any.pick_policy = PickPolicy::kCacheAware;
+  Evaluator ev(&f.sys, any);
+  // The rack's first reader copies from the origin, a rack away...
+  ASSERT_TRUE(f.ReadAny(&ev, f.far));
+  ASSERT_EQ(f.sys.replicas().InstalledOrigin(f.far, "d"), f.origin);
+
+  // ...and each later read by its rack-mate is served by that copy, over
+  // the rack link, without making a second one.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(f.ReadAny(&ev, f.far_mate));
+    EXPECT_FALSE(f.sys.replicas().IsCachedCopy(f.far_mate, "d"));
+    EXPECT_FALSE(f.Advertised(f.far_mate));
+    EXPECT_EQ(f.Members(), 2u);
+  }
+  const EvalCounters& c = ev.counters();
+  EXPECT_EQ(c.picks[/*copy=*/1][/*rack=*/1], 2u);
+  EXPECT_EQ(c.picks[/*origin=*/0][/*region=*/2], 1u);
+  EXPECT_EQ(f.sys.replicas().TotalStats().rack_declined, 2u);
+  EXPECT_EQ(f.Write(), 1u);
+}
+
+TEST(CopyAdmissionTest, ShardedReadAppliesTheSameRule) {
+  TwoRacks f;
+  f.sys.replicas().set_sharding_enabled(true);
+  ShardingConfig sharding;
+  sharding.max_shard_bytes = 128;
+  f.sys.replicas().set_sharding_config(sharding);
+  ASSERT_TRUE(f.sys.replicas().ShardedReadApplies(f.origin, "d"));
+  Evaluator ev(&f.sys, CachingOptions());
+
+  ASSERT_TRUE(f.Read(&ev, f.mate));
+  const TransferCache* mate_cache = f.sys.replicas().FindCache(f.mate);
+  EXPECT_TRUE(mate_cache == nullptr || mate_cache->entry_count() == 0);
+  EXPECT_FALSE(f.Advertised(f.mate));
+  EXPECT_EQ(f.sys.replicas().TotalStats().rack_declined, 1u);
+
+  ASSERT_TRUE(f.Read(&ev, f.far));
+  EXPECT_TRUE(f.sys.replicas().HasFresh(f.far, f.origin, "d"));
+  EXPECT_TRUE(f.Advertised(f.far));
+  EXPECT_EQ(f.sys.replicas().shard_stats().sharded_reads, 2u);
+  EXPECT_EQ(f.sys.replicas().TotalStats().rack_declined, 1u);
+}
+
+TEST(CopyAdmissionTest, FlatTopologyCachesEveryRemoteRead) {
+  // No hierarchy: RackOf is UINT32_MAX for every peer, which must not
+  // read as one shared rack.
+  TwoPeers f;
+  const PeerId other = f.sys.AddPeer("other");
+  Evaluator ev(&f.sys, CachingOptions());
+  for (PeerId reader : {f.client, other}) {
+    ASSERT_TRUE(
+        ev.Eval(reader, Expr::Apply(f.q, reader, {Expr::Doc("d", f.origin)}))
+            .ok());
+    EXPECT_TRUE(f.sys.replicas().HasFresh(reader, f.origin, "d"));
+    EXPECT_TRUE(f.sys.catalog()->IsAdvertised(ResourceKind::kDocument, "d",
+                                              reader));
+  }
+  EXPECT_EQ(f.sys.replicas().TotalStats().rack_declined, 0u);
 }
 
 // --- d@any routed to the nearest fresh replica ---
