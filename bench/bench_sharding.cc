@@ -21,12 +21,11 @@
 // sharded}. Reported cache_hits stay 0 unsharded (the whole-tree Put is
 // refused) and go positive sharded, with falling per-read wire bytes.
 //
-// Workload C (BoundaryShift): pure splitter comparison of the group
-// boundary rule. Split, insert one product in the middle, re-split,
-// count the shard ids the insertion dirtied (ids a delta against the
-// old copy must ship). Sweep: document size × {greedy,
-// content_defined}. Greedy dirties every downstream id (the avalanche);
-// content-defined re-synchronizes within ~3 ids.
+// Workload C (BoundaryShift): pure splitter measure of the
+// content-defined group boundary rule. Split, insert one product in the
+// middle, re-split, count the shard ids the insertion dirtied (ids a
+// delta against the old copy must ship). Sweep: document size. The
+// rule re-synchronizes within ~3 ids.
 //
 // Workload D (NotifyFanout): shard-level subscriptions. Eight partial
 // holders each cache a disjoint 1/8 slice of a sharded document; each
@@ -210,16 +209,15 @@ void BM_Sharding_TightBudget_Sharded(benchmark::State& state) {
   RunTightBudget(state, /*sharded=*/true);
 }
 
-// --- Workload C: boundary rule vs dirtied shard ids ---
+// --- Workload C: dirtied shard ids after an insertion ---
 
-void RunBoundaryShift(benchmark::State& state, ShardBoundary boundary) {
+void BM_Sharding_BoundaryShift_ContentDefined(benchmark::State& state) {
   NodeIdGen gen;
   Rng rng(13);
   TreePtr doc = bench::MakeCatalog(static_cast<size_t>(state.range(0)),
                                    &gen, &rng, /*desc_bytes=*/64);
   ShardingConfig cfg;
   cfg.max_shard_bytes = kMaxShardBytes;
-  cfg.boundary = boundary;
   TreePtr wedge = TreeNode::Element("product", &gen);
   wedge->AddChild(MakeTextElement("name", "wedge", &gen));
   wedge->AddChild(MakeTextElement("price", "1", &gen));
@@ -233,14 +231,6 @@ void RunBoundaryShift(benchmark::State& state, ShardBoundary boundary) {
     state.counters["dirtied_ids"] =
         static_cast<double>(DirtiedShardIds(before, after).size());
   }
-}
-
-void BM_Sharding_BoundaryShift_Greedy(benchmark::State& state) {
-  RunBoundaryShift(state, ShardBoundary::kGreedy);
-}
-
-void BM_Sharding_BoundaryShift_ContentDefined(benchmark::State& state) {
-  RunBoundaryShift(state, ShardBoundary::kContentDefined);
 }
 
 // --- Workload D: shard-level subscription notify fan-out ---
@@ -329,7 +319,6 @@ BENCHMARK(BM_Sharding_WriteDelta_Unsharded)->Apply(Sweep);
 BENCHMARK(BM_Sharding_WriteDelta_Sharded)->Apply(Sweep);
 BENCHMARK(BM_Sharding_TightBudget_Unsharded)->Apply(Sweep);
 BENCHMARK(BM_Sharding_TightBudget_Sharded)->Apply(Sweep);
-BENCHMARK(BM_Sharding_BoundaryShift_Greedy)->Apply(Sweep);
 BENCHMARK(BM_Sharding_BoundaryShift_ContentDefined)->Apply(Sweep);
 BENCHMARK(BM_Sharding_NotifyFanout)->Apply(Sweep);
 

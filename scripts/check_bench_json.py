@@ -13,8 +13,9 @@ Two modes:
   check_bench_json.py --trace <trace.json>
       Validates a Chrome trace-event export from Tracer::ToChromeJson
       (see $AXML_TRACE_OUT): non-empty traceEvents, required per-event
-      fields, and at least one trace id (tid) shared by >= 2 events —
-      a causal chain, the whole point of the tracer.
+      fields, at least one trace id (tid) shared by >= 2 events — a
+      causal chain, the whole point of the tracer — and at least one
+      span of each instrumented layer (cat "net", "replica", "eval").
 
 Exit code 1 with one line per failure. Run from anywhere.
 """
@@ -24,6 +25,9 @@ import pathlib
 import sys
 
 REQUIRED_EVENT_FIELDS = ("name", "cat", "ph", "ts", "pid", "tid")
+# The layers that record spans: the network, the replica subsystem and
+# the evaluator. An export missing one has lost that layer's spans.
+REQUIRED_CATEGORIES = ("net", "replica", "eval")
 
 
 def check_bench(path: pathlib.Path) -> list[str]:
@@ -92,6 +96,7 @@ def check_trace(path: pathlib.Path) -> list[str]:
         err("missing/empty 'traceEvents'")
         return errors
     tid_counts: dict[object, int] = {}
+    categories: set[object] = set()
     for i, ev in enumerate(events):
         for field in REQUIRED_EVENT_FIELDS:
             if field not in ev:
@@ -100,9 +105,13 @@ def check_trace(path: pathlib.Path) -> list[str]:
             err(f"traceEvents[{i}]: ph is {ev.get('ph')!r}, want 'X'")
         tid = ev.get("tid")
         tid_counts[tid] = tid_counts.get(tid, 0) + 1
+        categories.add(ev.get("cat"))
     if not any(count >= 2 for count in tid_counts.values()):
         err("no trace id (tid) is shared by >= 2 events — causal "
             "propagation is broken")
+    for cat in REQUIRED_CATEGORIES:
+        if cat not in categories:
+            err(f"no span with cat {cat!r}")
     return errors
 
 

@@ -56,23 +56,6 @@ void Evaluator::CountPick(PeerId reader, const ClassMember& member) {
   ++counters_.picks[sys_->replicas().IsCachedCopy(at, member.name)][zone];
 }
 
-void Evaluator::Trace(std::string what) {
-  if (!options_.trace) return;
-  trace_.push_back(TraceEvent{sys_->loop().now(), std::move(what)});
-}
-
-std::string Evaluator::FormatTrace() const {
-  std::string out;
-  for (const TraceEvent& e : trace_) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "[%8.3fs] ", e.time);
-    out += buf;
-    out += e.what;
-    out += "\n";
-  }
-  return out;
-}
-
 void Evaluator::AtQuiescence(std::function<void()> fn) {
   finalizers_.push_back(std::move(fn));
 }
@@ -95,12 +78,13 @@ uint64_t Evaluator::RunToQuiescence() {
 
 Result<EvalOutcome> Evaluator::Eval(PeerId p, const ExprPtr& e) {
   async_status_ = Status::OK();
-  trace_.clear();
   // A failed prior evaluation may have stranded in-flight transfer
   // registrations; a fresh Eval must not coalesce onto them.
   inflight_.clear();
-  Trace(StrCat("eval@", p.ToString(), " ", e == nullptr ? "<null>"
-                                                        : e->ToString()));
+  if (Tracer& tr = sys_->tracer(); tr.enabled()) {
+    tr.Record("eval", "eval", p, 0, 0,
+              e == nullptr ? "<null>" : e->ToString());
+  }
   EvalOutcome out;
   out.start_time = sys_->loop().now();
   auto results = std::make_shared<std::vector<TreePtr>>();
@@ -145,11 +129,6 @@ void Evaluator::Ship(PeerId from, PeerId to, const TreePtr& tree,
   // identifiers minted by its own generator, and the priced size is the
   // payload's actual byte count.
   wire::Payload payload(wire::EncodeTree(*tree, &sys_->wire_stats()));
-  Trace(StrCat("ship ", from.ToString(), "->", to.ToString(), " ",
-               payload.size(), "B <",
-               tree->is_element() ? tree->label_text()
-                                  : std::string("#text"),
-               ">"));
   // Reliable: a query in flight must survive injected faults — Eval runs
   // the loop to quiescence, and a silently lost shipment would hang it.
   sys_->network().SendReliable(
@@ -273,11 +252,14 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
         return;
       }
       CountPick(ctx, *member);
-      Trace(StrCat("pickDoc ", class_name, "@any -> ", member->name, "@",
-                   member->peer.ToString()));
+      if (Tracer& tr = sys_->tracer(); tr.enabled()) {
+        tr.Record("eval", "pick_doc", ctx, 0, 0,
+                  StrCat(class_name, "@any -> ", member->name, "@",
+                         member->peer.ToString()));
+      }
       DeployExpr(ctx, Expr::Doc(member->name, member->peer), emit);
     };
-    if (options_.charge_discovery && sys_->catalog() != nullptr) {
+    if (sys_->catalog() != nullptr) {
       sys_->catalog()->Lookup(ResourceKind::kDocument, class_name, ctx,
                               &sys_->network(),
                               [proceed](const LookupResult&) { proceed(); });
@@ -316,9 +298,6 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
           tr.Record("eval", "shard_hit", ctx, 0, 0,
                     StrCat(doc_name, "@", owner.ToString()));
         }
-        Trace(StrCat("replica-shard-hit ", doc_name, "@",
-                     owner.ToString(), " assembled at ", ctx.ToString(),
-                     " (0B on the wire)"));
         sys_->loop().Post(
             [assembled = std::move(assembled), emit = std::move(emit)] {
               emit(assembled);
@@ -336,8 +315,6 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
         tr.Record("eval", "replica_hit", ctx, 0, 0,
                   StrCat(doc_name, "@", owner.ToString()));
       }
-      Trace(StrCat("replica-hit ", doc_name, "@", owner.ToString(),
-                   " read at ", ctx.ToString(), " (0B on the wire)"));
       // Deliver a private instance, as the ship this hit replaces would
       // have (§3.2: sends copy their data-model instances). Consumers
       // must never hold the cache blob itself — a same-peer send could
@@ -374,8 +351,6 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
         tr.Record("eval", "coalesce", ctx, 0, 0,
                   StrCat(doc_name, "@", owner.ToString()));
       }
-      Trace(StrCat("replica-coalesce ", doc_name, "@", owner.ToString(),
-                   " read at ", ctx.ToString(), " joins in-flight copy"));
       flight->second.push_back(std::move(emit));
       return;
     }
@@ -390,9 +365,6 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
         tr.Record("eval", "refresh_wait", ctx, 0, 0,
                   StrCat(doc_name, "@", owner.ToString()));
       }
-      Trace(StrCat("replica-refresh-wait ", doc_name, "@",
-                   owner.ToString(), " read at ", ctx.ToString(),
-                   " joins in-flight push refresh"));
       AtQuiescence([this, ctx, e, emit = std::move(emit)]() mutable {
         DeployExpr(ctx, e, std::move(emit));
       });
@@ -407,7 +379,6 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
     // caches + installs the copy (unless a rack-mate served it) and
     // hands back the assembled document, which stands in for the
     // whole-document `landed` below.
-    uint64_t delta = 0;
     const bool launched = sys_->replicas().FetchForRead(
         ctx, owner, doc_name,
         [this, ctx, owner, doc_name, emit](TreePtr assembled) {
@@ -426,16 +397,12 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
           const uint64_t bytes = wire::EncodedTreeSize(*assembled);
           emit(assembled);
           for (EmitFn& w : waiters) {
-            sys_->replicas().CacheFor(ctx)->RecordCoalescedHit(bytes);
+            sys_->replicas().RecordCoalescedHit(ctx, bytes);
             w(assembled->Clone(gen));
           }
-        },
-        &delta);
+        });
     if (launched) {
       ++counters_.sharded_fetches;
-      Trace(StrCat("replica-shard-fetch ", doc_name, "@",
-                   owner.ToString(), " -> ", ctx.ToString(), " ", delta,
-                   "B delta"));
       return;
     }
     // The document vanished between the probe and the fetch; the
@@ -487,11 +454,6 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
                     sys_->replicas().AdmitReadCopy(ctx, owner)) {
                   cached = sys_->replicas().InsertCopy(
                       ctx, owner, doc_name, landed, snap_version);
-                  if (cached) {
-                    Trace(StrCat("replica-insert ", doc_name, "@",
-                                 owner.ToString(), " cached at ",
-                                 ctx.ToString()));
-                  }
                 }
                 NodeIdGen* gen = sys_->peer(ctx)->gen();
                 emit(cached ? landed->Clone(gen) : landed);
@@ -503,8 +465,7 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
                   inflight_.erase(flight);
                   const uint64_t bytes = wire::EncodedTreeSize(*landed);
                   for (EmitFn& w : waiters) {
-                    sys_->replicas().CacheFor(ctx)->RecordCoalescedHit(
-                        bytes);
+                    sys_->replicas().RecordCoalescedHit(ctx, bytes);
                     w(landed->Clone(gen));
                   }
                 }
@@ -608,7 +569,7 @@ Evaluator::ParamSink Evaluator::StartServiceInstance(
   AXML_CHECK(host != nullptr);
 
   std::function<void(TreePtr)> typed_result = on_result;
-  if (options_.type_check && svc.has_signature()) {
+  if (svc.has_signature()) {
     Signature sig = svc.signature();
     typed_result = [this, sig, on_result](TreePtr t) {
       Status s = sig.CheckOutput(*t);
@@ -696,7 +657,7 @@ void Evaluator::DeployCall(PeerId ctx, const ExprPtr& e, EmitFn emit) {
                             expr->forwards()),
                  emit);
     };
-    if (options_.charge_discovery && sys_->catalog() != nullptr) {
+    if (sys_->catalog() != nullptr) {
       sys_->catalog()->Lookup(ResourceKind::kService, class_name, ctx,
                               &sys_->network(),
                               [proceed](const LookupResult&) { proceed(); });
@@ -754,21 +715,23 @@ void Evaluator::DeployCall(PeerId ctx, const ExprPtr& e, EmitFn emit) {
     };
   }
 
-  Trace(StrCat("invoke ", e->service(), "@", provider->name(),
-               forwards.empty() ? "" : " with forward list"));
+  if (Tracer& tr = sys_->tracer(); tr.enabled()) {
+    tr.Record("eval", "invoke", pv, 0, 0,
+              StrCat(e->service(), "@", provider->name(),
+                     forwards.empty() ? "" : " with forward list"));
+  }
   ParamSink sink = StartServiceInstance(pv, *svc, std::move(on_result));
   if (sink == nullptr) return;
 
   // Definition (6), innermost-out: eval params at the caller, ship each
   // result to the provider.
+  // An unsigned service's empty `in` checks nothing.
   Signature sig = svc->has_signature() ? svc->signature() : Signature{};
-  bool check = options_.type_check && svc->has_signature();
   for (size_t i = 0; i < e->params().size(); ++i) {
     DeployExpr(ctx, e->params()[i],
-               [this, ctx, pv, sink, i, check, sig](TreePtr t) {
-                 Ship(ctx, pv, t, [this, sink, i, check, sig](TreePtr l) {
-                   if (check &&
-                       i < sig.in.size() && !sig.in[i]->Matches(*l)) {
+               [this, ctx, pv, sink, i, sig](TreePtr t) {
+                 Ship(ctx, pv, t, [this, sink, i, sig](TreePtr l) {
+                   if (i < sig.in.size() && !sig.in[i]->Matches(*l)) {
                      Fail(Status::TypeError(StrCat(
                          "parameter ", i + 1, " does not match type ",
                          sig.in[i]->ToString())));
@@ -917,7 +880,10 @@ void Evaluator::DeployShipQuery(PeerId ctx, const ExprPtr& e, EmitFn) {
         if (sys_->catalog() != nullptr) {
           sys_->catalog()->Register(ResourceKind::kService, name, to);
         }
-        Trace(StrCat("installed service ", name, "@", dest->name()));
+        if (Tracer& tr = sys_->tracer(); tr.enabled()) {
+          tr.Record("eval", "install_service", to, 0, 0,
+                    StrCat(name, "@", dest->name()));
+        }
       });
 }
 
@@ -942,8 +908,10 @@ void Evaluator::DeployEvalAt(PeerId ctx, const ExprPtr& e, EmitFn emit) {
       wire::EncodeText(wire::MessageClass::kQuery,
                        SerializeCompactExpr(*body, &tmp),
                        &sys_->wire_stats());
-  Trace(StrCat("delegate expr ", ctx.ToString(), "->", where.ToString(),
-               " ", payload.size(), "B"));
+  if (Tracer& tr = sys_->tracer(); tr.enabled()) {
+    tr.Record("eval", "delegate", ctx, payload.size(), 0,
+              StrCat("-> ", where.ToString()));
+  }
   sys_->network().SendReliable(
       ctx, where, std::move(payload),
       [this, where, ctx, body, emit](const wire::Payload& p) {
@@ -1044,8 +1012,11 @@ Status Evaluator::ActivateCall(PeerId host, NodeId sc_node) {
   for (const TreePtr& p : spec.params) {
     params.push_back(Expr::Tree(p, host));
   }
-  Trace(StrCat("activate sc ", sc_node.ToString(), " -> ", spec.service,
-               "@", spec.provider));
+  if (Tracer& tr = sys_->tracer(); tr.enabled()) {
+    tr.Record("eval", "activate", host, 0, 0,
+              StrCat("sc ", sc_node.ToString(), " -> ", spec.service, "@",
+                     spec.provider));
+  }
   ExprPtr call = Expr::Call(provider, spec.service, std::move(params),
                             std::move(forwards));
   DeployExpr(host, call, Swallow());

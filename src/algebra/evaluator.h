@@ -33,6 +33,12 @@
 // The evaluator also hosts the AXML document runtime (§2.2): activating
 // sc nodes embedded in installed documents, with immediate / lazy /
 // after-call modes.
+//
+// While the system's Tracer is enabled, the evaluator records its events
+// there as `eval/*` spans (evaluation start, d@any picks, service
+// invocations and installs, delegations, sc activations, replica reads);
+// ships appear as the Network's `net/*` spans. It keeps no trace of its
+// own, and builds no span text while the Tracer is off.
 
 #ifndef AXML_ALGEBRA_EVALUATOR_H_
 #define AXML_ALGEBRA_EVALUATOR_H_
@@ -54,10 +60,6 @@ namespace axml {
 struct EvalOptions {
   /// How def. (9) picks among generic-class members.
   PickPolicy pick_policy = PickPolicy::kNearest;
-  /// Charge catalog traffic when resolving @any references.
-  bool charge_discovery = true;
-  /// Enforce service signatures on parameters and responses.
-  bool type_check = true;
   /// Route remote document reads through the replica subsystem
   /// (src/replica/): a fresh cached copy is read locally for 0 wire
   /// bytes, and a transferred document is inserted into the reader's
@@ -67,16 +69,6 @@ struct EvalOptions {
   /// shard deltas: only the pieces the reader lacks cross the wire.
   /// Off by default — the paper's baseline semantics always transfer.
   bool use_replica_cache = false;
-  /// Record a timestamped trace of distributed events (ships, service
-  /// starts, installs, activations, generic picks). See
-  /// Evaluator::trace().
-  bool trace = false;
-};
-
-/// One entry of the evaluation trace.
-struct TraceEvent {
-  SimTime time = 0;
-  std::string what;
 };
 
 /// Name of EvalCounters::picks cell i in row-major order:
@@ -171,12 +163,6 @@ class Evaluator {
   /// First error raised asynchronously since the last Eval, if any.
   const Status& async_status() const { return async_status_; }
 
-  /// Trace events recorded so far (empty unless options.trace). Cleared
-  /// at each Eval().
-  const std::vector<TraceEvent>& trace() const { return trace_; }
-  /// One line per event: "[  0.020s] ship p0->p1 123B".
-  std::string FormatTrace() const;
-
   AxmlSystem* system() { return sys_; }
   const EvalOptions& options() const { return options_; }
 
@@ -211,10 +197,6 @@ class Evaluator {
   /// Records an asynchronous failure (first one wins).
   void Fail(Status s);
 
-  /// Appends a trace event at the current virtual time (no-op unless
-  /// options.trace).
-  void Trace(std::string what);
-
   /// Starts the provider-side engine of a service call; returns a sink
   /// accepting (param_index, tree) at the provider, or null on error.
   using ParamSink = std::function<void(int, TreePtr)>;
@@ -237,7 +219,6 @@ class Evaluator {
   /// that copy instead of issuing their own.
   std::map<std::tuple<PeerId, PeerId, DocName>, std::vector<EmitFn>>
       inflight_;
-  std::vector<TraceEvent> trace_;
 };
 
 }  // namespace axml

@@ -177,6 +177,17 @@ const TransferCache* ReplicaManager::FindCache(PeerId peer) const {
   return it == caches_.end() ? nullptr : it->second.get();
 }
 
+void ReplicaManager::RecordCoalescedHit(PeerId reader, uint64_t bytes) {
+  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
+  auto it = caches_.find(reader);
+  if (it != caches_.end()) {
+    it->second->RecordCoalescedHit(bytes);
+    return;
+  }
+  ++uncached_stats_.hits;
+  uncached_stats_.bytes_saved += bytes;
+}
+
 bool ReplicaManager::InsertCopy(PeerId reader, PeerId origin,
                                 const DocName& name, const TreePtr& landed,
                                 uint64_t snapshot_version,
@@ -242,7 +253,7 @@ bool ReplicaManager::AdmitReadCopy(PeerId reader, PeerId source) {
   const Topology& topo = sys_->network().topology();
   const uint32_t rack = topo.RackOf(reader);
   if (rack == UINT32_MAX || rack != topo.RackOf(source)) return true;
-  ++rack_declined_;
+  ++uncached_stats_.rack_declined;
   return false;
 }
 
@@ -256,7 +267,7 @@ TreePtr ReplicaManager::LookupFresh(PeerId reader, PeerId origin,
   // manager-side so TotalStats stays truthful.
   auto it = caches_.find(reader);
   if (it == caches_.end()) {
-    ++uncached_misses_;
+    ++uncached_stats_.misses;
     return nullptr;
   }
   return it->second->Get(ReplicaKey{origin, name}, Version(origin, name));
@@ -338,9 +349,7 @@ void ReplicaManager::DropAllCopies() {
 }
 
 TransferCacheStats ReplicaManager::TotalStats() const {
-  TransferCacheStats total;
-  total.misses = uncached_misses_;
-  total.rack_declined = rack_declined_;
+  TransferCacheStats total = uncached_stats_;
   for (const auto& [peer, cache] : caches_) AddCounters(total, cache->stats());
   return total;
 }
@@ -410,8 +419,7 @@ void ReplicaManager::ResetStats() {
   subscription_stats_ = SubscriptionStats{};
   placement_stats_ = PlacementStats{};
   shard_stats_ = ShardStats{};
-  uncached_misses_ = 0;
-  rack_declined_ = 0;
+  uncached_stats_ = TransferCacheStats{};
   refresh_spent_.clear();
   placement_spent_.clear();
 }
@@ -668,7 +676,7 @@ TreePtr ReplicaManager::LookupShardedFresh(PeerId reader, PeerId origin,
   }
   auto it = caches_.find(reader);
   if (it == caches_.end()) {
-    ++uncached_misses_;  // as in LookupFresh: never allocate for a miss
+    ++uncached_stats_.misses;  // as in LookupFresh: never allocate
     return nullptr;
   }
   TransferCache* cache = it->second.get();
@@ -694,25 +702,31 @@ TreePtr ReplicaManager::LookupShardedFresh(PeerId reader, PeerId origin,
 
 bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
                                   const DocName& name,
-                                  std::function<void(TreePtr)> deliver,
-                                  uint64_t* delta_bytes) {
+                                  std::function<void(TreePtr)> deliver) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (sys_ == nullptr || reader == origin) return false;
   const ShardedDocument* sd = OriginShards(origin, name);
   if (sd == nullptr || sys_->peer(reader) == nullptr) return false;
-  TransferCache* cache = CacheFor(reader);
+  auto cache_it = caches_.find(reader);
+  TransferCache* cache =
+      cache_it == caches_.end() ? nullptr : cache_it->second.get();
   const uint64_t snap_version = Version(origin, name);
   const ShardDelta delta =
       PlanShardDelta(*sd, cache, origin, name, snap_version);
   // Residents serve locally: each is a cache hit (the partial-copy
   // payoff) and is pinned for the assembly at landing. Each shard the
-  // delta ships counts a miss.
+  // delta ships counts a miss — manager-side for a reader without a
+  // cache, which has no residents.
   std::map<std::string, TreePtr> parts;
-  for (const DocumentShard* s : delta.distinct) {
-    const std::string id = s->id.ToString();
-    if (TreePtr resident = cache->Get(ShardDataKey(origin, name, id),
-                                      kImmutableShardVersion)) {
-      parts[id] = std::move(resident);
+  if (cache == nullptr) {
+    uncached_stats_.misses += delta.distinct.size();
+  } else {
+    for (const DocumentShard* s : delta.distinct) {
+      const std::string id = s->id.ToString();
+      if (TreePtr resident = cache->Get(ShardDataKey(origin, name, id),
+                                        kImmutableShardVersion)) {
+        parts[id] = std::move(resident);
+      }
     }
   }
   wire::Payload payload = EncodeCopyShipment(
@@ -721,7 +735,6 @@ bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
   ++shard_stats_.sharded_reads;
   CountShardDelta(delta, &shard_stats_);
   if (delta.reused_bytes > 0) ++shard_stats_.partial_hits;
-  if (delta_bytes != nullptr) *delta_bytes = wire_bytes;
 
   // A read-path delta fetch roots its own chain (unless the read is
   // already inside one); the Send below carries the id to the landing.

@@ -324,12 +324,13 @@ class ReplicaManager {
   /// copy is cached + installed + advertised (InsertShardedCopy) unless
   /// AdmitReadCopy declines it, and `deliver` receives the assembled
   /// document (nullptr only if the reader peer vanished mid-flight).
-  /// `delta_bytes`, when non-null, receives the wire bytes charged.
-  /// Returns false without sending when the sharded path does not apply
-  /// — callers fall back to the whole-document transfer.
+  /// Never allocates a TransferCache: a reader without one plans
+  /// against nothing resident, and only the landing's InsertShardedCopy
+  /// creates its cache. Returns false without sending when the sharded
+  /// path does not apply — callers fall back to the whole-document
+  /// transfer.
   bool FetchForRead(PeerId reader, PeerId origin, const DocName& name,
-                    std::function<void(TreePtr)> deliver,
-                    uint64_t* delta_bytes = nullptr);
+                    std::function<void(TreePtr)> deliver);
 
   /// Records a landed sharded shipment at `reader`: caches the manifest
   /// (versioned) and each shipped data shard (immutable, version 0),
@@ -372,6 +373,11 @@ class ReplicaManager {
   TransferCache* CacheFor(PeerId peer);
   /// nullptr when `peer` never cached anything.
   const TransferCache* FindCache(PeerId peer) const;
+
+  /// Counts a read of `reader` that joined an in-flight transfer instead
+  /// of issuing its own (the evaluator's coalescing): a hit of its cache,
+  /// or a manager-side one when the reader has none (see TotalStats).
+  void RecordCoalescedHit(PeerId reader, uint64_t bytes);
 
   /// Budget applied to caches created after this call.
   void set_default_byte_budget(uint64_t bytes) { default_budget_ = bytes; }
@@ -680,11 +686,10 @@ class ReplicaManager {
   /// for the same pair.
   std::map<std::pair<PeerId, ReplicaKey>, uint64_t> refresh_inflight_;
   uint64_t refresh_generation_ = 0;
-  /// Misses by peers that never cached anything (LookupFresh must not
-  /// allocate a cache just to count one); folded into TotalStats.
-  uint64_t uncached_misses_ = 0;
-  /// AdmitReadCopy declines; folded into TotalStats.
-  uint64_t rack_declined_ = 0;
+  /// Counters no single cache holds: misses and coalesced hits of
+  /// readers that never cached anything (no cache is allocated just to
+  /// count them) and AdmitReadCopy declines. TotalStats starts from it.
+  TransferCacheStats uncached_stats_;
 
   // Fault-tolerance knobs (all off by default; see the public block).
   SimTime lease_renew_interval_ = 0;

@@ -149,12 +149,10 @@ FleetReport FleetHarness::Run() {
     AXML_CHECK(out.ok()) << out.status().ToString();
     ++report.ops;
     if (generic) ++report.generic_reads;
-    if (config_.check_fresh_reads) {
-      TreePtr truth = sys_.peer(doc.origin)->GetDocument(doc.name);
-      if (out->results.size() != 1 || truth == nullptr ||
-          CanonicalForm(*out->results[0]) != CanonicalForm(*truth)) {
-        ++report.stale_reads;
-      }
+    TreePtr truth = sys_.peer(doc.origin)->GetDocument(doc.name);
+    if (out->results.size() != 1 || truth == nullptr ||
+        CanonicalForm(*out->results[0]) != CanonicalForm(*truth)) {
+      ++report.stale_reads;
     }
     if (config_.mutate_every != 0 && i % config_.mutate_every ==
                                          config_.mutate_every - 1) {

@@ -64,10 +64,6 @@ struct FleetConfig {
   uint64_t cache_budget = 4000;
   RefreshPolicy refresh = RefreshPolicy::kDrop;
 
-  /// Compare every read against the origin's document at read time and
-  /// count mismatches in FleetReport::stale_reads.
-  bool check_fresh_reads = true;
-
   /// Churn schedule (the faulted soak): when true, `churn_peers`
   /// non-origin peers crash one third into the run (alternating
   /// cache-losing and durable-cache crashes) and rejoin at two thirds;
@@ -90,6 +86,8 @@ struct FleetReport {
   uint64_t ops = 0;
   uint64_t generic_reads = 0;
   uint64_t mutations = 0;
+  /// Reads whose result differed from the origin's document at read
+  /// time (every read is compared by canonical form).
   uint64_t stale_reads = 0;
 
   uint64_t lookups = 0;

@@ -16,6 +16,10 @@ constexpr const char kSubManifestLabel[] = "#submanifest";
 constexpr const char kDocLabel[] = "#doc";
 constexpr const char kShardRefLabel[] = "#shard";
 constexpr const char kShardDataLabel[] = "#shard-data";
+/// A child closes its group when `DigestOf(child).lo % kBoundaryModulus
+/// == 0`: past the min clamp, a group holds this many children on
+/// average.
+constexpr uint64_t kBoundaryModulus = 8;
 
 /// True when the recursive splitter can descend into `node`: an element
 /// with >= 2 children, or a single-child element chain that reaches one.
@@ -35,7 +39,6 @@ struct Splitter {
   NodeIdGen* gen;
   ShardedDocument* out;
   uint64_t min_bytes;  // resolved min clamp for content-defined cuts
-  uint64_t modulus;    // resolved boundary modulus (>= 1)
 
   /// Wraps `group` into a `#shard-data` shard, records it, and appends
   /// its `#shard` reference under `manifest_node`.
@@ -91,7 +94,7 @@ struct Splitter {
         }
         continue;
       }
-      // Max clamp, both modes: never let a group overflow the cap.
+      // Max clamp: never let a group overflow the cap.
       if (!current.empty() &&
           current_bytes + child_bytes > cfg.max_shard_bytes) {
         close();
@@ -102,9 +105,8 @@ struct Splitter {
       // content, so an insertion or deletion upstream re-synchronizes at
       // the next surviving boundary child instead of shifting every
       // later group.
-      if (cfg.boundary == ShardBoundary::kContentDefined &&
-          current_bytes >= min_bytes &&
-          DigestOf(*child).lo % modulus == 0) {
+      if (current_bytes >= min_bytes &&
+          DigestOf(*child).lo % kBoundaryModulus == 0) {
         close();
       }
     }
@@ -113,16 +115,6 @@ struct Splitter {
 };
 
 }  // namespace
-
-const char* ShardBoundaryName(ShardBoundary b) {
-  switch (b) {
-    case ShardBoundary::kGreedy:
-      return "greedy";
-    case ShardBoundary::kContentDefined:
-      return "content_defined";
-  }
-  return "?";
-}
 
 uint64_t ShardedDocument::TotalBytes() const {
   uint64_t total = manifest_bytes;
@@ -145,8 +137,7 @@ ShardedDocument SplitDocument(const TreeNode& root,
       /*min_bytes=*/
       std::min(cfg.min_shard_bytes != 0 ? cfg.min_shard_bytes
                                         : cfg.max_shard_bytes / 4,
-               cfg.max_shard_bytes),
-      /*modulus=*/std::max<uint64_t>(cfg.boundary_modulus, 1)};
+               cfg.max_shard_bytes)};
 
   TreePtr manifest = TreeNode::Element(kManifestLabel, gen);
   // `#doc` wraps a childless clone of the root element, preserving its

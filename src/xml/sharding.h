@@ -9,9 +9,7 @@
 //
 //  - the root's children are grouped, in insertion order, into shards
 //    whose serialized size stays under ShardingConfig::max_shard_bytes.
-//    Group boundaries are *content-defined* by default (see below); the
-//    pure greedy size cut survives as ShardBoundary::kGreedy for benches
-//    and back-to-back comparison;
+//    Group boundaries are *content-defined* (see below);
 //  - a child bigger than the cap is split *recursively*: its own children
 //    shard the same way, and the manifest records a nested sub-manifest
 //    node in its place — so no data shard exceeds the cap except a single
@@ -31,15 +29,12 @@
 // assembled tree is unordered-equal to the original (tree_equal.h), which
 // is the only equality the system observes.
 //
-// Shard-id stability: under ShardBoundary::kContentDefined a group
-// closes after a child whose content digest satisfies
-// `digest mod boundary_modulus == 0` (clamped to [min, max] group
-// bytes). The boundary is a property of the child's *content*, not of
-// accumulated size, so an insertion or deletion re-synchronizes at the
-// next surviving boundary child: O(1) neighboring shard ids dirty
-// instead of every downstream one. Under kGreedy a size-shifting
-// mutation can move every later boundary and degrade toward
-// whole-document re-shipment (never past it).
+// Shard-id stability: a group closes after a child whose content digest
+// satisfies `digest mod 8 == 0` (clamped to [min, max] group bytes). The
+// boundary is a property of the child's *content*, not of accumulated
+// size, so an insertion or deletion re-synchronizes at the next
+// surviving boundary child: O(1) neighboring shard ids dirty instead of
+// every downstream one, as a pure size cut would.
 
 #ifndef AXML_XML_SHARDING_H_
 #define AXML_XML_SHARDING_H_
@@ -54,19 +49,6 @@
 
 namespace axml {
 
-/// How the splitter chooses group boundaries among a node's children.
-enum class ShardBoundary {
-  /// Close the group when the next child would overflow the cap. Size
-  /// shifts cascade: one insertion can dirty every downstream shard id.
-  kGreedy,
-  /// Close the group after a child whose content digest hits the
-  /// boundary modulus (within the min/max clamps). Insertions and
-  /// deletions dirty only the neighboring shard ids. The default.
-  kContentDefined,
-};
-
-const char* ShardBoundaryName(ShardBoundary b);
-
 /// Knobs for the splitter.
 struct ShardingConfig {
   /// Target cap on one shard's serialized bytes. Also the sharding
@@ -74,17 +56,10 @@ struct ShardingConfig {
   /// indivisible node bigger than the cap still becomes one (oversized)
   /// shard; splittable oversized children are descended into instead.
   uint64_t max_shard_bytes = 64 * 1024;
-  /// Boundary rule for grouping children. kContentDefined keeps shard
-  /// ids stable around insertions/deletions.
-  ShardBoundary boundary = ShardBoundary::kContentDefined;
   /// Content-defined boundaries may not fire before a group holds this
   /// many bytes (keeps pathological all-boundary content from emitting
   /// one shard per child). 0 means max_shard_bytes / 4.
   uint64_t min_shard_bytes = 0;
-  /// A child closes its group when `DigestOf(child).lo % boundary_modulus
-  /// == 0`; the expected group length past the min clamp is this many
-  /// children. 0 is treated as 1 (every child a boundary).
-  uint64_t boundary_modulus = 8;
 };
 
 /// One data shard: a group of sibling subtrees, wrapped for shipping.

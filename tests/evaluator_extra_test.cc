@@ -170,7 +170,6 @@ TEST_F(EvalExtraTest, PickPolicyOptionIsHonored) {
                                              {p1_, p2_, p3_}).ok());
   EvalOptions opts;
   opts.pick_policy = PickPolicy::kFirst;
-  opts.charge_discovery = false;
   Evaluator ev(&sys_, opts);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(ev.Eval(p0_, Expr::GenericDoc("ed")).ok());

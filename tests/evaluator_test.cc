@@ -409,19 +409,6 @@ TEST_F(EvaluatorTest, GenericDocPicksNearestReplica) {
   EXPECT_GT(sys_.network().stats().control_messages(), 0u);
 }
 
-TEST_F(EvaluatorTest, GenericDocWithoutDiscoveryCharge) {
-  NodeIdGen tmp;
-  TreePtr content = ParseXml("<cat/>", &tmp).value();
-  ASSERT_TRUE(sys_.InstallReplicatedDocument("ecat", "cat", content,
-                                             {p1_}).ok());
-  EvalOptions opts;
-  opts.charge_discovery = false;
-  Evaluator ev(&sys_, opts);
-  auto out = ev.Eval(p0_, Expr::GenericDoc("ecat"));
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(sys_.network().stats().control_messages(), 0u);
-}
-
 TEST_F(EvaluatorTest, GenericDocNoMembersFails) {
   Evaluator ev(&sys_);
   auto out = ev.Eval(p0_, Expr::GenericDoc("nothing"));

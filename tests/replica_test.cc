@@ -1020,16 +1020,42 @@ TEST(CopyAdmissionTest, ShardedReadAppliesTheSameRule) {
   Evaluator ev(&f.sys, CachingOptions());
 
   ASSERT_TRUE(f.Read(&ev, f.mate));
-  const TransferCache* mate_cache = f.sys.replicas().FindCache(f.mate);
-  EXPECT_TRUE(mate_cache == nullptr || mate_cache->entry_count() == 0);
+  // A reader that makes no copy gets no cache. Its misses are counted
+  // manager-side: the lookup's, and one per shard the delta shipped.
+  EXPECT_EQ(f.sys.replicas().FindCache(f.mate), nullptr);
   EXPECT_FALSE(f.Advertised(f.mate));
   EXPECT_EQ(f.sys.replicas().TotalStats().rack_declined, 1u);
+  EXPECT_EQ(f.sys.replicas().TotalStats().misses,
+            1 + f.sys.replicas().shard_stats().shards_shipped);
 
   ASSERT_TRUE(f.Read(&ev, f.far));
   EXPECT_TRUE(f.sys.replicas().HasFresh(f.far, f.origin, "d"));
   EXPECT_TRUE(f.Advertised(f.far));
   EXPECT_EQ(f.sys.replicas().shard_stats().sharded_reads, 2u);
   EXPECT_EQ(f.sys.replicas().TotalStats().rack_declined, 1u);
+}
+
+TEST(CopyAdmissionTest, CoalescedSameRackReadsNeedNoCache) {
+  // Two inputs of one join read the same rack-mate source: the second
+  // joins the first's transfer, and neither makes a copy. The coalesced
+  // hit is counted without allocating a cache for the reader.
+  TwoRacks f;
+  Query join = Query::Parse(
+                   "for $a in input(0)/catalog/product "
+                   "for $b in input(1)/catalog/product "
+                   "where $a/name = $b/name return <m>{ $a/name }</m>")
+                   .value();
+  ExprPtr shared = Expr::Doc("d", f.origin);
+  Evaluator ev(&f.sys, CachingOptions());
+  ASSERT_TRUE(ev.Eval(f.mate, Expr::Apply(join, f.mate, {shared, shared}))
+                  .ok());
+  EXPECT_EQ(f.sys.replicas().FindCache(f.mate), nullptr);
+  EXPECT_EQ(ev.counters().coalesced_joins, 1u);
+  const TransferCacheStats total = f.sys.replicas().TotalStats();
+  EXPECT_EQ(total.hits, 1u);
+  EXPECT_GT(total.bytes_saved, 0u);
+  EXPECT_EQ(total.rack_declined, 1u);
+  EXPECT_EQ(total.inserts, 0u);
 }
 
 TEST(CopyAdmissionTest, FlatTopologyCachesEveryRemoteRead) {

@@ -150,40 +150,6 @@ TEST(ShardingTest, ShardIdsAreStableAcrossSplits) {
   EXPECT_EQ(ManifestShardIds(*a.manifest), ManifestShardIds(*b.manifest));
 }
 
-TEST(ShardingTest, SameSizeMutationDirtiesExactlyOneShard) {
-  NodeIdGen gen;
-  Rng rng(TestSeed(45));
-  TreePtr doc = MakeCatalog(150, &gen, &rng);
-  ShardingConfig cfg;
-  cfg.max_shard_bytes = 2048;
-  // The greedy guarantee under test: boundaries depend on sizes alone,
-  // so a same-size overwrite cannot move any of them. (Content-defined
-  // boundaries depend on the mutated child's digest too; their
-  // insertion/deletion stability has its own tests below.)
-  cfg.boundary = ShardBoundary::kGreedy;
-  ShardedDocument before = SplitDocument(*doc, cfg, &gen);
-
-  // Overwrite one product's description with different bytes of the
-  // same length: group boundaries (chosen by size) cannot move.
-  TreePtr mutated = doc->CloneSameIds();
-  TreeNode* product = mutated->child(75).get();
-  TreeNode* desc = nullptr;
-  for (const TreePtr& c : product->children()) {
-    if (c->label_text() == "desc") desc = c.get();
-  }
-  ASSERT_NE(desc, nullptr);
-  const size_t len = desc->child(0)->text().size();
-  desc->child(0)->set_text(std::string(len, '!'));
-
-  ShardedDocument after = SplitDocument(*mutated, cfg, &gen);
-  ASSERT_EQ(before.shards.size(), after.shards.size());
-  size_t dirty = 0;
-  for (size_t i = 0; i < before.shards.size(); ++i) {
-    if (!(before.shards[i].id == after.shards[i].id)) ++dirty;
-  }
-  EXPECT_EQ(dirty, 1u);
-}
-
 // --- Recursive sharding ---
 
 TEST(ShardingTest, SingleHugeChildShardsRecursively) {
@@ -282,14 +248,14 @@ TEST(ShardingTest, IndivisibleOversizedNodeTravelsAloneAndIsCounted) {
 
 TEST(ShardingTest, ContentDefinedInsertionDirtiesNeighborsOnly) {
   // The adversarial mutation-shift case: a middle-child insertion. Under
-  // greedy cuts every downstream boundary moves (an id avalanche: the
-  // delta degrades toward whole-document re-shipment); content-defined
-  // boundaries re-synchronize at the next surviving boundary child, so
-  // only the insertion's neighborhood dirties. Deliberately a fixed
-  // seed, not TestSeed: the exact dirtied count is a property of this
-  // document's content (the min-clamp can delay re-sync by a group or
-  // two on other content); the seed-robust guarantee is the comparative
-  // one, covered below and swept by bench_sharding.
+  // a pure size cut every downstream boundary would move (an id
+  // avalanche); content-defined boundaries re-synchronize at the next
+  // surviving boundary child, so only the insertion's neighborhood
+  // dirties.
+  // Deliberately a fixed seed, not TestSeed: the exact dirtied count is
+  // a property of this document's content (the min-clamp can delay
+  // re-sync by a group or two on other content); the seed-robust bound
+  // is covered below and swept by bench_sharding.
   NodeIdGen gen;
   Rng rng(50);
   TreePtr doc = MakeCatalog(200, &gen, &rng);
@@ -303,48 +269,28 @@ TEST(ShardingTest, ContentDefinedInsertionDirtiesNeighborsOnly) {
   TreePtr shrunk = doc->CloneSameIds();
   shrunk->RemoveChild(100);
 
-  ShardingConfig cdc;
-  cdc.max_shard_bytes = 2048;
-  ASSERT_EQ(cdc.boundary, ShardBoundary::kContentDefined);
-  ShardingConfig greedy = cdc;
-  greedy.boundary = ShardBoundary::kGreedy;
+  ShardingConfig cfg;
+  cfg.max_shard_bytes = 2048;
+  const ShardedDocument before = SplitDocument(*doc, cfg, &gen);
+  ASSERT_GT(before.shards.size(), 6u);
 
-  const ShardedDocument cdc_before = SplitDocument(*doc, cdc, &gen);
-  const ShardedDocument greedy_before = SplitDocument(*doc, greedy, &gen);
+  // Insertion and deletion each dirty O(1) ids.
+  EXPECT_LE(DirtiedShardIds(before, SplitDocument(*grown, cfg, &gen)).size(),
+            3u);
+  EXPECT_LE(
+      DirtiedShardIds(before, SplitDocument(*shrunk, cfg, &gen)).size(), 3u);
 
-  // Insertion: O(1) dirtied ids content-defined, an avalanche greedy.
-  const size_t cdc_ins =
-      DirtiedShardIds(cdc_before, SplitDocument(*grown, cdc, &gen)).size();
-  const size_t greedy_ins =
-      DirtiedShardIds(greedy_before, SplitDocument(*grown, greedy, &gen))
-          .size();
-  EXPECT_LE(cdc_ins, 3u);
-  EXPECT_GE(greedy_ins, greedy_before.shards.size() / 3);
-  EXPECT_LT(cdc_ins, greedy_ins);
-
-  // Deletion behaves the same way.
-  const size_t cdc_del =
-      DirtiedShardIds(cdc_before, SplitDocument(*shrunk, cdc, &gen)).size();
-  const size_t greedy_del =
-      DirtiedShardIds(greedy_before, SplitDocument(*shrunk, greedy, &gen))
-          .size();
-  EXPECT_LE(cdc_del, 3u);
-  EXPECT_LT(cdc_del, greedy_del);
-
-  // Both splits still round-trip the grown document exactly.
-  for (const ShardingConfig& cfg : {cdc, greedy}) {
-    ShardedDocument sd = SplitDocument(*grown, cfg, &gen);
-    TreePtr back = Reassemble(sd, &gen);
-    ASSERT_NE(back, nullptr);
-    EXPECT_TRUE(TreesEqualUnordered(*grown, *back));
-  }
+  // The split still round-trips the grown document exactly.
+  ShardedDocument sd = SplitDocument(*grown, cfg, &gen);
+  TreePtr back = Reassemble(sd, &gen);
+  ASSERT_NE(back, nullptr);
+  EXPECT_TRUE(TreesEqualUnordered(*grown, *back));
 }
 
 TEST(ShardingTest, ContentDefinedStaysLocalAcrossSeeds) {
   // The seed-robust form of the property: whatever the content, a
-  // middle-child insertion under content-defined boundaries dirties a
-  // small constant neighborhood (re-sync can cost a couple of groups to
-  // the min-clamp), never more than greedy's downstream avalanche.
+  // middle-child insertion dirties a small constant neighborhood
+  // (re-sync can cost a couple of groups to the min-clamp).
   NodeIdGen gen;
   Rng rng(TestSeed(52));
   TreePtr doc = MakeCatalog(200, &gen, &rng);
@@ -354,20 +300,12 @@ TEST(ShardingTest, ContentDefinedStaysLocalAcrossSeeds) {
   TreePtr grown = doc->CloneSameIds();
   grown->InsertChild(100, extra);
 
-  ShardingConfig cdc;
-  cdc.max_shard_bytes = 2048;
-  ShardingConfig greedy = cdc;
-  greedy.boundary = ShardBoundary::kGreedy;
-  const size_t cdc_ins =
-      DirtiedShardIds(SplitDocument(*doc, cdc, &gen),
-                      SplitDocument(*grown, cdc, &gen))
-          .size();
-  const size_t greedy_ins =
-      DirtiedShardIds(SplitDocument(*doc, greedy, &gen),
-                      SplitDocument(*grown, greedy, &gen))
-          .size();
-  EXPECT_LE(cdc_ins, 6u);
-  EXPECT_LE(cdc_ins, greedy_ins);
+  ShardingConfig cfg;
+  cfg.max_shard_bytes = 2048;
+  EXPECT_LE(DirtiedShardIds(SplitDocument(*doc, cfg, &gen),
+                            SplitDocument(*grown, cfg, &gen))
+                .size(),
+            6u);
 }
 
 TEST(ShardingTest, ContentDefinedGroupsRespectMinAndMaxClamps) {
