@@ -225,8 +225,8 @@ void BM_Sharding_BoundaryShift_ContentDefined(benchmark::State& state) {
   TreePtr grown = doc->CloneSameIds();
   grown->InsertChild(grown->child_count() / 2, wedge);
   for (auto _ : state) {
-    const ShardedDocument before = SplitDocument(*doc, cfg, &gen);
-    const ShardedDocument after = SplitDocument(*grown, cfg, &gen);
+    const ShardedDocument before = SplitDocument(*doc, cfg);
+    const ShardedDocument after = SplitDocument(*grown, cfg);
     state.counters["shards"] = static_cast<double>(before.shards.size());
     state.counters["dirtied_ids"] =
         static_cast<double>(DirtiedShardIds(before, after).size());
@@ -268,21 +268,13 @@ void BM_Sharding_NotifyFanout(benchmark::State& state) {
   const uint64_t version = sys->replicas().Version(origin, "d");
   const size_t per_holder = sd->shards.size() / kHolders;
   for (int h = 0; h < kHolders; ++h) {
-    std::vector<DocumentShard> slice;
     const size_t from = h * per_holder;
     const size_t to =
         h + 1 == kHolders ? sd->shards.size() : from + per_holder;
-    for (size_t i = from; i < to; ++i) {
-      DocumentShard s;
-      s.id = sd->shards[i].id;
-      s.bytes = sd->shards[i].bytes;
-      s.content = sd->shards[i].content->Clone(sys->peer(holders[h])->gen());
-      slice.push_back(std::move(s));
-    }
-    if (!sys->replicas().InsertShardedCopy(
-            holders[h], origin, "d",
-            sd->manifest->Clone(sys->peer(holders[h])->gen()), slice,
-            version)) {
+    const std::vector<DocumentShard> slice(sd->shards.begin() + from,
+                                           sd->shards.begin() + to);
+    if (!sys->replicas().InsertShardedCopy(holders[h], origin, "d",
+                                           sd->manifest, slice, version)) {
       state.SkipWithError("partial seed refused");
       return;
     }

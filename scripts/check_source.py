@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific source lints the compiler cannot enforce.
 
-Six checks over src/ (and tests/, bench/, examples/ where noted),
+Seven checks over src/ (and tests/, bench/, examples/ where noted),
 each pinning a repo-wide contract that used to live only in review
 comments:
 
@@ -49,6 +49,16 @@ comments:
                        the contract that one sim seed replays every
                        fault verdict identically (and that an idle
                        injector is byte-identical to no injector).
+
+  replica-encode       Replica content is encoded once: SplitDocument
+                       encodes every shard and manifest at the origin,
+                       and a landing stores the bytes that crossed the
+                       wire. So src/replica/ calls neither
+                       ``wire::EncodeTree`` nor ``wire::EncodedTreeSize``
+                       — a call there re-encodes content whose bytes
+                       already exist. The one call that encodes an
+                       unsharded whole document for shipment carries
+                       the waiver.
 
 Suppressions: append ``// lint: allow-<check>`` (e.g. ``// lint:
 allow-determinism``) to the flagged line or the line above. Use rarely;
@@ -332,6 +342,32 @@ def check_size_estimate(sf: SourceFile) -> Iterator[Finding]:
             )
 
 
+# --- replica-encode ---
+
+REPLICA_ENCODE_DIR = "src/replica"
+
+_REPLICA_ENCODE_RE = re.compile(
+    r"\b(?:wire::)?(?:EncodeTree|EncodedTreeSize)\s*\("
+)
+
+
+def check_replica_encode(sf: SourceFile) -> Iterator[Finding]:
+    """The replica layer forwards stored bytes; it does not encode."""
+    for i, line in enumerate(sf.code, 1):
+        if _REPLICA_ENCODE_RE.search(line) and not suppressed(
+            sf, i, "replica-encode"
+        ):
+            yield Finding(
+                sf.path,
+                i,
+                "replica-encode",
+                "tree encode in the replica layer — shard and manifest "
+                "bytes are encoded once by SplitDocument, and landings "
+                "store the bytes they received; splice or store those "
+                "instead of re-encoding",
+            )
+
+
 # --- injected-rng ---
 
 # A value-type `Rng name...` declaration (pointer `Rng*` and reference
@@ -379,6 +415,8 @@ def run_checks() -> list[Finding]:
         rel_posix = "/".join(rel_parts)
         if rel_posix.startswith(tuple(d + "/" for d in SIZE_ESTIMATE_DIRS)):
             findings.extend(check_size_estimate(sf))
+        if rel_posix.startswith(REPLICA_ENCODE_DIR + "/"):
+            findings.extend(check_replica_encode(sf))
         findings.extend(check_determinism(sf))
         findings.extend(check_unordered_iteration(sf))
         findings.extend(check_raw_new_delete(sf))

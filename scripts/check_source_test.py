@@ -105,6 +105,20 @@ class SizeEstimateTest(unittest.TestCase):
             self.assertTrue((cs.REPO_ROOT / d).is_dir(), d)
 
 
+class ReplicaEncodeTest(unittest.TestCase):
+    def test_flags_encodes_not_decodes_or_waived_calls(self) -> None:
+        sf = fixture(
+            "bad_replica_encode.cc", pose_as="replica/bad_replica_encode.cc"
+        )
+        findings = list(cs.check_replica_encode(sf))
+        self.assertEqual(
+            flagged_lines(findings, "replica-encode"), marked_lines(sf)
+        )
+
+    def test_replica_layer_is_gated_in_run_checks(self) -> None:
+        self.assertTrue((cs.REPO_ROOT / cs.REPLICA_ENCODE_DIR).is_dir())
+
+
 class InjectedRngTest(unittest.TestCase):
     def test_flags_private_entropy_and_accepts_borrowed_pointer(self) -> None:
         sf = fixture(

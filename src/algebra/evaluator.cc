@@ -123,6 +123,16 @@ void Evaluator::Ship(PeerId from, PeerId to, const TreePtr& tree,
         [tree, deliver = std::move(deliver)] { deliver(tree); });
     return;
   }
+  ShipEncoded(from, to, tree,
+              [deliver = std::move(deliver)](TreePtr landed,
+                                             const std::string& /*blob*/) {
+                deliver(std::move(landed));
+              });
+}
+
+void Evaluator::ShipEncoded(
+    PeerId from, PeerId to, const TreePtr& tree,
+    std::function<void(TreePtr, const std::string&)> deliver) {
   // §3.2: "all evaluations of send expression trees are implicitly
   // understood to copy the data model instances they send" — the encoded
   // payload *is* that copy: the destination decodes it into fresh
@@ -141,7 +151,7 @@ void Evaluator::Ship(PeerId from, PeerId to, const TreePtr& tree,
                              &sys_->wire_stats());
         AXML_DCHECK(landed.ok());
         if (!landed.ok()) return;
-        deliver(std::move(landed).value());
+        deliver(std::move(landed).value(), p.bytes());
       });
 }
 
@@ -304,8 +314,8 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
             });
         return;
       }
-    } else if (TreePtr copy = sys_->replicas().LookupFresh(ctx, owner,
-                                                           doc_name)) {
+    } else if (EncodedBlob blob = sys_->replicas().LookupFresh(ctx, owner,
+                                                               doc_name)) {
       // Replica fast path: a fresh cached copy of the remote document is
       // read locally — a transfer the cache's hit stats account for. A
       // stale copy is dropped by this very lookup (versioned
@@ -316,25 +326,17 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
                   StrCat(doc_name, "@", owner.ToString()));
       }
       // Deliver a private instance, as the ship this hit replaces would
-      // have (§3.2: sends copy their data-model instances). Consumers
-      // must never hold the cache blob itself — a same-peer send could
-      // graft and later mutate it behind its digest. The cache keeps the
-      // received wire bytes, so the "copy" is a decode of those bytes —
-      // the same operation a fresh transfer would have performed.
-      Peer* reader = sys_->peer(ctx);
-      TreePtr fresh;
-      const TransferCache* cache = sys_->replicas().FindCache(ctx);
-      const std::string* enc =
-          cache == nullptr
-              ? nullptr
-              : cache->PeekEncoded(ReplicaKey{owner, doc_name});
-      if (enc != nullptr) {
-        Result<TreePtr> decoded =
-            wire::DecodeTree(*enc, reader->gen(), &sys_->wire_stats());
-        AXML_DCHECK(decoded.ok());
-        if (decoded.ok()) fresh = std::move(decoded).value();
+      // have (§3.2: sends copy their data-model instances). The cache
+      // keeps the received wire bytes, so the copy is a decode of those
+      // bytes — the same operation a fresh transfer would have performed.
+      Result<TreePtr> decoded = wire::DecodeTree(
+          *blob, sys_->peer(ctx)->gen(), &sys_->wire_stats());
+      AXML_DCHECK(decoded.ok());
+      if (!decoded.ok()) {
+        Fail(decoded.status());
+        return;
       }
-      if (fresh == nullptr) fresh = copy->Clone(reader->gen());
+      TreePtr fresh = std::move(decoded).value();
       sys_->loop().Post(
           [fresh = std::move(fresh), emit = std::move(emit)] {
             emit(fresh);
@@ -436,24 +438,27 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
               // the wire delay must not brand it fresh).
               const uint64_t snap_version =
                   sys_->replicas().Version(owner, doc_name);
-              Ship(owner, ctx, t, [this, owner, ctx, doc_name,
-                                   snap_version, emit](TreePtr landed) {
+              ShipEncoded(owner, ctx, t, [this, owner, ctx, doc_name,
+                                          snap_version, emit](
+                                             TreePtr landed,
+                                             const std::string& blob) {
                 // Materialize the transferred tree as a replica: later
                 // reads (here or via d@any) hit the copy. Trees still
                 // carrying service calls are excluded — a copy freezes
                 // their activation state — and so is a payload from
                 // the reader's own rack, which already serves it.
-                // The landed clone becomes the cache blob (and the
-                // installed local copy); every consumer — the reader
-                // that triggered the transfer and any coalesced
-                // waiters — gets its own clone of it, mirroring what a
-                // per-reader ship would have delivered.
+                // The cache stores the bytes that crossed the wire and
+                // the landed tree becomes the installed local copy;
+                // every consumer — the reader that triggered the
+                // transfer and any coalesced waiters — gets its own
+                // clone of it, mirroring what a per-reader ship would
+                // have delivered.
                 bool cached = false;
                 if (options_.use_replica_cache &&
                     !landed->ContainsServiceCall() &&
                     sys_->replicas().AdmitReadCopy(ctx, owner)) {
                   cached = sys_->replicas().InsertCopy(
-                      ctx, owner, doc_name, landed, snap_version);
+                      ctx, owner, doc_name, landed, snap_version, blob);
                 }
                 NodeIdGen* gen = sys_->peer(ctx)->gen();
                 emit(cached ? landed->Clone(gen) : landed);
@@ -463,9 +468,8 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
                   std::vector<EmitFn> waiters =
                       std::move(flight->second);
                   inflight_.erase(flight);
-                  const uint64_t bytes = wire::EncodedTreeSize(*landed);
                   for (EmitFn& w : waiters) {
-                    sys_->replicas().RecordCoalescedHit(ctx, bytes);
+                    sys_->replicas().RecordCoalescedHit(ctx, blob.size());
                     w(landed->Clone(gen));
                   }
                 }

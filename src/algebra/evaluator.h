@@ -190,6 +190,10 @@ class Evaluator {
   /// and invokes `deliver` with the landed copy at arrival time.
   void Ship(PeerId from, PeerId to, const TreePtr& tree,
             std::function<void(TreePtr)> deliver);
+  /// Ship across a link (`from != to`): `deliver` also gets the tree
+  /// blob that crossed the wire, which the landed copy was decoded from.
+  void ShipEncoded(PeerId from, PeerId to, const TreePtr& tree,
+                   std::function<void(TreePtr, const std::string&)> deliver);
 
   /// Counts a d@any pick of `member` by `reader` in counters_.picks.
   void CountPick(PeerId reader, const ClassMember& member);

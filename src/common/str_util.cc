@@ -103,6 +103,28 @@ std::string XmlEscape(std::string_view s) {
   return out;
 }
 
+size_t XmlEscapedSize(std::string_view s) {
+  size_t n = s.size();
+  for (char c : s) {
+    switch (c) {
+      case '&':
+        n += 4;  // &amp;
+        break;
+      case '<':
+      case '>':
+        n += 3;  // &lt; &gt;
+        break;
+      case '"':
+      case '\'':
+        n += 5;  // &quot; &apos;
+        break;
+      default:
+        break;
+    }
+  }
+  return n;
+}
+
 std::string XmlUnescape(std::string_view s) {
   std::string out;
   out.reserve(s.size());

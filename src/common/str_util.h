@@ -41,6 +41,8 @@ std::string FormatDouble(double d);
 
 /// Escapes &, <, >, ", ' for embedding in XML text/attribute content.
 std::string XmlEscape(std::string_view s);
+/// XmlEscape(s).size(), counted without building the string.
+size_t XmlEscapedSize(std::string_view s);
 
 /// Inverse of XmlEscape for the five standard entities plus decimal and
 /// hexadecimal character references.

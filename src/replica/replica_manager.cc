@@ -88,9 +88,8 @@ void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
 
   // A durable write onto a document slot we were using for a cached copy
   // (e.g. send(d@p, ...) landing on the copy's name) promotes the slot:
-  // the copy ceases to exist, the document stays. The mutated tree may
-  // alias cache blobs (content addressing shares them), so every entry of
-  // this peer's cache holding that blob is dropped.
+  // the copy ceases to exist, the document stays. Every entry of this
+  // peer's cache that shares the copy's blob is dropped with it.
   auto it = installed_.find({owner, name});
   if (it == installed_.end()) return;
   const PeerId origin = it->second;
@@ -189,7 +188,7 @@ void ReplicaManager::RecordCoalescedHit(PeerId reader, uint64_t bytes) {
 }
 
 bool ReplicaManager::InsertCopy(PeerId reader, PeerId origin,
-                                const DocName& name, const TreePtr& landed,
+                                const DocName& name, TreePtr landed,
                                 uint64_t snapshot_version,
                                 std::string encoded) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
@@ -206,22 +205,22 @@ bool ReplicaManager::InsertCopy(PeerId reader, PeerId origin,
   TransferCache* cache = CacheFor(reader);
   // Put retracts an older copy of the same key first (evict listener), so
   // the install guard below sees a clean slot.
-  if (!cache->Put(key, landed, DigestOf(*landed), snapshot_version,
-                  std::move(encoded))) {
+  if (!cache->Put(key, std::move(encoded), DigestOf(*landed),
+                  snapshot_version)) {
     return false;  // over budget: not worth caching
   }
-  const TransferCache::Entry* entry = cache->Peek(key);
-  if (entry == nullptr) return false;  // evicted immediately by the budget
+  if (cache->Peek(key) == nullptr) {
+    return false;  // evicted immediately by the budget
+  }
 
   // The origin now owes this reader a push on every mutation of `name`
   // (cache-only copies included: they serve reads too and must not go
   // stale silently).
   subscriptions_.Subscribe(key, reader);
 
-  // Install + advertise. The installed document is a *clone*: local
-  // reads hand trees out unshared-with-the-cache, so no consumer can
-  // mutate the content-addressed blob behind its digest.
-  InstallAndAdvertise(reader, origin, name, entry->tree->Clone(holder->gen()));
+  // Install + advertise the landed tree itself: the cache holds only
+  // bytes, so the installed document shares nothing with it.
+  InstallAndAdvertise(reader, origin, name, std::move(landed));
   return true;
 }
 
@@ -257,8 +256,8 @@ bool ReplicaManager::AdmitReadCopy(PeerId reader, PeerId source) {
   return false;
 }
 
-TreePtr ReplicaManager::LookupFresh(PeerId reader, PeerId origin,
-                                    const DocName& name) {
+EncodedBlob ReplicaManager::LookupFresh(PeerId reader, PeerId origin,
+                                        const DocName& name) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (reader == origin || !origin.is_concrete()) return nullptr;
   // A miss from a peer that never cached anything must not allocate a
@@ -289,7 +288,10 @@ uint64_t ReplicaManager::FreshCopyBytes(PeerId reader, PeerId origin,
   // A complete sharded copy is as fresh as a whole-document one.
   const TransferCache::Entry* m = cache->Peek(ManifestKey(origin, name));
   if (m == nullptr || m->origin_version != Version(origin, name)) return 0;
-  return ResidentShardBytes(*cache, origin, name, *m->tree);
+  TreePtr manifest = DecodeManifest(*m->encoded, WireStatsOf(sys_));
+  return manifest == nullptr
+             ? 0
+             : ResidentShardBytes(*cache, origin, name, *manifest);
 }
 
 bool ReplicaManager::IsCachedCopy(PeerId peer, const DocName& name) const {
@@ -630,7 +632,7 @@ const ShardedDocument* ReplicaManager::OriginShards(
   }
   OriginShardState state;
   state.version = version;
-  state.sharded = SplitDocument(*root, shard_config_, host->gen());
+  state.sharded = SplitDocument(*root, shard_config_);
   auto pos = origin_shards_.insert_or_assign(key, std::move(state)).first;
   return &pos->second.sharded;
 }
@@ -682,16 +684,18 @@ TreePtr ReplicaManager::LookupShardedFresh(PeerId reader, PeerId origin,
   TransferCache* cache = it->second.get();
   // A stale manifest is dropped by this Get (with its advertisements,
   // via the evict listener) and the read falls through to a delta fetch.
-  TreePtr manifest = cache->Get(ManifestKey(origin, name),
+  EncodedBlob blob = cache->Get(ManifestKey(origin, name),
                                 Version(origin, name));
-  if (manifest == nullptr) return nullptr;
+  if (blob == nullptr) return nullptr;
   Peer* holder = sys_->peer(reader);
   if (holder == nullptr) return nullptr;
+  TreePtr manifest = DecodeManifest(*blob, WireStatsOf(sys_));
+  if (manifest == nullptr) return nullptr;
   // Assemble from Peeks first: an incomplete copy must not charge
   // recency/hit credit for shards this read cannot use yet (the delta
   // fetch that follows will claim them).
-  TreePtr assembled =
-      AssembleResident(*cache, origin, name, *manifest, holder->gen());
+  TreePtr assembled = AssembleResident(*cache, origin, name, *manifest,
+                                       holder->gen(), WireStatsOf(sys_));
   if (assembled == nullptr) return nullptr;
   for (const std::string& id : ManifestShardIds(*manifest)) {
     cache->Get(ShardDataKey(origin, name, id), kImmutableShardVersion);
@@ -717,14 +721,14 @@ bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
   // payoff) and is pinned for the assembly at landing. Each shard the
   // delta ships counts a miss — manager-side for a reader without a
   // cache, which has no residents.
-  std::map<std::string, TreePtr> parts;
+  std::map<std::string, EncodedBlob> parts;
   if (cache == nullptr) {
     uncached_stats_.misses += delta.distinct.size();
   } else {
     for (const DocumentShard* s : delta.distinct) {
       const std::string id = s->id.ToString();
-      if (TreePtr resident = cache->Get(ShardDataKey(origin, name, id),
-                                        kImmutableShardVersion)) {
+      if (EncodedBlob resident = cache->Get(ShardDataKey(origin, name, id),
+                                            kImmutableShardVersion)) {
         parts[id] = std::move(resident);
       }
     }
@@ -756,12 +760,13 @@ bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
           landed = DecodeCopyShipment(p, resident_manifest, dest->gen(),
                                       WireStatsOf(sys_));
         }
-        if (!landed.has_value()) {
+        TreePtr manifest =
+            landed.has_value()
+                ? DecodeManifest(landed->manifest, WireStatsOf(sys_))
+                : nullptr;
+        if (manifest == nullptr) {
           deliver(nullptr);  // reader vanished mid-flight, or bad payload
           return;
-        }
-        for (const DocumentShard& s : landed->shards) {
-          parts[s.id.ToString()] = s.content;
         }
         // Cache what landed, unless a rack-mate served it (a stale
         // snapshot is refused there but the read below still delivers
@@ -771,31 +776,37 @@ bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
           InsertShardedCopy(reader, origin, name, landed->manifest,
                             landed->shards, snap_version);
         }
+        std::map<std::string, const std::string*> blobs;
+        for (const auto& [id, part] : parts) blobs[id] = part.get();
+        for (const DocumentShard& s : landed->shards) {
+          blobs[s.id.ToString()] = &s.encoded;
+        }
         deliver(AssembleCopy(
-            *landed->manifest,
-            [&parts](const std::string& id) -> TreePtr {
-              auto part = parts.find(id);
-              return part == parts.end() ? nullptr : part->second;
+            *manifest,
+            [&blobs](const std::string& id) -> const std::string* {
+              auto blob = blobs.find(id);
+              return blob == blobs.end() ? nullptr : blob->second;
             },
-            dest->gen()));
+            dest->gen(), WireStatsOf(sys_)));
       });
   return true;
 }
 
-bool ReplicaManager::InsertShardedCopy(PeerId reader, PeerId origin,
-                                       const DocName& name,
-                                       const TreePtr& manifest,
-                                       const std::vector<DocumentShard>& shipped,
-                                       uint64_t snapshot_version) {
+bool ReplicaManager::InsertShardedCopy(
+    PeerId reader, PeerId origin, const DocName& name,
+    const std::string& manifest_blob,
+    const std::vector<DocumentShard>& shipped, uint64_t snapshot_version) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (sys_ == nullptr || reader == origin || !origin.is_concrete()) {
     return false;
   }
   Peer* holder = sys_->peer(reader);
-  if (holder == nullptr || manifest == nullptr) return false;
+  if (holder == nullptr) return false;
   if (snapshot_version != Version(origin, name)) {
     return false;  // the origin moved on while the delta was on the wire
   }
+  TreePtr manifest = DecodeManifest(manifest_blob, WireStatsOf(sys_));
+  if (manifest == nullptr) return false;
 
   TransferCache* cache = CacheFor(reader);
   const ReplicaKey mkey = ManifestKey(origin, name);
@@ -805,7 +816,7 @@ bool ReplicaManager::InsertShardedCopy(PeerId reader, PeerId origin,
   const ContentDigest mdigest = DigestOf(*manifest);
   if (resident == nullptr || resident->origin_version != snapshot_version ||
       !(resident->digest == mdigest)) {
-    if (!cache->Put(mkey, manifest, mdigest, snapshot_version)) {
+    if (!cache->Put(mkey, manifest_blob, mdigest, snapshot_version)) {
       return false;  // manifest alone over budget: nothing to anchor on
     }
   }
@@ -818,22 +829,21 @@ bool ReplicaManager::InsertShardedCopy(PeerId reader, PeerId origin,
     const ReplicaKey skey = ShardDataKey(origin, name, s.id.ToString());
     // Budget refusals are fine — the copy stays partial and later reads
     // fetch the gap again.
-    if (cache->Put(skey, s.content, s.id, kImmutableShardVersion) &&
+    if (cache->Put(skey, s.encoded, s.id, kImmutableShardVersion) &&
         cache->Peek(skey) != nullptr) {
       subscriptions_.Subscribe(skey, reader);
     }
   }
   // The shard Puts may have evicted the manifest right back out; the
   // surviving shards stay resident (and subscribed) for future deltas.
-  const TransferCache::Entry* m = cache->Peek(mkey);
-  if (m == nullptr) return false;
+  if (cache->Peek(mkey) == nullptr) return false;
   subscriptions_.Subscribe(mkey, reader);
 
   // Install + advertise only a *complete* copy; a partial one serves
-  // delta reads but must never be read by name. The assembly minted
-  // fresh nodes — no extra clone.
-  if (TreePtr assembled =
-          AssembleResident(*cache, origin, name, *m->tree, holder->gen())) {
+  // delta reads but must never be read by name. The assembly decodes
+  // fresh nodes from the resident bytes.
+  if (TreePtr assembled = AssembleResident(*cache, origin, name, *manifest,
+                                           holder->gen(), WireStatsOf(sys_))) {
     InstallAndAdvertise(reader, origin, name, std::move(assembled));
   }
   return true;
@@ -920,7 +930,7 @@ bool ReplicaManager::LaunchShipment(
   // Copies for the retry timeout below, taken before on_land moves into
   // the delivery callback.
   auto on_land_retry = ship_max_attempts_ > 0 ? on_land : nullptr;
-  TreePtr resident_manifest = delta ? delta->resident_manifest : nullptr;
+  EncodedBlob resident_manifest = delta ? delta->resident_manifest : nullptr;
   sys_->network().Send(
       key.origin, holder, std::move(payload),
       [this, holder, key, resident_manifest, generation,
@@ -1310,13 +1320,20 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
     if (dest != nullptr) {
       const TransferCache::Entry* whole = cache->Peek(doc);
       if (whole != nullptr && whole->origin_version == current) {
-        InstallAndAdvertise(holder, doc.origin, doc.name,
-                            whole->tree->Clone(dest->gen()));
+        if (TreePtr tree = DecodeStoredTree(*whole->encoded, dest->gen(),
+                                            WireStatsOf(sys_))) {
+          InstallAndAdvertise(holder, doc.origin, doc.name, std::move(tree));
+        }
       } else if (const TransferCache::Entry* m =
                      cache->Peek(ManifestKey(doc.origin, doc.name));
                  m != nullptr && m->origin_version == current) {
-        if (TreePtr assembled = AssembleResident(
-                *cache, doc.origin, doc.name, *m->tree, dest->gen())) {
+        TreePtr manifest = DecodeManifest(*m->encoded, WireStatsOf(sys_));
+        TreePtr assembled =
+            manifest == nullptr
+                ? nullptr
+                : AssembleResident(*cache, doc.origin, doc.name, *manifest,
+                                   dest->gen(), WireStatsOf(sys_));
+        if (assembled != nullptr) {
           InstallAndAdvertise(holder, doc.origin, doc.name,
                               std::move(assembled));
         }

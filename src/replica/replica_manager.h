@@ -8,8 +8,9 @@
 //
 //  - every (owner peer, doc name) carries a version, bumped whenever the
 //    owner mutates the document (Peer's mutation listener);
-//  - each peer owns a TransferCache of materialized remote copies tagged
-//    with the origin version at copy time;
+//  - each peer owns a TransferCache of remote copies, held as the wire
+//    bytes they arrived in and tagged with the origin version at copy
+//    time;
 //  - a fresh copy is installed as a local document and *advertised*: the
 //    discovery catalog lists the caching peer as a holder, and the copy
 //    joins every generic class the origin belongs to — so d@any
@@ -313,8 +314,8 @@ class ReplicaManager {
   /// manifest is fresh and every data shard it references is resident.
   /// Counts cache hits and touches recency for the manifest and every
   /// shard; a stale manifest is dropped (with its advertisements) and
-  /// the call misses. The result is freshly built from clones — callers
-  /// may hand it out directly. nullptr on any miss.
+  /// the call misses. The result is freshly decoded from the resident
+  /// bytes — callers may hand it out directly. nullptr on any miss.
   TreePtr LookupShardedFresh(PeerId reader, PeerId origin,
                              const DocName& name);
 
@@ -339,8 +340,9 @@ class ReplicaManager {
   /// assembled document. Returns true when the manifest was cached (the
   /// sharded copy exists, possibly partial); false when the snapshot is
   /// stale or the cache refused the manifest.
+  /// `manifest_blob` and each shard's bytes are stored as they are.
   bool InsertShardedCopy(PeerId reader, PeerId origin, const DocName& name,
-                         const TreePtr& manifest,
+                         const std::string& manifest_blob,
                          const std::vector<DocumentShard>& shipped,
                          uint64_t snapshot_version);
 
@@ -440,21 +442,19 @@ class ReplicaManager {
 
   // --- Copies ---
 
-  /// Records that `landed` — a copy of origin's `name` — materialized at
-  /// `reader`: inserts it into reader's transfer cache and, when the
-  /// reader holds no unrelated document of that name, installs it as a
-  /// local document and advertises it (catalog + generic classes of the
-  /// origin). `snapshot_version` is the origin's version *when the
+  /// Records that `landed` — a copy of origin's `name`, freshly minted
+  /// for `reader` — materialized there: stores `encoded`, the bytes the
+  /// shipment carried, in reader's transfer cache and, when the reader
+  /// holds no unrelated document of that name, installs `landed` itself
+  /// as a local document and advertises it (catalog + generic classes of
+  /// the origin). `snapshot_version` is the origin's version *when the
   /// content was copied for shipping* — passing the landing-time version
   /// would brand content cloned before a mid-flight mutation as fresh.
-  /// `encoded`, when non-empty, is the landed tree's wire encoding (the
-  /// bytes the shipment actually carried) — the cache stores it verbatim
-  /// instead of re-encoding. Returns false without caching when the
-  /// snapshot is already stale, the tree exceeds the cache budget, or
-  /// the copy is not cacheable.
+  /// Returns false without caching when the snapshot is already stale,
+  /// the blob exceeds the cache budget, or the copy is not cacheable.
   bool InsertCopy(PeerId reader, PeerId origin, const DocName& name,
-                  const TreePtr& landed, uint64_t snapshot_version,
-                  std::string encoded = {});
+                  TreePtr landed, uint64_t snapshot_version,
+                  std::string encoded);
 
   /// Read-path admission, asked by both read landings (the evaluator's
   /// whole-document Ship and FetchForRead) before they cache: false when
@@ -467,14 +467,16 @@ class ReplicaManager {
   /// admitted. Placement and refresh shipments do not ask.
   bool AdmitReadCopy(PeerId reader, PeerId source);
 
-  /// The fresh cached copy of origin's `name` held by `reader`, or
-  /// nullptr. A stale copy is dropped (cache, local document, catalog,
-  /// generic classes) before returning the miss. Counts hit/miss stats.
+  /// The blob of the fresh cached copy of origin's `name` held by
+  /// `reader`, or nullptr; a reader decodes its own tree from it. A
+  /// stale copy is dropped (cache, local document, catalog, generic
+  /// classes) before returning the miss. Counts hit/miss stats.
   /// Never allocates: a reader that never cached anything gets a plain
   /// miss (counted manager-side, see TotalStats), not a TransferCache.
   /// Whole-document entries only; sharded copies read through
   /// LookupShardedFresh.
-  TreePtr LookupFresh(PeerId reader, PeerId origin, const DocName& name);
+  EncodedBlob LookupFresh(PeerId reader, PeerId origin,
+                          const DocName& name);
 
   /// True when `reader` holds a fresh copy of origin's `name` — a
   /// whole-document entry at the current version, or a complete sharded

@@ -25,10 +25,8 @@ ShardDelta PlanShardDelta(const ShardedDocument& sd,
   delta.doc = &sd;
   const TransferCache::Entry* m =
       cache == nullptr ? nullptr : cache->Peek(ManifestKey(origin, name));
-  // Holding the resident manifest's TreePtr keeps its blob alive for the
-  // landing even if the entry is evicted while the delta is on the wire.
   if (m != nullptr && m->origin_version == version) {
-    delta.resident_manifest = m->tree;
+    delta.resident_manifest = m->encoded;
   }
   // Content-addressed ids make "lacks" independent of the version the
   // holder's stale copy was cut from.
@@ -39,10 +37,10 @@ ShardDelta PlanShardDelta(const ShardedDocument& sd,
     delta.distinct.push_back(&s);
     if (cache != nullptr &&
         cache->Peek(ShardDataKey(origin, name, id)) != nullptr) {
-      delta.reused_bytes += s.bytes;
+      delta.reused_bytes += s.bytes();
     } else {
       delta.missing.push_back(&s);
-      delta.missing_bytes += s.bytes;
+      delta.missing_bytes += s.bytes();
     }
   }
   return delta;
@@ -59,79 +57,97 @@ wire::Payload EncodeCopyShipment(PeerId origin, const DocName& name,
   ship.name = name;
   ship.snapshot_version = version;
   if (delta == nullptr) {
-    ship.whole = wire::EncodeTree(*whole, stats);
+    // An unsharded document has no stored encoding: its tree changes in
+    // place at the origin, so each shipment encodes the current one.
+    ship.whole = wire::EncodeTree(*whole, stats);  // lint: allow-replica-encode
     return wire::EncodeShipment(ship, stats);
   }
   ship.sharded = true;
-  if (delta->ships_manifest()) {
-    ship.manifest = wire::EncodeTree(*delta->doc->manifest, stats);
-  }
+  if (delta->ships_manifest()) ship.manifest = delta->doc->manifest;
   for (const DocumentShard* s : delta->missing) {
-    ship.shards.push_back({s->id.ToString(),
-                           wire::EncodeTree(*s->content, stats)});
+    ship.shards.push_back({s->id.ToString(), s->encoded});
   }
   return wire::EncodeShipment(ship, stats);
 }
 
-std::optional<ShipmentPayload> DecodeCopyShipment(const wire::Payload& p,
-                                                  TreePtr resident_manifest,
-                                                  NodeIdGen* gen,
-                                                  wire::WireStats* stats) {
+std::optional<ShipmentPayload> DecodeCopyShipment(
+    const wire::Payload& p, const EncodedBlob& resident_manifest,
+    NodeIdGen* gen, wire::WireStats* stats) {
   // A payload that does not decode is a bug, not a tolerable fault; the
   // release build still refuses it instead of installing garbage.
   Result<wire::Shipment> got = wire::DecodeShipment(p, stats);
   AXML_DCHECK(got.ok());
   if (!got.ok()) return std::nullopt;
-  auto decode = [&](std::string_view blob) -> TreePtr {
-    Result<TreePtr> tree = wire::DecodeTree(blob, gen, stats);
-    AXML_DCHECK(tree.ok());
-    return tree.ok() ? std::move(tree).value() : nullptr;
-  };
-  const wire::Shipment& arrived = got.value();
+  wire::Shipment& arrived = got.value();
   ShipmentPayload landed;
   landed.snapshot_version = arrived.snapshot_version;
   if (!arrived.sharded) {
-    landed.whole = decode(arrived.whole);
+    landed.whole = DecodeStoredTree(arrived.whole, gen, stats);
     if (landed.whole == nullptr) return std::nullopt;
-    landed.whole_encoded = arrived.whole;
+    landed.whole_encoded = std::move(arrived.whole);
     return landed;
   }
-  landed.manifest = arrived.manifest.empty() ? std::move(resident_manifest)
-                                             : decode(arrived.manifest);
-  if (landed.manifest == nullptr) return std::nullopt;
-  for (const wire::Shipment::Shard& s : arrived.shards) {
-    DocumentShard shard;
-    shard.content = decode(s.tree);
-    if (shard.content == nullptr) return std::nullopt;
-    // Encode/decode preserves canonical form, so the recomputed digest
-    // equals the id the sender addressed the shard by.
-    shard.id = DigestOf(*shard.content);
-    shard.bytes = s.tree.size();
-    landed.shards.push_back(std::move(shard));
+  if (!arrived.manifest.empty()) {
+    landed.manifest = std::move(arrived.manifest);
+  } else if (resident_manifest != nullptr) {
+    landed.manifest = *resident_manifest;
+  } else {
+    return std::nullopt;
+  }
+  // Each shard is filed under the id it was shipped under, so its bytes
+  // must digest to that id: a mismatch would cache content under a
+  // name that promises other content.
+  NodeIdGen scratch;
+  for (wire::Shipment::Shard& s : arrived.shards) {
+    TreePtr tree = DecodeStoredTree(s.tree, &scratch, stats);
+    if (tree == nullptr) return std::nullopt;
+    const ContentDigest id = DigestOf(*tree);
+    const std::string hex = id.ToString();
+    AXML_DCHECK(hex == s.id) << "shard shipped as " << s.id
+                             << " digests to " << hex;
+    if (hex != s.id) return std::nullopt;
+    landed.shards.push_back({id, std::move(s.tree)});
   }
   return landed;
 }
 
+TreePtr DecodeStoredTree(std::string_view blob, NodeIdGen* gen,
+                         wire::WireStats* stats) {
+  Result<TreePtr> tree = wire::DecodeTree(blob, gen, stats);
+  AXML_DCHECK(tree.ok()) << tree.status();
+  return tree.ok() ? std::move(tree).value() : nullptr;
+}
+
+TreePtr DecodeManifest(std::string_view blob, wire::WireStats* stats) {
+  NodeIdGen scratch;
+  return DecodeStoredTree(blob, &scratch, stats);
+}
+
 TreePtr AssembleCopy(const TreeNode& manifest, const ShardLookup& lookup,
-                     NodeIdGen* gen) {
+                     NodeIdGen* gen, wire::WireStats* stats) {
   // Probe first: a half-built assembly would mint node ids for nothing.
   for (const std::string& id : ManifestShardIds(manifest)) {
     if (lookup(id) == nullptr) return nullptr;
   }
-  return AssembleDocument(manifest, lookup, gen);
+  return AssembleDocument(
+      manifest,
+      [&](const std::string& id) {
+        return DecodeStoredTree(*lookup(id), gen, stats);
+      },
+      gen);
 }
 
 TreePtr AssembleResident(const TransferCache& cache, PeerId origin,
                          const DocName& name, const TreeNode& manifest,
-                         NodeIdGen* gen) {
+                         NodeIdGen* gen, wire::WireStats* stats) {
   return AssembleCopy(
       manifest,
-      [&](const std::string& id) -> TreePtr {
+      [&](const std::string& id) -> const std::string* {
         const TransferCache::Entry* e =
             cache.Peek(ShardDataKey(origin, name, id));
-        return e == nullptr ? nullptr : e->tree;
+        return e == nullptr ? nullptr : e->encoded.get();
       },
-      gen);
+      gen, stats);
 }
 
 uint64_t ResidentShardBytes(const TransferCache& cache, PeerId origin,

@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "common/str_util.h"
-#include "xml/wire.h"
 
 namespace axml {
 
@@ -27,16 +26,14 @@ void TransferCache::RebuildStrategy(EvictionPolicy policy) {
   }
 }
 
-bool TransferCache::Put(const ReplicaKey& key, TreePtr tree,
-                        ContentDigest digest, uint64_t origin_version,
-                        std::string encoded) {
+bool TransferCache::Put(const ReplicaKey& key, std::string encoded,
+                        ContentDigest digest, uint64_t origin_version) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_REENTRANCY_GUARD(mutation_guard_, "TransferCache::Put");
-  AXML_CHECK(tree != nullptr);
+  AXML_CHECK(!encoded.empty());
   // The budgeted size is the wire encoding's — the bytes a (re)shipment
   // of this entry costs. Canonical encoding makes the bytes a pure
   // function of content, so dedup aliases agree on the size.
-  if (encoded.empty()) encoded = wire::EncodeTree(*tree);
   const uint64_t bytes = encoded.size();
   if (bytes > byte_budget_) return false;
 
@@ -48,9 +45,7 @@ bool TransferCache::Put(const ReplicaKey& key, TreePtr tree,
   auto [blob_it, fresh_blob] = blobs_.try_emplace(digest);
   Blob& blob = blob_it->second;
   if (fresh_blob) {
-    blob.tree = std::move(tree);
-    blob.encoded = std::move(encoded);
-    blob.bytes = bytes;
+    blob.encoded = std::make_shared<const std::string>(std::move(encoded));
     resident_bytes_ += bytes;
   } else {
     // Content-addressed sharing: an equal blob is already resident; the
@@ -59,17 +54,16 @@ bool TransferCache::Put(const ReplicaKey& key, TreePtr tree,
   }
   ++blob.refs;
 
-  entries_.emplace(key,
-                   Entry{blob.tree, digest, origin_version, blob.bytes});
-  strategy_->OnInsert(key, blob.bytes);
+  entries_.emplace(key, Entry{blob.encoded, digest, origin_version, bytes});
+  strategy_->OnInsert(key, bytes);
   ++stats_.inserts;
 
   EvictToBudget();
   return entries_.count(key) > 0;
 }
 
-TreePtr TransferCache::Get(const ReplicaKey& key,
-                           uint64_t expected_version) {
+EncodedBlob TransferCache::Get(const ReplicaKey& key,
+                               uint64_t expected_version) {
   AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_REENTRANCY_GUARD(mutation_guard_, "TransferCache::Get");
   auto it = entries_.find(key);
@@ -85,21 +79,13 @@ TreePtr TransferCache::Get(const ReplicaKey& key,
   strategy_->OnAccess(key);
   ++stats_.hits;
   stats_.bytes_saved += it->second.bytes;
-  return it->second.tree;
+  return it->second.encoded;
 }
 
 const TransferCache::Entry* TransferCache::Peek(
     const ReplicaKey& key) const {
   auto it = entries_.find(key);
   return it == entries_.end() ? nullptr : &it->second;
-}
-
-const std::string* TransferCache::PeekEncoded(const ReplicaKey& key) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return nullptr;
-  auto blob_it = blobs_.find(it->second.digest);
-  AXML_CHECK(blob_it != blobs_.end());
-  return &blob_it->second.encoded;
 }
 
 bool TransferCache::Erase(const ReplicaKey& key, bool invalidation) {
@@ -161,7 +147,7 @@ uint64_t TransferCache::Drop(std::map<ReplicaKey, Entry>::iterator it,
   AXML_CHECK(blob_it != blobs_.end());
   uint64_t freed = 0;
   if (--blob_it->second.refs == 0) {
-    freed = blob_it->second.bytes;
+    freed = blob_it->second.encoded->size();
     resident_bytes_ -= freed;
     blobs_.erase(blob_it);
   }
@@ -200,18 +186,10 @@ std::string TransferCache::IntegrityError() const {
     if (blob_it == blobs_.end()) {
       return StrCat("entry ", key.ToString(), " names a missing blob");
     }
-    if (entry.tree != blob_it->second.tree) {
-      return StrCat("entry ", key.ToString(),
-                    " does not alias its blob's tree");
-    }
-    if (entry.bytes != blob_it->second.bytes) {
-      return StrCat("entry ", key.ToString(), " bytes ", entry.bytes,
-                    " != blob bytes ", blob_it->second.bytes);
-    }
-    if (entry.bytes != blob_it->second.encoded.size()) {
+    if (entry.bytes != blob_it->second.encoded->size()) {
       return StrCat("entry ", key.ToString(), " bytes ", entry.bytes,
                     " != encoded blob size ",
-                    blob_it->second.encoded.size());
+                    blob_it->second.encoded->size());
     }
   }
   if (refs.size() != blobs_.size()) {
@@ -227,7 +205,7 @@ std::string TransferCache::IntegrityError() const {
                     expected);
     }
     if (blob.refs == 0) return "blob resident with zero refs";
-    total_bytes += blob.bytes;
+    total_bytes += blob.encoded->size();
   }
   if (total_bytes != resident_bytes_) {
     return StrCat("blob bytes sum ", total_bytes, " != resident_bytes ",

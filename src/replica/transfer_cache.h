@@ -1,15 +1,19 @@
-// Per-peer transfer cache: a byte-budgeted store of materialized remote
-// trees with pluggable eviction.
+// Per-peer transfer cache: a byte-budgeted store of remote copies, held
+// as the wire bytes they crossed the link in, with pluggable eviction.
 //
 // Rule (13) of the paper materializes a transferred tree as a local copy
 // so it can be read twice; this cache is the runtime home of those
 // copies. Entries are keyed by (origin peer, doc name) — the identity of
 // the remote source — and store the content digest and the origin's
 // document version at copy time, so the ReplicaManager can detect stale
-// copies. Storage is content-addressed: entries whose trees are
-// unordered-equal share one blob, and the byte budget charges each blob
-// once (identical content replicated from several mirrors costs one
-// slot). Victim selection under budget pressure is delegated to an
+// copies. Storage is content-addressed: a blob is its encoded bytes,
+// named by the digest of the tree they encode. Entries whose trees are
+// unordered-equal share one blob (canonical encoding makes their bytes
+// identical), and the byte budget charges each blob once (identical
+// content replicated from several mirrors costs one slot). The cache
+// never holds a decoded tree: a reader that needs one decodes the bytes
+// with its own NodeIdGen, which is the copy §3.2 asks every send for.
+// Victim selection under budget pressure is delegated to an
 // EvictionStrategy (eviction_policy.h): LRU (default), LFU, or
 // cost-aware scoring by refetch cost from the origin.
 
@@ -31,9 +35,12 @@
 #include "xml/digest.h"
 #include "replica/eviction_policy.h"
 #include "replica/replica_key.h"
-#include "xml/tree.h"
 
 namespace axml {
+
+/// One stored blob's wire bytes (a kTree encoding, xml/wire.h). Shared,
+/// so a holder of the pointer keeps the bytes alive across an eviction.
+using EncodedBlob = std::shared_ptr<const std::string>;
 
 /// Counters for one cache (benches report these; EXP-4's crossover is
 /// visible in bytes_saved, not just wall clock).
@@ -76,8 +83,8 @@ struct TransferCacheStats {
 };
 static_assert(CountersCover<TransferCacheStats>());
 
-/// Byte-budgeted cache of materialized remote trees with
-/// content-addressed blob sharing and pluggable eviction. One instance
+/// Byte-budgeted cache of encoded remote copies with content-addressed
+/// blob sharing and pluggable eviction. One instance
 /// per caching peer (owned by ReplicaManager).
 ///
 /// Contract (machine-checked; docs/architecture.md is the canonical
@@ -92,9 +99,9 @@ static_assert(CountersCover<TransferCacheStats>());
 ///    mutating entry point (violation aborts; death-tested). It may
 ///    freely touch other state (the ReplicaManager's listener retracts
 ///    advertisements and subscriptions, which never re-enter the cache).
-///  - Returned TreePtrs alias the shared blob. Callers that hand content
-///    to consumers must clone first — mutating a blob in place would
-///    desynchronize it from its digest and every dedup alias.
+///  - Returned blobs are immutable bytes shared by every dedup alias.
+///    A consumer that needs a tree decodes its own, minting fresh node
+///    ids, so no consumer can reach the stored content.
 ///  - Keys are opaque: the cache never inspects ReplicaKey::shard. Shard
 ///    semantics (manifest freshness, data-shard immutability, orphan
 ///    cleanup) live entirely in the ReplicaManager.
@@ -112,7 +119,7 @@ class TransferCache {
 
   /// One cached copy.
   struct Entry {
-    TreePtr tree;  ///< shared blob (content-equal entries alias one tree)
+    EncodedBlob encoded;  ///< the blob (content-equal entries share it)
     ContentDigest digest;
     uint64_t origin_version = 0;
     uint64_t bytes = 0;  ///< encoded wire size of the blob
@@ -141,31 +148,27 @@ class TransferCache {
   void set_refetch_cost(RefetchCostFn fn);
 
   /// Inserts (or overwrites) the copy for `key`, evicting entries per
-  /// the eviction policy until the budget holds. Returns false — and
-  /// caches nothing — when the tree alone exceeds the budget. A blob
-  /// equal to an already resident one is shared, not stored twice.
-  /// `encoded` is the tree's wire encoding; when the caller already has
-  /// it (a shipment landing stores the bytes it received) it is moved in
-  /// verbatim, otherwise the cache encodes. Either way Entry::bytes —
-  /// the budgeted size — is exactly the encoded byte count, so what the
-  /// budget charges is what a re-ship would put on the wire.
-  bool Put(const ReplicaKey& key, TreePtr tree, ContentDigest digest,
-           uint64_t origin_version, std::string encoded = {});
+  /// the eviction policy until the budget holds. `encoded` is the
+  /// copy's wire encoding (a landing stores the bytes it received) and
+  /// `digest` the DigestOf the tree it encodes; the cache never encodes
+  /// or decodes. Returns false — and caches nothing — when the blob
+  /// alone exceeds the budget. A blob equal to an already resident one
+  /// is shared, not stored twice. Entry::bytes — the budgeted size — is
+  /// the encoded byte count, so what the budget charges is what a
+  /// re-ship would put on the wire.
+  bool Put(const ReplicaKey& key, std::string encoded, ContentDigest digest,
+           uint64_t origin_version);
 
-  /// The cached copy for `key` iff present *and* its origin_version
+  /// The cached blob for `key` iff present *and* its origin_version
   /// equals `expected_version`; touches the eviction strategy and counts
   /// a hit. A present but stale entry is dropped (invalidation) and
   /// counts a miss, as does an absent key. Returns nullptr on miss.
-  TreePtr Get(const ReplicaKey& key, uint64_t expected_version);
+  EncodedBlob Get(const ReplicaKey& key, uint64_t expected_version);
 
   /// Read-only view with no recency or stats side effects; nullptr if
-  /// absent.
+  /// absent. Entry::encoded is the exact bytes a shipment of this entry
+  /// puts on the wire.
   const Entry* Peek(const ReplicaKey& key) const;
-
-  /// The resident blob's wire encoding (the exact bytes a shipment of
-  /// this entry puts on the wire); nullptr if absent. No side effects —
-  /// shipping a cached copy reuses these bytes instead of re-encoding.
-  const std::string* PeekEncoded(const ReplicaKey& key) const;
 
   /// Drops `key`; `invalidation` selects which counter the drop charges.
   /// Returns true when the entry existed.
@@ -240,9 +243,7 @@ class TransferCache {
   RefetchCostFn refetch_cost_;
 
   struct Blob {
-    TreePtr tree;
-    std::string encoded;  ///< wire encoding; bytes == encoded.size()
-    uint64_t bytes = 0;
+    EncodedBlob encoded;
     uint32_t refs = 0;
   };
   std::map<ReplicaKey, Entry> entries_;

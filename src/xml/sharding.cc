@@ -36,22 +36,23 @@ bool Splittable(const TreeNode& node) {
 /// Shared state of one SplitDocument run.
 struct Splitter {
   const ShardingConfig& cfg;
+  /// Mints the ids of the transient shard and manifest trees; none
+  /// survives the split, since only their encodings are kept.
   NodeIdGen* gen;
   ShardedDocument* out;
   uint64_t min_bytes;  // resolved min clamp for content-defined cuts
 
-  /// Wraps `group` into a `#shard-data` shard, records it, and appends
-  /// its `#shard` reference under `manifest_node`.
-  void EmitGroup(std::vector<const TreeNode*>& group, TreePtr& manifest_node) {
+  /// Digests and encodes `group` as a `#shard-data` shard, records it,
+  /// and appends its `#shard` reference under `manifest_node`.
+  void EmitGroup(std::vector<TreePtr>& group, TreePtr& manifest_node) {
     if (group.empty()) return;
+    // The wrapper shares the members instead of cloning them: it is
+    // read twice and dropped here, so the source tree is never exposed.
     TreePtr content = TreeNode::Element(kShardDataLabel, gen);
-    for (const TreeNode* member : group) {
-      content->AddChild(member->Clone(gen));
-    }
+    for (TreePtr& member : group) content->AddChild(std::move(member));
     DocumentShard shard;
     shard.id = DigestOf(*content);
-    shard.bytes = wire::EncodedTreeSize(*content);
-    shard.content = std::move(content);
+    shard.encoded = wire::EncodeTree(*content);
     manifest_node->AddChild(
         MakeTextElement(kShardRefLabel, shard.id.ToString(), gen));
     out->shards.push_back(std::move(shard));
@@ -61,7 +62,7 @@ struct Splitter {
   /// Groups `node`'s children into shards and sub-manifests, appending
   /// manifest entries (in document order) under `manifest_node`.
   void SplitChildren(const TreeNode& node, TreePtr& manifest_node) {
-    std::vector<const TreeNode*> current;
+    std::vector<TreePtr> current;
     uint64_t current_bytes = 0;
     auto close = [&] {
       EmitGroup(current, manifest_node);
@@ -88,7 +89,7 @@ struct Splitter {
           AXML_LOG(Info) << "sharding: indivisible node of " << child_bytes
                          << " B exceeds the " << cfg.max_shard_bytes
                          << " B cap; shipping as an oversized shard";
-          current.push_back(child.get());
+          current.push_back(child);
           current_bytes = child_bytes;
           close();
         }
@@ -99,7 +100,7 @@ struct Splitter {
           current_bytes + child_bytes > cfg.max_shard_bytes) {
         close();
       }
-      current.push_back(child.get());
+      current.push_back(child);
       current_bytes += child_bytes;
       // Content-defined cut: the boundary is a property of the child's
       // content, so an insertion or deletion upstream re-synchronizes at
@@ -117,8 +118,8 @@ struct Splitter {
 }  // namespace
 
 uint64_t ShardedDocument::TotalBytes() const {
-  uint64_t total = manifest_bytes;
-  for (const DocumentShard& s : shards) total += s.bytes;
+  uint64_t total = manifest_bytes();
+  for (const DocumentShard& s : shards) total += s.bytes();
   return total;
 }
 
@@ -128,10 +129,11 @@ bool ShouldShard(const TreeNode& root, const ShardingConfig& cfg) {
 }
 
 ShardedDocument SplitDocument(const TreeNode& root,
-                              const ShardingConfig& cfg, NodeIdGen* gen) {
+                              const ShardingConfig& cfg) {
   AXML_CHECK(ShouldShard(root, cfg));
   ShardedDocument out;
-
+  NodeIdGen scratch;
+  NodeIdGen* gen = &scratch;
   Splitter splitter{
       cfg, gen, &out,
       /*min_bytes=*/
@@ -147,8 +149,7 @@ ShardedDocument SplitDocument(const TreeNode& root,
   doc_holder->AddChild(TreeNode::Element(root.label_text(), gen));
   manifest->AddChild(std::move(doc_holder));
   splitter.SplitChildren(root, manifest);
-  out.manifest_bytes = wire::EncodedTreeSize(*manifest);
-  out.manifest = std::move(manifest);
+  out.manifest = wire::EncodeTree(*manifest);
   return out;
 }
 
@@ -206,7 +207,7 @@ TreePtr AssembleNode(
       return nullptr;
     }
     for (const TreePtr& member : content->children()) {
-      root->AddChild(member->Clone(gen));
+      root->AddChild(member);
     }
   }
   return root;

@@ -23,7 +23,11 @@
 //  - a small root *manifest* shard records the document's root element
 //    and the ordered tree of child-shard ids (nested sub-manifests
 //    included). The manifest is itself a tree, so it ships, caches and
-//    dedups through the same machinery as any other content.
+//    dedups through the same machinery as any other content;
+//  - every shard and the manifest are encoded once, at split, and kept
+//    only as those wire bytes (xml/wire.h): a shipment splices them and
+//    a holder's cache stores them unchanged. The `#shard-data` tree of a
+//    group lives only long enough to be digested and encoded.
 //
 // Reassembly (AssembleDocument) is exact up to node identifiers: the
 // assembled tree is unordered-equal to the original (tree_equal.h), which
@@ -64,32 +68,33 @@ struct ShardingConfig {
 
 /// One data shard: a group of sibling subtrees, wrapped for shipping.
 struct DocumentShard {
-  /// Digest of `content`'s canonical form — the shard's stable identity.
+  /// Digest of the shard tree's canonical form — its stable identity.
   ContentDigest id;
-  /// A synthetic `#shard-data` element whose children are the group's
-  /// subtrees (clones; the original tree is never aliased).
-  TreePtr content;
-  /// Encoded wire size of `content` (xml/wire.h) — what shipping this
-  /// shard actually costs; identical to EncodeTree(*content).size().
-  uint64_t bytes = 0;
+  /// Wire encoding (wire::EncodeTree) of a synthetic `#shard-data`
+  /// element whose children are the group's subtrees.
+  std::string encoded;
+
+  /// What shipping this shard costs.
+  uint64_t bytes() const { return encoded.size(); }
 };
 
 /// A split document: the manifest plus its data shards, in manifest
 /// (depth-first) order.
 struct ShardedDocument {
-  /// `#manifest` element: one childless `#doc` clone of the original
-  /// root, then — in document order — `#shard` text children (text = id
-  /// hex) and `#submanifest` elements for recursively split children.
-  /// A `#submanifest` has the same shape (its `#doc` holds the childless
-  /// clone of the split child) and may nest further.
-  TreePtr manifest;
-  uint64_t manifest_bytes = 0;
+  /// Wire encoding of the `#manifest` element: one childless `#doc`
+  /// clone of the original root, then — in document order — `#shard`
+  /// text children (text = id hex) and `#submanifest` elements for
+  /// recursively split children. A `#submanifest` has the same shape
+  /// (its `#doc` holds the childless clone of the split child) and may
+  /// nest further.
+  std::string manifest;
   /// Every data shard at every nesting depth, in manifest order.
   std::vector<DocumentShard> shards;
   /// Indivisible nodes bigger than the cap that had to travel as their
   /// own oversized shard (also logged at Info by the splitter).
   uint64_t oversized_leaves = 0;
 
+  uint64_t manifest_bytes() const { return manifest.size(); }
   /// Manifest + data bytes: what shipping everything would cost.
   uint64_t TotalBytes() const;
 };
@@ -102,11 +107,11 @@ struct ShardedDocument {
 /// shards). Everything else ships whole.
 bool ShouldShard(const TreeNode& root, const ShardingConfig& cfg);
 
-/// Splits `root` into a manifest and size-capped data shards. Shard
-/// contents are clones minted from `gen`; `root` is not modified.
-/// Precondition: ShouldShard(root, cfg).
+/// Splits `root` into a manifest and size-capped data shards, each
+/// encoded once. `root` is not modified, and no node id outlives the
+/// call. Precondition: ShouldShard(root, cfg).
 ShardedDocument SplitDocument(const TreeNode& root,
-                              const ShardingConfig& cfg, NodeIdGen* gen);
+                              const ShardingConfig& cfg);
 
 /// True when `node` looks like a manifest produced by SplitDocument.
 bool IsShardManifest(const TreeNode& node);
@@ -126,11 +131,12 @@ std::vector<std::string> DirtiedShardIds(const ShardedDocument& before,
 
 /// Rebuilds the document a manifest describes, recursing into nested
 /// sub-manifests. `shard_lookup` maps a shard-id hex string to that
-/// shard's `#shard-data` content tree (as stored by a cache or carried
-/// by a shipment); returning nullptr aborts the assembly. The result is
-/// built from clones minted from `gen` — callers may hand it out without
-/// aliasing cache blobs. Returns nullptr when `manifest` is malformed or
-/// any shard is missing.
+/// shard's `#shard-data` tree, decoded for this call: the assembly
+/// adopts its children, so each call must return a tree nobody else
+/// holds (a repeated id is looked up once per reference). Returning
+/// nullptr aborts the assembly. The root is a clone of the manifest's
+/// `#doc` element minted from `gen`. Returns nullptr when `manifest` is
+/// malformed or any shard is missing.
 TreePtr AssembleDocument(
     const TreeNode& manifest,
     const std::function<TreePtr(const std::string& id_hex)>& shard_lookup,

@@ -127,7 +127,7 @@ TreeNode* TreeNode::FirstChildLabeled(LabelId label) const {
 }
 
 size_t TreeNode::SerializedSize() const {
-  return SerializeCompact(*this).size();
+  return SerializedCompactSize(*this);
 }
 
 TreePtr MakeTextElement(std::string_view label, std::string text,

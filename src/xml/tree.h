@@ -115,8 +115,8 @@ class TreeNode {
   /// First direct child element with label `label`, or nullptr.
   TreeNode* FirstChildLabeled(LabelId label) const;
 
-  /// Serialized byte size (same as xml_serializer's compact output). Used
-  /// by the network simulator to charge transfer costs.
+  /// Serialized byte size (same as xml_serializer's compact output),
+  /// counted without serializing.
   size_t SerializedSize() const;
 
  private:

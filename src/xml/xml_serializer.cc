@@ -73,6 +73,23 @@ void SerializeNode(const TreeNode& node, bool pretty, int indent,
 
 }  // namespace
 
+size_t SerializedCompactSize(const TreeNode& node) {
+  if (node.is_text()) return XmlEscapedSize(node.text());
+  const size_t label = node.label_text().size();
+  size_t n = 1 + label;  // <label
+  bool has_content = false;
+  for (const auto& c : node.children()) {
+    if (IsAttributeChild(*c)) {
+      // ` name="value"`: the label minus its '@', plus space, =, quotes.
+      n += c->label_text().size() + 3 + XmlEscapedSize(c->child(0)->text());
+    } else {
+      has_content = true;
+      n += SerializedCompactSize(*c);
+    }
+  }
+  return n + (has_content ? 1 + 3 + label : 2);  // >...</label> or />
+}
+
 std::string SerializeCompact(const TreeNode& node) {
   std::string out;
   SerializeNode(node, /*pretty=*/false, 0, &out);

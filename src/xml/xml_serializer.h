@@ -12,6 +12,7 @@
 #ifndef AXML_XML_XML_SERIALIZER_H_
 #define AXML_XML_XML_SERIALIZER_H_
 
+#include <cstddef>
 #include <string>
 
 #include "xml/tree.h"
@@ -20,6 +21,9 @@ namespace axml {
 
 /// Compact single-line serialization (wire format).
 std::string SerializeCompact(const TreeNode& node);
+
+/// SerializeCompact(node).size(), counted by a walk that builds nothing.
+size_t SerializedCompactSize(const TreeNode& node);
 
 /// Indented serialization with 2-space indents and trailing newline.
 std::string SerializePretty(const TreeNode& node);

@@ -15,8 +15,10 @@
 //     IntegrityError cross-check),
 //   - hits + misses == Gets issued, and the per-policy victim counts
 //     sum to the evictions,
-//   - a hit is *sound*: the returned tree is exactly the content the
-//     oracle recorded at the expected version — never stale bytes,
+//   - a hit is *sound*: the returned blob decodes to exactly the content
+//     the oracle recorded at the expected version — never stale bytes,
+//   - every resident blob is byte-identical to the encoder's output for
+//     the content the oracle last put under its key,
 //   - the evict listener fired exactly once per departing entry,
 //   - a subscription table driven by the manager's shard-granular rule
 //     (subscribe each surviving insert, unsubscribe each departure)
@@ -82,6 +84,7 @@ class CacheModelHarness {
     contents_.push_back(MakeCatalog(2, &gen_, &twin_rng));
     for (const TreePtr& t : contents_) {
       canonical_.push_back(CanonicalForm(*t));
+      encoded_.push_back(wire::EncodeTree(*t));
     }
   }
 
@@ -150,13 +153,20 @@ class CacheModelHarness {
                     did_put);
   }
 
+  /// The tree a blob encodes; the cache itself never decodes.
+  TreePtr Decode(const std::string& blob) {
+    Result<TreePtr> tree = wire::DecodeTree(blob, &gen_);
+    EXPECT_TRUE(tree.ok());
+    return tree.ok() ? std::move(tree).value() : TreeNode::Text("");
+  }
+
   void DoPut(const ReplicaKey& key) {
     OracleDoc& doc = OracleFor(key);
     const size_t content = rng_.Index(contents_.size());
     const TreePtr& proto = contents_[content];
-    const uint64_t bytes = wire::EncodedTreeSize(*proto);
+    const uint64_t bytes = encoded_[content].size();
     const bool fits = bytes <= cache_.byte_budget();
-    const bool accepted = cache_.Put(key, proto->Clone(&gen_),
+    const bool accepted = cache_.Put(key, encoded_[content],
                                      DigestOf(*proto), doc.version);
     if (!fits) {
       // A refused over-budget Put caches nothing and leaves any resident
@@ -171,7 +181,8 @@ class CacheModelHarness {
       const TransferCache::Entry* e = cache_.Peek(key);
       ASSERT_NE(e, nullptr);
       EXPECT_EQ(e->origin_version, doc.version);
-      EXPECT_EQ(CanonicalForm(*e->tree), canonical_[doc.content]);
+      EXPECT_EQ(CanonicalForm(*Decode(*e->encoded)),
+                canonical_[doc.content]);
     }
     // Subscribe exactly the entries that survived the insert — the
     // manager's rule (it re-checks residency with Peek after Put, since
@@ -188,7 +199,7 @@ class CacheModelHarness {
     const bool future = rng_.Bernoulli(0.2);
     const uint64_t expected = doc.version + (future ? 1 : 0);
     ++gets_issued_;
-    TreePtr got = cache_.Get(key, expected);
+    EncodedBlob got = cache_.Get(key, expected);
     if (future) {
       EXPECT_EQ(got, nullptr) << "no copy can exist at a future version";
     }
@@ -196,7 +207,7 @@ class CacheModelHarness {
       // Soundness: a hit serves exactly the content the oracle recorded
       // for this key — a stale tree here is the bug class this whole
       // subsystem exists to prevent.
-      EXPECT_EQ(CanonicalForm(*got), canonical_[doc.content]);
+      EXPECT_EQ(CanonicalForm(*Decode(*got)), canonical_[doc.content]);
     }
   }
 
@@ -216,19 +227,19 @@ class CacheModelHarness {
       const TransferCache::Entry* e = cache_.Peek(k);
       ASSERT_NE(e, nullptr);
       digest_bytes[e->digest.ToString()] = e->bytes;
-      // Wire-format oracle: the resident blob is exactly what the
-      // encoder produces for the entry's tree, and the entry's priced
-      // bytes are that blob's length — the cache never charges an
-      // estimate that drifts from the bytes it would actually ship.
-      const std::string* blob = cache_.PeekEncoded(k);
-      ASSERT_NE(blob, nullptr);
-      EXPECT_EQ(*blob, wire::EncodeTree(*e->tree));
-      EXPECT_EQ(blob->size(), e->bytes);
       // Every resident entry is something the oracle once put — at a
       // version the oracle has not passed.
       auto it = oracle_.find(k);
       ASSERT_NE(it, oracle_.end());
       EXPECT_LE(e->origin_version, it->second.version);
+      // Wire-format oracle: the resident blob is exactly what the
+      // encoder produces for the content the oracle last put under this
+      // key, and the entry's priced bytes are that blob's length — the
+      // cache never charges an estimate that drifts from the bytes it
+      // would actually ship.
+      ASSERT_NE(e->encoded, nullptr);
+      EXPECT_EQ(*e->encoded, encoded_[it->second.content]);
+      EXPECT_EQ(e->encoded->size(), e->bytes);
     }
     EXPECT_EQ(digest_bytes.size(), cache_.blob_count());
     uint64_t total = 0;
@@ -283,6 +294,7 @@ class CacheModelHarness {
   TransferCache cache_;
   std::vector<TreePtr> contents_;
   std::vector<std::string> canonical_;
+  std::vector<std::string> encoded_;  ///< wire::EncodeTree of contents_
   std::map<ReplicaKey, OracleDoc> oracle_;
   std::vector<ReplicaKey> departures_;
   std::set<ReplicaKey> subscribed_;  ///< mirror of resident keys

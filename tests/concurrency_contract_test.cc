@@ -96,7 +96,8 @@ TEST_F(TransferCacheDeathTest, CrossThreadUseAborts) {
         TransferCache cache;
         NodeIdGen gen;
         TreePtr t = MakeTextElement("r", "x", &gen);
-        cache.Put(ReplicaKey{PeerId(0), "d"}, t, DigestOf(*t), 1);
+        cache.Put(ReplicaKey{PeerId(0), "d"},
+                  wire::EncodeTree(*t), DigestOf(*t), 1);
         std::thread trespasser(
             [&cache] { cache.Get(ReplicaKey{PeerId(0), "d"}, 1); });
         trespasser.join();
@@ -120,9 +121,11 @@ TEST_F(TransferCacheDeathTest, EvictListenerCallingBackAborts) {
               // while the entry map is mid-mutation.
               cache.Erase(key);
             });
-        cache.Put(ReplicaKey{PeerId(0), "a"}, first, DigestOf(*first), 1);
+        cache.Put(ReplicaKey{PeerId(0), "a"},
+                  wire::EncodeTree(*first), DigestOf(*first), 1);
         // Over budget: evicts "a", firing the listener inside Put.
-        cache.Put(ReplicaKey{PeerId(0), "b"}, second, DigestOf(*second), 1);
+        cache.Put(ReplicaKey{PeerId(0), "b"},
+                  wire::EncodeTree(*second), DigestOf(*second), 1);
       },
       "reentrancy: TransferCache::Erase entered while TransferCache::Put");
 }
@@ -141,8 +144,10 @@ TEST(TransferCacheContractTest, EvictListenerMayReadTheCache) {
                                         const TransferCache::Entry&) {
         keys_seen_during_evict = cache.Keys().size();
       });
-  cache.Put(ReplicaKey{PeerId(0), "a"}, first, DigestOf(*first), 1);
-  cache.Put(ReplicaKey{PeerId(0), "b"}, second, DigestOf(*second), 1);
+  cache.Put(ReplicaKey{PeerId(0), "a"},
+            wire::EncodeTree(*first), DigestOf(*first), 1);
+  cache.Put(ReplicaKey{PeerId(0), "b"},
+            wire::EncodeTree(*second), DigestOf(*second), 1);
   // The listener fires before the victim is unlinked, so it sees both
   // "a" (mid-drop) and the incoming "b".
   EXPECT_EQ(keys_seen_during_evict, 2u);
@@ -165,7 +170,8 @@ TEST(ReplicaManagerContractTest, DistinctKeyMutationsLegallyNest) {
   ASSERT_TRUE(sys.InstallDocument(owner, "d", t->CloneSameIds()).ok());
   ASSERT_TRUE(sys.replicas().InsertCopy(reader, owner, "d",
                                         t->Clone(sys.peer(reader)->gen()),
-                                        sys.replicas().Version(owner, "d")));
+                                        sys.replicas().Version(owner, "d"),
+                                        wire::EncodeTree(*t)));
   ASSERT_TRUE(sys.replicas().HasFresh(reader, owner, "d"));
   sys.replicas().NoteMutation(owner, "d");  // nests; must not abort
   EXPECT_FALSE(sys.replicas().HasFresh(reader, owner, "d"));
@@ -183,7 +189,8 @@ TEST_F(ReplicaManagerDeathTest, SameKeyMutationCycleAborts) {
         ASSERT_TRUE(
             sys.replicas().InsertCopy(reader, owner, "d",
                                       t->Clone(sys.peer(reader)->gen()),
-                                      sys.replicas().Version(owner, "d")));
+                                      sys.replicas().Version(owner, "d"),
+                                      wire::EncodeTree(*t)));
         // A buggy listener: when the push-drop removes reader's copy,
         // re-enter NoteMutation for the key whose fan-out is running.
         sys.peer(reader)->add_mutation_listener(
@@ -211,7 +218,8 @@ TEST(ReplicaManagerContractTest, CrashRejoinChurnNestsLegally) {
   ASSERT_TRUE(sys.InstallDocument(owner, "d", t->CloneSameIds()).ok());
   ASSERT_TRUE(sys.replicas().InsertCopy(reader, owner, "d",
                                         t->Clone(sys.peer(reader)->gen()),
-                                        sys.replicas().Version(owner, "d")));
+                                        sys.replicas().Version(owner, "d"),
+                                        wire::EncodeTree(*t)));
   // The notify is committed to the wire here; the synchronous push-drop
   // already removed reader's copy.
   sys.peer(owner)->PutDocument("d",
@@ -223,11 +231,10 @@ TEST(ReplicaManagerContractTest, CrashRejoinChurnNestsLegally) {
   // Round two: the holder crashes with a copy resident, the origin
   // moves on while it is down (the fan-out skips it), and the rejoin
   // reconciliation must drop the stale survivor before it can serve.
-  ASSERT_TRUE(sys.replicas().InsertCopy(reader, owner, "d",
-                                        sys.peer(owner)
-                                            ->GetDocument("d")
-                                            ->Clone(sys.peer(reader)->gen()),
-                                        sys.replicas().Version(owner, "d")));
+  TreePtr current = sys.peer(owner)->GetDocument("d");
+  ASSERT_TRUE(sys.replicas().InsertCopy(
+      reader, owner, "d", current->Clone(sys.peer(reader)->gen()),
+      sys.replicas().Version(owner, "d"), wire::EncodeTree(*current)));
   sys.CrashPeer(reader, CrashMode::kDurableCache);
   sys.peer(owner)->PutDocument("d",
                                MakeTextElement("r", "z", sys.peer(owner)->gen()));

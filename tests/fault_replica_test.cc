@@ -13,6 +13,7 @@
 #include "replica/replica_manager.h"
 #include "test_util.h"
 #include "xml/tree_equal.h"
+#include "xml/wire.h"
 
 namespace axml {
 namespace {
@@ -47,7 +48,8 @@ struct Pair {
     TreePtr truth = sys.peer(origin)->GetDocument("d");
     return sys.replicas().InsertCopy(reader, origin, "d",
                                      truth->Clone(sys.peer(reader)->gen()),
-                                     sys.replicas().Version(origin, "d"));
+                                     sys.replicas().Version(origin, "d"),
+                                     wire::EncodeTree(*truth));
   }
 
   void Mutate(int rev) {

@@ -53,9 +53,12 @@ TEST(TransferCacheTest, HitAfterPutAndVersionedInvalidation) {
   NodeIdGen gen;
   TreePtr t = Leafy("d", "payload", &gen);
   ReplicaKey key{PeerId(1), "d"};
-  ASSERT_TRUE(cache.Put(key, t, DigestOf(*t), /*origin_version=*/3));
+  ASSERT_TRUE(cache.Put(key, wire::EncodeTree(*t), DigestOf(*t),
+                        /*origin_version=*/3));
 
-  EXPECT_EQ(cache.Get(key, 3), t);
+  EncodedBlob hit = cache.Get(key, 3);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, wire::EncodeTree(*t));
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().bytes_saved, wire::EncodedTreeSize(*t));
 
@@ -78,11 +81,11 @@ TEST(TransferCacheTest, LruEvictsAtByteBudget) {
                       wire::EncodedTreeSize(*t3) / 2);
 
   ReplicaKey k1{PeerId(1), "d1"}, k2{PeerId(1), "d2"}, k3{PeerId(1), "d3"};
-  ASSERT_TRUE(cache.Put(k1, t1, DigestOf(*t1), 1));
-  ASSERT_TRUE(cache.Put(k2, t2, DigestOf(*t2), 1));
+  ASSERT_TRUE(cache.Put(k1, wire::EncodeTree(*t1), DigestOf(*t1), 1));
+  ASSERT_TRUE(cache.Put(k2, wire::EncodeTree(*t2), DigestOf(*t2), 1));
   // Touch k1 so k2 becomes least recently used.
   EXPECT_NE(cache.Get(k1, 1), nullptr);
-  ASSERT_TRUE(cache.Put(k3, t3, DigestOf(*t3), 1));
+  ASSERT_TRUE(cache.Put(k3, wire::EncodeTree(*t3), DigestOf(*t3), 1));
 
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_NE(cache.Peek(k1), nullptr);
@@ -97,7 +100,8 @@ TEST(TransferCacheTest, OverBudgetTreeIsRefused) {
   TreePtr big = MakeCatalog(64, &gen, &rng);
   TransferCache cache(wire::EncodedTreeSize(*big) - 1);
   EXPECT_FALSE(
-      cache.Put(ReplicaKey{PeerId(0), "big"}, big, DigestOf(*big), 1));
+      cache.Put(ReplicaKey{PeerId(0), "big"},
+                wire::EncodeTree(*big), DigestOf(*big), 1));
   EXPECT_EQ(cache.entry_count(), 0u);
 }
 
@@ -109,8 +113,8 @@ TEST(TransferCacheTest, IdenticalContentSharesOneBlob) {
   ASSERT_TRUE(TreesEqualUnordered(*a, *b));
 
   TransferCache cache(1 << 20);
-  cache.Put(ReplicaKey{PeerId(1), "d"}, a, DigestOf(*a), 1);
-  cache.Put(ReplicaKey{PeerId(2), "d"}, b, DigestOf(*b), 1);
+  cache.Put(ReplicaKey{PeerId(1), "d"}, wire::EncodeTree(*a), DigestOf(*a), 1);
+  cache.Put(ReplicaKey{PeerId(2), "d"}, wire::EncodeTree(*b), DigestOf(*b), 1);
 
   EXPECT_EQ(cache.entry_count(), 2u);
   EXPECT_EQ(cache.blob_count(), 1u);  // content-addressed: one stored blob
@@ -127,7 +131,8 @@ TEST(TransferCacheTest, ShrinkingBudgetEvictsImmediately) {
   TransferCache cache(1 << 20);
   for (int i = 0; i < 4; ++i) {
     TreePtr t = MakeCatalog(8, &gen, &rng);
-    cache.Put(ReplicaKey{PeerId(1), StrCat("d", i)}, t, DigestOf(*t), 1);
+    cache.Put(ReplicaKey{PeerId(1), StrCat("d", i)},
+              wire::EncodeTree(*t), DigestOf(*t), 1);
   }
   ASSERT_EQ(cache.entry_count(), 4u);
   cache.set_byte_budget(1);
@@ -363,7 +368,8 @@ TEST(ReplicaManagerTest, CacheBlobIsIsolatedFromTheInstalledDocument) {
   TwoPeers f;
   Evaluator ev(&f.sys, CachingOptions());
   ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
-  TreePtr blob = f.sys.replicas().LookupFresh(f.client, f.origin, "d");
+  TreePtr blob = testing::DecodeBlob(
+      f.sys.replicas().LookupFresh(f.client, f.origin, "d"));
   ASSERT_NE(blob, nullptr);
   const std::string pristine = CanonicalForm(*blob);
 
@@ -375,7 +381,8 @@ TEST(ReplicaManagerTest, CacheBlobIsIsolatedFromTheInstalledDocument) {
   installed->AddChild(
       Leafy("graffiti", "x", f.sys.peer(f.client)->gen()));
   EXPECT_EQ(CanonicalForm(
-                *f.sys.replicas().LookupFresh(f.client, f.origin, "d")),
+                *testing::DecodeBlob(f.sys.replicas().LookupFresh(
+                    f.client, f.origin, "d"))),
             pristine);
 }
 
@@ -482,7 +489,8 @@ TEST(PushRefreshTest, EagerRefreshRematerializesTheCopy) {
   // The copy re-materialized at the new version without any read.
   EXPECT_TRUE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
   EXPECT_FALSE(f.sys.replicas().IsRefreshInFlight(f.client, f.origin, "d"));
-  TreePtr copy = f.sys.replicas().LookupFresh(f.client, f.origin, "d");
+  TreePtr copy = testing::DecodeBlob(
+      f.sys.replicas().LookupFresh(f.client, f.origin, "d"));
   ASSERT_NE(copy, nullptr);
   EXPECT_TRUE(
       TreesEqualUnordered(*copy, *f.sys.peer(f.origin)->GetDocument("d")));
@@ -516,7 +524,8 @@ TEST(PushRefreshTest, BackToBackMutationsCoalesceOntoOneShipment) {
   f.sys.RunToQuiescence();
   EXPECT_EQ(ss.retries, 1u);    // the first shipment landed stale
   EXPECT_EQ(ss.refreshes, 1u);  // only the catch-up materialized
-  TreePtr copy = f.sys.replicas().LookupFresh(f.client, f.origin, "d");
+  TreePtr copy = testing::DecodeBlob(
+      f.sys.replicas().LookupFresh(f.client, f.origin, "d"));
   ASSERT_NE(copy, nullptr);
   EXPECT_TRUE(TreesEqualUnordered(*copy, *origin->GetDocument("d")));
 }

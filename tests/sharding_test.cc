@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -37,14 +38,22 @@ using testing::MakeRandomTree;
 using testing::ResultsEqual;
 using testing::TestSeed;
 
+/// The tree a shard or manifest blob encodes (a fresh decode per call).
+TreePtr Decode(const std::string& blob) {
+  static NodeIdGen gen;
+  Result<TreePtr> tree = wire::DecodeTree(blob, &gen);
+  EXPECT_TRUE(tree.ok());
+  return tree.ok() ? std::move(tree).value() : TreeNode::Text("");
+}
+
 /// Reassembles a ShardedDocument from its own shards (the in-memory
 /// identity lookup every round-trip test uses).
 TreePtr Reassemble(const ShardedDocument& sd, NodeIdGen* gen) {
   return AssembleDocument(
-      *sd.manifest,
+      *Decode(sd.manifest),
       [&sd](const std::string& id) -> TreePtr {
         for (const DocumentShard& s : sd.shards) {
-          if (s.id.ToString() == id) return s.content;
+          if (s.id.ToString() == id) return Decode(s.encoded);
         }
         return nullptr;
       },
@@ -78,15 +87,15 @@ TEST(ShardingTest, SplitRoundTripsCatalog) {
   cfg.max_shard_bytes = 2048;
   ASSERT_TRUE(ShouldShard(*doc, cfg));
 
-  ShardedDocument sd = SplitDocument(*doc, cfg, &gen);
-  EXPECT_TRUE(IsShardManifest(*sd.manifest));
+  ShardedDocument sd = SplitDocument(*doc, cfg);
+  EXPECT_TRUE(IsShardManifest(*Decode(sd.manifest)));
   EXPECT_GT(sd.shards.size(), 4u);
-  EXPECT_EQ(ManifestShardIds(*sd.manifest).size(), sd.shards.size());
+  EXPECT_EQ(ManifestShardIds(*Decode(sd.manifest)).size(), sd.shards.size());
 
   TreePtr back = Reassemble(sd, &gen);
   ASSERT_NE(back, nullptr);
   EXPECT_TRUE(TreesEqualUnordered(*doc, *back));
-  // The original was never aliased: shard contents are clones.
+  // The original was never aliased: the assembly is decoded from bytes.
   EXPECT_EQ(doc->SerializedSize(), back->SerializedSize());
 }
 
@@ -99,7 +108,7 @@ TEST(ShardingTest, SplitRoundTripsSeededRandomTrees) {
     ShardingConfig cfg;
     cfg.max_shard_bytes = 64 + rng.Uniform(512);
     if (!ShouldShard(*doc, cfg)) continue;
-    ShardedDocument sd = SplitDocument(*doc, cfg, &gen);
+    ShardedDocument sd = SplitDocument(*doc, cfg);
     TreePtr back = Reassemble(sd, &gen);
     ASSERT_NE(back, nullptr) << "iteration " << i;
     EXPECT_TRUE(TreesEqualUnordered(*doc, *back))
@@ -114,7 +123,7 @@ TEST(ShardingTest, ShardSizesRespectTheCap) {
   TreePtr doc = MakeCatalog(200, &gen, &rng);
   ShardingConfig cfg;
   cfg.max_shard_bytes = 4096;
-  ShardedDocument sd = SplitDocument(*doc, cfg, &gen);
+  ShardedDocument sd = SplitDocument(*doc, cfg);
   uint64_t largest_child = 0;
   for (const TreePtr& c : doc->children()) {
     largest_child = std::max(largest_child, c->SerializedSize());
@@ -123,15 +132,17 @@ TEST(ShardingTest, ShardSizesRespectTheCap) {
     // Grouping clamps are enforced on the XML serialization (so shard
     // boundaries are stable), and a shard holds whole subtrees: the
     // wrapper can exceed the cap only when a single child does.
-    EXPECT_LE(s.content->SerializedSize(),
+    TreePtr content = Decode(s.encoded);
+    EXPECT_LE(content->SerializedSize(),
               std::max(cfg.max_shard_bytes, largest_child) +
                   uint64_t{32} /* wrapper tags */);
-    // The priced size is the shard's encoded wire form.
-    EXPECT_EQ(s.bytes, wire::EncodedTreeSize(*s.content));
-    EXPECT_EQ(s.id, DigestOf(*s.content));
+    // The stored bytes are the shard tree's canonical encoding, and the
+    // shard is named by that tree's digest.
+    EXPECT_EQ(s.encoded, wire::EncodeTree(*content));
+    EXPECT_EQ(s.id, DigestOf(*content));
   }
   // The manifest is a sliver of the document.
-  EXPECT_LT(sd.manifest_bytes, doc->SerializedSize() / 10);
+  EXPECT_LT(sd.manifest_bytes(), doc->SerializedSize() / 10);
 }
 
 TEST(ShardingTest, ShardIdsAreStableAcrossSplits) {
@@ -140,14 +151,15 @@ TEST(ShardingTest, ShardIdsAreStableAcrossSplits) {
   TreePtr doc = MakeCatalog(100, &gen, &rng);
   ShardingConfig cfg;
   cfg.max_shard_bytes = 2048;
-  ShardedDocument a = SplitDocument(*doc, cfg, &gen);
-  ShardedDocument b = SplitDocument(*doc, cfg, &gen);
+  ShardedDocument a = SplitDocument(*doc, cfg);
+  ShardedDocument b = SplitDocument(*doc, cfg);
   ASSERT_EQ(a.shards.size(), b.shards.size());
   for (size_t i = 0; i < a.shards.size(); ++i) {
     EXPECT_EQ(a.shards[i].id, b.shards[i].id);
   }
   // Fresh node ids on every split do not leak into the identity.
-  EXPECT_EQ(ManifestShardIds(*a.manifest), ManifestShardIds(*b.manifest));
+  EXPECT_EQ(ManifestShardIds(*Decode(a.manifest)),
+            ManifestShardIds(*Decode(b.manifest)));
 }
 
 // --- Recursive sharding ---
@@ -165,15 +177,15 @@ TEST(ShardingTest, SingleHugeChildShardsRecursively) {
   ASSERT_GT(root->SerializedSize(), cfg.max_shard_bytes);
   EXPECT_TRUE(ShouldShard(*root, cfg));
 
-  ShardedDocument sd = SplitDocument(*root, cfg, &gen);
+  ShardedDocument sd = SplitDocument(*root, cfg);
   // The byte-budget guarantee holds below the root too: many capped
   // shards, not one oversized blob.
   EXPECT_GT(sd.shards.size(), 4u);
   EXPECT_EQ(sd.oversized_leaves, 0u);
   for (const DocumentShard& s : sd.shards) {
-    EXPECT_LE(s.bytes, cfg.max_shard_bytes + uint64_t{32});
+    EXPECT_LE(s.bytes(), cfg.max_shard_bytes + uint64_t{32});
   }
-  EXPECT_EQ(ManifestShardIds(*sd.manifest).size(), sd.shards.size());
+  EXPECT_EQ(ManifestShardIds(*Decode(sd.manifest)).size(), sd.shards.size());
   TreePtr back = Reassemble(sd, &gen);
   ASSERT_NE(back, nullptr);
   EXPECT_TRUE(TreesEqualUnordered(*root, *back));
@@ -203,21 +215,21 @@ TEST(ShardingTest, NestedManifestsRoundTripAcrossDepths) {
   }
   ASSERT_TRUE(ShouldShard(*root, cfg));
 
-  ShardedDocument sd = SplitDocument(*root, cfg, &gen);
+  ShardedDocument sd = SplitDocument(*root, cfg);
   EXPECT_EQ(sd.oversized_leaves, 0u);
   for (const DocumentShard& s : sd.shards) {
-    EXPECT_LE(s.bytes, cfg.max_shard_bytes + uint64_t{32});
+    EXPECT_LE(s.bytes(), cfg.max_shard_bytes + uint64_t{32});
   }
-  EXPECT_EQ(ManifestShardIds(*sd.manifest).size(), sd.shards.size());
+  EXPECT_EQ(ManifestShardIds(*Decode(sd.manifest)).size(), sd.shards.size());
   TreePtr back = Reassemble(sd, &gen);
   ASSERT_NE(back, nullptr);
   EXPECT_TRUE(TreesEqualUnordered(*root, *back));
 
   // Stability survives nesting: an identical re-split yields the same
   // ids in the same order.
-  ShardedDocument again = SplitDocument(*root, cfg, &gen);
-  EXPECT_EQ(ManifestShardIds(*sd.manifest),
-            ManifestShardIds(*again.manifest));
+  ShardedDocument again = SplitDocument(*root, cfg);
+  EXPECT_EQ(ManifestShardIds(*Decode(sd.manifest)),
+            ManifestShardIds(*Decode(again.manifest)));
 }
 
 TEST(ShardingTest, IndivisibleOversizedNodeTravelsAloneAndIsCounted) {
@@ -228,14 +240,14 @@ TEST(ShardingTest, IndivisibleOversizedNodeTravelsAloneAndIsCounted) {
   root->AddChild(MakeTextElement("blob", std::string(8192, 'x'), &gen));
   ShardingConfig cfg;
   cfg.max_shard_bytes = 1024;
-  ShardedDocument sd = SplitDocument(*root, cfg, &gen);
+  ShardedDocument sd = SplitDocument(*root, cfg);
   EXPECT_EQ(sd.oversized_leaves, 1u);
   size_t oversized = 0;
   for (const DocumentShard& s : sd.shards) {
-    if (s.bytes > cfg.max_shard_bytes + 32) {
+    if (s.bytes() > cfg.max_shard_bytes + 32) {
       ++oversized;
       // The only over-cap shard is the indivisible node, alone.
-      EXPECT_EQ(s.content->child_count(), 1u);
+      EXPECT_EQ(Decode(s.encoded)->child_count(), 1u);
     }
   }
   EXPECT_EQ(oversized, 1u);
@@ -271,17 +283,17 @@ TEST(ShardingTest, ContentDefinedInsertionDirtiesNeighborsOnly) {
 
   ShardingConfig cfg;
   cfg.max_shard_bytes = 2048;
-  const ShardedDocument before = SplitDocument(*doc, cfg, &gen);
+  const ShardedDocument before = SplitDocument(*doc, cfg);
   ASSERT_GT(before.shards.size(), 6u);
 
   // Insertion and deletion each dirty O(1) ids.
-  EXPECT_LE(DirtiedShardIds(before, SplitDocument(*grown, cfg, &gen)).size(),
+  EXPECT_LE(DirtiedShardIds(before, SplitDocument(*grown, cfg)).size(),
             3u);
   EXPECT_LE(
-      DirtiedShardIds(before, SplitDocument(*shrunk, cfg, &gen)).size(), 3u);
+      DirtiedShardIds(before, SplitDocument(*shrunk, cfg)).size(), 3u);
 
   // The split still round-trips the grown document exactly.
-  ShardedDocument sd = SplitDocument(*grown, cfg, &gen);
+  ShardedDocument sd = SplitDocument(*grown, cfg);
   TreePtr back = Reassemble(sd, &gen);
   ASSERT_NE(back, nullptr);
   EXPECT_TRUE(TreesEqualUnordered(*grown, *back));
@@ -302,8 +314,8 @@ TEST(ShardingTest, ContentDefinedStaysLocalAcrossSeeds) {
 
   ShardingConfig cfg;
   cfg.max_shard_bytes = 2048;
-  EXPECT_LE(DirtiedShardIds(SplitDocument(*doc, cfg, &gen),
-                            SplitDocument(*grown, cfg, &gen))
+  EXPECT_LE(DirtiedShardIds(SplitDocument(*doc, cfg),
+                            SplitDocument(*grown, cfg))
                 .size(),
             6u);
 }
@@ -315,12 +327,13 @@ TEST(ShardingTest, ContentDefinedGroupsRespectMinAndMaxClamps) {
   ShardingConfig cfg;
   cfg.max_shard_bytes = 2048;
   cfg.min_shard_bytes = 512;
-  ShardedDocument sd = SplitDocument(*doc, cfg, &gen);
+  ShardedDocument sd = SplitDocument(*doc, cfg);
   ASSERT_GT(sd.shards.size(), 4u);
   for (size_t i = 0; i < sd.shards.size(); ++i) {
     // The clamps act on the XML serialization (the grouping metric),
     // not the encoded wire size shards are priced at.
-    const uint64_t group_bytes = sd.shards[i].content->SerializedSize();
+    const uint64_t group_bytes =
+        Decode(sd.shards[i].encoded)->SerializedSize();
     EXPECT_LE(group_bytes, cfg.max_shard_bytes + uint64_t{32});
     // Every group but the trailing remainder reaches the min clamp
     // (wrapper bytes included, so the raw content bound is loose).
@@ -336,15 +349,15 @@ TEST(ShardingTest, AssemblyFailsClosedOnMissingShard) {
   TreePtr doc = MakeCatalog(64, &gen, &rng);
   ShardingConfig cfg;
   cfg.max_shard_bytes = 1024;
-  ShardedDocument sd = SplitDocument(*doc, cfg, &gen);
+  ShardedDocument sd = SplitDocument(*doc, cfg);
   // Lookup that "loses" the last shard.
   const std::string lost = sd.shards.back().id.ToString();
   TreePtr back = AssembleDocument(
-      *sd.manifest,
+      *Decode(sd.manifest),
       [&sd, &lost](const std::string& id) -> TreePtr {
         if (id == lost) return nullptr;
         for (const DocumentShard& s : sd.shards) {
-          if (s.id.ToString() == id) return s.content;
+          if (s.id.ToString() == id) return Decode(s.encoded);
         }
         return nullptr;
       },
@@ -376,10 +389,10 @@ TreePtr RepetitiveCatalog(NodeIdGen* gen) {
 void SeedHolder(const ShardedDocument& sd, PeerId origin, uint64_t version,
                 TransferCache* cache) {
   ASSERT_TRUE(cache->Put(ManifestKey(origin, "d"), sd.manifest,
-                         DigestOf(*sd.manifest), version));
+                         DigestOf(*Decode(sd.manifest)), version));
   for (const DocumentShard& s : sd.shards) {
     ASSERT_TRUE(cache->Put(ShardDataKey(origin, "d", s.id.ToString()),
-                           s.content, s.id, kImmutableShardVersion));
+                           s.encoded, s.id, kImmutableShardVersion));
   }
 }
 
@@ -388,11 +401,11 @@ TEST(ShardDeltaTest, PlanShipsEachMissingIdOnceAndAStaleManifest) {
   ShardingConfig cfg;
   cfg.max_shard_bytes = 1024;
   const ShardedDocument sd =
-      SplitDocument(*RepetitiveCatalog(&gen), cfg, &gen);
+      SplitDocument(*RepetitiveCatalog(&gen), cfg);
   std::set<std::string> ids;
   uint64_t distinct_bytes = 0;
   for (const DocumentShard& s : sd.shards) {
-    if (ids.insert(s.id.ToString()).second) distinct_bytes += s.bytes;
+    if (ids.insert(s.id.ToString()).second) distinct_bytes += s.bytes();
   }
   ASSERT_GT(sd.shards.size(), ids.size());
   const PeerId origin(0);
@@ -402,7 +415,7 @@ TEST(ShardDeltaTest, PlanShipsEachMissingIdOnceAndAStaleManifest) {
   EXPECT_TRUE(cold.ships_manifest());
   EXPECT_EQ(cold.distinct.size(), ids.size());
   EXPECT_EQ(cold.missing.size(), ids.size());
-  EXPECT_EQ(cold.bytes(), sd.manifest_bytes + distinct_bytes);
+  EXPECT_EQ(cold.bytes(), sd.manifest_bytes() + distinct_bytes);
 
   // A complete holder at the planned version ships nothing.
   TransferCache cache;
@@ -418,7 +431,7 @@ TEST(ShardDeltaTest, PlanShipsEachMissingIdOnceAndAStaleManifest) {
   const ShardDelta stale = PlanShardDelta(sd, &cache, origin, "d", 3);
   EXPECT_TRUE(stale.ships_manifest());
   EXPECT_TRUE(stale.missing.empty());
-  EXPECT_EQ(stale.bytes(), sd.manifest_bytes);
+  EXPECT_EQ(stale.bytes(), sd.manifest_bytes());
 }
 
 TEST(ShardDeltaTest, AMissingShardLeavesTheCopyIncomplete) {
@@ -427,29 +440,69 @@ TEST(ShardDeltaTest, AMissingShardLeavesTheCopyIncomplete) {
   TreePtr doc = MakeCatalog(64, &gen, &rng);
   ShardingConfig cfg;
   cfg.max_shard_bytes = 1024;
-  const ShardedDocument sd = SplitDocument(*doc, cfg, &gen);
+  const ShardedDocument sd = SplitDocument(*doc, cfg);
   const PeerId origin(0);
   TransferCache cache;
   SeedHolder(sd, origin, /*version=*/2, &cache);
 
-  TreePtr copy = AssembleResident(cache, origin, "d", *sd.manifest, &gen);
+  TreePtr manifest = Decode(sd.manifest);
+  TreePtr copy =
+      AssembleResident(cache, origin, "d", *manifest, &gen, nullptr);
   ASSERT_NE(copy, nullptr);
   EXPECT_TRUE(TreesEqualUnordered(*copy, *doc));
-  EXPECT_GT(ResidentShardBytes(cache, origin, "d", *sd.manifest), 0u);
+  EXPECT_GT(ResidentShardBytes(cache, origin, "d", *manifest), 0u);
 
   const DocumentShard& lost = sd.shards.back();
   ASSERT_TRUE(cache.Erase(ShardDataKey(origin, "d", lost.id.ToString())));
   const uint64_t minted = gen.minted();
-  EXPECT_EQ(AssembleResident(cache, origin, "d", *sd.manifest, &gen),
+  EXPECT_EQ(AssembleResident(cache, origin, "d", *manifest, &gen, nullptr),
             nullptr);
   EXPECT_EQ(gen.minted(), minted);  // gave up before building anything
-  EXPECT_EQ(ResidentShardBytes(cache, origin, "d", *sd.manifest), 0u);
+  EXPECT_EQ(ResidentShardBytes(cache, origin, "d", *manifest), 0u);
   // The next delta is exactly the lost shard.
   const ShardDelta gap = PlanShardDelta(sd, &cache, origin, "d", 2);
   EXPECT_FALSE(gap.ships_manifest());
   ASSERT_EQ(gap.missing.size(), 1u);
   EXPECT_EQ(gap.missing[0]->id.ToString(), lost.id.ToString());
-  EXPECT_EQ(gap.bytes(), lost.bytes);
+  EXPECT_EQ(gap.bytes(), lost.bytes());
+}
+
+TEST(ShardDeltaTest, ALandedShardMustDigestToTheIdItWasShippedUnder) {
+  NodeIdGen gen;
+  Rng rng(47);
+  ShardingConfig cfg;
+  cfg.max_shard_bytes = 1024;
+  const ShardedDocument sd = SplitDocument(*MakeCatalog(64, &gen, &rng), cfg);
+  const PeerId origin(0);
+  const ShardDelta cold = PlanShardDelta(sd, nullptr, origin, "d", 2);
+  ASSERT_GE(cold.missing.size(), 2u);
+  const wire::Payload honest =
+      EncodeCopyShipment(origin, "d", 2, &cold, nullptr, nullptr);
+
+  // Untampered, every shard lands under the id it was shipped under,
+  // carrying the bytes the origin stored.
+  std::optional<ShipmentPayload> landed =
+      DecodeCopyShipment(honest, nullptr, &gen, nullptr);
+  ASSERT_TRUE(landed.has_value());
+  ASSERT_EQ(landed->shards.size(), cold.missing.size());
+  for (size_t i = 0; i < cold.missing.size(); ++i) {
+    EXPECT_EQ(landed->shards[i].id, cold.missing[i]->id);
+    EXPECT_EQ(landed->shards[i].encoded, cold.missing[i]->encoded);
+  }
+  EXPECT_EQ(landed->manifest, sd.manifest);
+
+  // One shard re-labelled with another shard's id: its bytes no longer
+  // digest to the name it would be cached under.
+  Result<wire::Shipment> ship = wire::DecodeShipment(honest);
+  ASSERT_TRUE(ship.ok());
+  ship->shards[0].id = ship->shards[1].id;
+  const wire::Payload forged = wire::EncodeShipment(ship.value());
+#if defined(GTEST_HAS_DEATH_TEST) && !defined(AXML_DISABLE_DCHECKS)
+  EXPECT_DEATH((void)DecodeCopyShipment(forged, nullptr, &gen, nullptr),
+               "digests to");
+#else
+  EXPECT_FALSE(DecodeCopyShipment(forged, nullptr, &gen, nullptr));
+#endif
 }
 
 // --- Sharded replication through the system ---
@@ -722,16 +775,11 @@ struct PartialHolders {
                     std::vector<std::string>* ids) {
       std::vector<DocumentShard> subset;
       for (size_t i = from; i < to; ++i) {
-        DocumentShard s;
-        s.id = sd->shards[i].id;
-        s.bytes = sd->shards[i].bytes;
-        s.content = sd->shards[i].content->Clone(sys.peer(reader)->gen());
-        ids->push_back(s.id.ToString());
-        subset.push_back(std::move(s));
+        ids->push_back(sd->shards[i].id.ToString());
+        subset.push_back(sd->shards[i]);
       }
       ASSERT_TRUE(sys.replicas().InsertShardedCopy(
-          reader, origin, "d",
-          sd->manifest->Clone(sys.peer(reader)->gen()), subset, version));
+          reader, origin, "d", sd->manifest, subset, version));
     };
     seed(a, 0, half, &a_ids);
     seed(b, half, sd->shards.size(), &b_ids);
@@ -872,16 +920,33 @@ TEST(ShardedReplicaTest, ColdDeltaNeverPricesAboveWholeTransfer) {
 TEST(ShardedReplicaTest, DeltaPriceIsWhatTheNextReadShips) {
   ShardedPeers f;
   ReplicaManager& replicas = f.sys.replicas();
-  const size_t kTree = static_cast<size_t>(wire::MessageClass::kTree);
-  // Tree bytes one read-path fetch encodes (at launch, synchronously):
-  // the manifest when stale plus every shard it ships.
+  // Tree bytes one read-path fetch ships: the manifest when stale plus
+  // every shard the reader lacks. The shipment FetchForRead sends (at
+  // launch, synchronously) must be exactly the one its plan encodes,
+  // and the tree blobs inside that shipment are what it ships.
   auto fetch = [&] {
-    const uint64_t before = f.sys.wire_stats().class_bytes[kTree];
+    const uint64_t version = replicas.Version(f.origin, "d");
+    const ShardDelta plan =
+        PlanShardDelta(*replicas.OriginShards(f.origin, "d"),
+                       replicas.FindCache(f.client), f.origin, "d", version);
+    const wire::Payload planned = EncodeCopyShipment(
+        f.origin, "d", version, &plan, nullptr, /*stats=*/nullptr);
+    Result<wire::Shipment> carried = wire::DecodeShipment(planned);
+    EXPECT_TRUE(carried.ok());
+    uint64_t shipped = carried.ok() ? carried->manifest.size() : 0;
+    if (carried.ok()) {
+      for (const wire::Shipment::Shard& s : carried->shards) {
+        shipped += s.tree.size();
+      }
+    }
+    const NetStats& net = f.sys.network().stats();
+    const uint64_t before = net.class_bytes(wire::MessageClass::kShipment);
     bool delivered = false;
     EXPECT_TRUE(replicas.FetchForRead(
         f.client, f.origin, "d",
         [&delivered](TreePtr t) { delivered = t != nullptr; }));
-    const uint64_t shipped = f.sys.wire_stats().class_bytes[kTree] - before;
+    EXPECT_EQ(net.class_bytes(wire::MessageClass::kShipment) - before,
+              planned.size());
     f.sys.RunToQuiescence();
     EXPECT_TRUE(delivered);
     return shipped;

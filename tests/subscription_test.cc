@@ -103,7 +103,7 @@ TEST(VersionContractTest, FirstEverMutationInvalidatesPreexistingCopies) {
   const uint64_t snap = sys.replicas().Version(owner, "d");
   ASSERT_TRUE(sys.replicas().InsertCopy(reader, owner, "d",
                                         t->Clone(sys.peer(reader)->gen()),
-                                        snap));
+                                        snap, wire::EncodeTree(*t)));
   ASSERT_TRUE(sys.replicas().HasFresh(reader, owner, "d"));
   // The first-ever mutation event must strand that copy.
   sys.replicas().NoteMutation(owner, "d");
@@ -135,7 +135,8 @@ TEST(CacheStatsTest, RefusedOverBudgetPutCountsNothing) {
   TreePtr big = MakeCatalog(64, &gen, &rng);
   TransferCache cache(wire::EncodedTreeSize(*big) - 1);
   EXPECT_FALSE(
-      cache.Put(ReplicaKey{PeerId(0), "big"}, big, DigestOf(*big), 1));
+      cache.Put(ReplicaKey{PeerId(0), "big"},
+                wire::EncodeTree(*big), DigestOf(*big), 1));
   EXPECT_EQ(cache.stats().inserts, 0u);
   EXPECT_EQ(cache.stats().evictions, 0u);
   EXPECT_EQ(cache.resident_bytes(), 0u);
@@ -149,8 +150,8 @@ TEST(CacheStatsTest, OverwriteReleasesTheOldBlobBeforeCharging) {
   TreePtr v2 = MakeCatalog(8, &gen, &rng);
   TransferCache cache(1 << 20);
   const ReplicaKey key{PeerId(1), "d"};
-  ASSERT_TRUE(cache.Put(key, v1, DigestOf(*v1), 1));
-  ASSERT_TRUE(cache.Put(key, v2, DigestOf(*v2), 2));
+  ASSERT_TRUE(cache.Put(key, wire::EncodeTree(*v1), DigestOf(*v1), 1));
+  ASSERT_TRUE(cache.Put(key, wire::EncodeTree(*v2), DigestOf(*v2), 2));
   EXPECT_EQ(cache.entry_count(), 1u);
   EXPECT_EQ(cache.blob_count(), 1u);
   EXPECT_EQ(cache.resident_bytes(), wire::EncodedTreeSize(*v2));
@@ -173,11 +174,13 @@ TEST(CacheStatsTest, PromotionErasesEveryDedupAliasOfTheBlob) {
   TreePtr a = MakeCatalog(8, &g1, &r1);
   TreePtr b = MakeCatalog(8, &g2, &r2);
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, o1, "d", a, sys.replicas().Version(o1, "d")));
+      reader, o1, "d", a, sys.replicas().Version(o1, "d"),
+      wire::EncodeTree(*a)));
   // The second origin publishes the same content under another name, so
   // both cache entries live in the reader's cache and share the blob.
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, o2, "mirror", b, sys.replicas().Version(o2, "mirror")));
+      reader, o2, "mirror", b, sys.replicas().Version(o2, "mirror"),
+      wire::EncodeTree(*b)));
   const TransferCache* cache = sys.replicas().FindCache(reader);
   ASSERT_NE(cache, nullptr);
   ASSERT_EQ(cache->entry_count(), 2u);
@@ -201,9 +204,12 @@ TEST(CacheStatsTest, BudgetEvictionCountsFreedBytesAndPolicyVictims) {
   TreePtr b = MakeCatalog(8, &gen, &rng);
   TreePtr c = MakeCatalog(8, &gen, &rng);
   TransferCache cache(1 << 20);
-  ASSERT_TRUE(cache.Put(ReplicaKey{PeerId(0), "a"}, a, DigestOf(*a), 1));
-  ASSERT_TRUE(cache.Put(ReplicaKey{PeerId(0), "b"}, b, DigestOf(*b), 1));
-  ASSERT_TRUE(cache.Put(ReplicaKey{PeerId(0), "c"}, c, DigestOf(*c), 1));
+  ASSERT_TRUE(cache.Put(ReplicaKey{PeerId(0), "a"},
+                        wire::EncodeTree(*a), DigestOf(*a), 1));
+  ASSERT_TRUE(cache.Put(ReplicaKey{PeerId(0), "b"},
+                        wire::EncodeTree(*b), DigestOf(*b), 1));
+  ASSERT_TRUE(cache.Put(ReplicaKey{PeerId(0), "c"},
+                        wire::EncodeTree(*c), DigestOf(*c), 1));
   const uint64_t resident_before = cache.resident_bytes();
   // Shrink to hold only the newest entry: two LRU victims depart and
   // their blob bytes are the reported churn.
@@ -235,9 +241,11 @@ TEST(CacheStatsTest, DedupAliasEvictionFreesBlobBytesOnlyOnce) {
   TreePtr b = MakeCatalog(8, &g2, &r2);
   const uint64_t blob_bytes = wire::EncodedTreeSize(*a);
   TransferCache cache(1 << 20);
-  ASSERT_TRUE(cache.Put(ReplicaKey{PeerId(1), "d"}, a, DigestOf(*a), 1));
+  ASSERT_TRUE(cache.Put(ReplicaKey{PeerId(1), "d"},
+                        wire::EncodeTree(*a), DigestOf(*a), 1));
   ASSERT_TRUE(
-      cache.Put(ReplicaKey{PeerId(2), "mirror"}, b, DigestOf(*b), 1));
+      cache.Put(ReplicaKey{PeerId(2), "mirror"},
+                wire::EncodeTree(*b), DigestOf(*b), 1));
   ASSERT_EQ(cache.blob_count(), 1u);
   ASSERT_EQ(cache.resident_bytes(), blob_bytes);
   // Force both aliases out.
@@ -254,7 +262,8 @@ TEST(CacheStatsTest, VictimCountsSplitByPolicyAcrossASwitch) {
   auto fill = [&](const char* prefix) {
     for (int i = 0; i < 3; ++i) {
       TreePtr t = MakeCatalog(4 + i, &gen, &rng);
-      ASSERT_TRUE(cache.Put(ReplicaKey{PeerId(0), StrCat(prefix, i)}, t,
+      ASSERT_TRUE(cache.Put(ReplicaKey{PeerId(0), StrCat(prefix, i)},
+                            wire::EncodeTree(*t),
                             DigestOf(*t), 1));
     }
   };
@@ -297,13 +306,16 @@ TEST(CacheStatsTest, CostAwareProtectsTheExpensiveDistantCopy) {
   sys.replicas().set_default_byte_budget(wire::EncodedTreeSize(*big) +
                                          wire::EncodedTreeSize(*small) + 64);
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, far, "hot", big, sys.replicas().Version(far, "hot")));
+      reader, far, "hot", big, sys.replicas().Version(far, "hot"),
+      wire::EncodeTree(*big)));
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, near, "c0", small, sys.replicas().Version(near, "c0")));
+      reader, near, "c0", small, sys.replicas().Version(near, "c0"),
+      wire::EncodeTree(*small)));
   // Over budget now: someone must go — the cheap nearby copy, not the
   // expensive distant one, even though the distant one is older.
   ASSERT_TRUE(sys.replicas().InsertCopy(
-      reader, near, "c1", extra, sys.replicas().Version(near, "c1")));
+      reader, near, "c1", extra, sys.replicas().Version(near, "c1"),
+      wire::EncodeTree(*extra)));
   EXPECT_TRUE(sys.replicas().HasFresh(reader, far, "hot"));
   EXPECT_FALSE(sys.replicas().HasFresh(reader, near, "c0"));
   EXPECT_GT(sys.replicas().TotalStats().bytes_evicted, 0u);
@@ -320,10 +332,10 @@ TEST(CacheStatsTest, TotalStatsSumsAcrossPeersAndUncachedMisses) {
 
   ASSERT_TRUE(sys.replicas().InsertCopy(
       r1, owner, "d", t->Clone(sys.peer(r1)->gen()),
-      sys.replicas().Version(owner, "d")));
+      sys.replicas().Version(owner, "d"), wire::EncodeTree(*t)));
   ASSERT_TRUE(sys.replicas().InsertCopy(
       r2, owner, "d", t->Clone(sys.peer(r2)->gen()),
-      sys.replicas().Version(owner, "d")));
+      sys.replicas().Version(owner, "d"), wire::EncodeTree(*t)));
   // r1: one hit. r2: one hit, one (stale-free) hit. A third peer that
   // never cached: one manager-side miss.
   EXPECT_NE(sys.replicas().LookupFresh(r1, owner, "d"), nullptr);

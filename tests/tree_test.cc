@@ -126,11 +126,44 @@ TEST(TreeTest, FirstChildLabeled) {
   EXPECT_EQ(root->FirstChildLabeled(InternLabel("zz")), nullptr);
 }
 
+/// A random tree whose text and attribute values mix in the escaped
+/// characters, with `@name` attribute children, empty elements and
+/// empty text.
+TreePtr MakeEscapeHeavyTree(size_t n, NodeIdGen* gen, Rng* rng) {
+  static const char* kLabels[] = {"a", "item", "@id", "@k", "x"};
+  static const char kChars[] = "&<>\"'ab z";
+  auto text = [rng] {
+    std::string t;
+    for (size_t i = rng->Index(6); i > 0; --i) {
+      t.push_back(kChars[rng->Index(sizeof(kChars) - 1)]);
+    }
+    return t;
+  };
+  std::vector<TreePtr> pool{TreeNode::Element("root", gen)};
+  for (size_t i = 1; i < n; ++i) {
+    TreePtr parent = pool[rng->Index(pool.size())];
+    TreePtr child = TreeNode::Element(kLabels[rng->Index(5)], gen);
+    // An `@` child with exactly one text leaf serializes as an
+    // attribute; other shapes stay elements.
+    if (rng->Bernoulli(0.5)) child->AddChild(TreeNode::Text(text()));
+    parent->AddChild(child);
+    pool.push_back(child);
+    if (rng->Bernoulli(0.2)) parent->AddChild(TreeNode::Text(text()));
+  }
+  return pool[0];
+}
+
 TEST(TreeTest, SerializedSizeMatchesSerializer) {
-  NodeIdGen gen;
-  Rng rng(5);
-  TreePtr t = testing::MakeRandomTree(50, &gen, &rng);
-  EXPECT_EQ(t->SerializedSize(), SerializeCompact(*t).size());
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    NodeIdGen gen;
+    Rng rng(seed);
+    TreePtr plain = testing::MakeRandomTree(50, &gen, &rng);
+    EXPECT_EQ(plain->SerializedSize(), SerializeCompact(*plain).size())
+        << "seed " << seed;
+    TreePtr escaped = MakeEscapeHeavyTree(1 + rng.Index(60), &gen, &rng);
+    EXPECT_EQ(escaped->SerializedSize(), SerializeCompact(*escaped).size())
+        << "seed " << seed << ": " << SerializeCompact(*escaped);
+  }
 }
 
 TEST(LabelInternerTest, InternIsIdempotent) {
