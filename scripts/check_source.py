@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific source lints the compiler cannot enforce.
 
-Seven checks over src/ (and tests/, bench/, examples/ where noted),
+Eight checks over src/ (and tests/, bench/, examples/ where noted),
 each pinning a repo-wide contract that used to live only in review
 comments:
 
@@ -59,6 +59,16 @@ comments:
                        already exist. The one call that encodes an
                        unsharded whole document for shipment carries
                        the waiver.
+
+  no-threads           One simulation per thread, one thread per
+                       process: nothing in src/, tests/, bench/ or
+                       examples/ starts a thread or takes a lock, so
+                       the simulator needs no thread-safety machinery.
+                       std::thread, std::jthread, std::async,
+                       pthread_create, std::mutex, std::shared_mutex and
+                       std::condition_variable are banned there.
+                       std::atomic (the log level) and
+                       std::this_thread::sleep_for stay legal.
 
 Suppressions: append ``// lint: allow-<check>`` (e.g. ``// lint:
 allow-determinism``) to the flagged line or the line above. Use rarely;
@@ -402,6 +412,33 @@ def check_injected_rng(sf: SourceFile) -> Iterator[Finding]:
                 )
 
 
+# --- no-threads ---
+
+_THREAD_RES = [
+    (re.compile(r"\bstd\s*::\s*j?thread\b"), "std::thread"),
+    (re.compile(r"\bstd\s*::\s*async\b"), "std::async"),
+    (re.compile(r"\bpthread_create\s*\("), "pthread_create()"),
+    (re.compile(r"\bstd\s*::\s*(?:shared_)?mutex\b"), "std::mutex"),
+    (re.compile(r"\bstd\s*::\s*condition_variable\b"),
+     "std::condition_variable"),
+]
+
+
+def check_no_threads(sf: SourceFile) -> Iterator[Finding]:
+    """One thread per process: no thread starts, no locks."""
+    for i, line in enumerate(sf.code, 1):
+        for pattern, what in _THREAD_RES:
+            if pattern.search(line) and not suppressed(sf, i, "no-threads"):
+                yield Finding(
+                    sf.path,
+                    i,
+                    "no-threads",
+                    f"{what} in a one-thread simulator — a System runs "
+                    "on one thread and nothing here is shared across "
+                    "threads; run two simulations as two processes",
+                )
+
+
 def run_checks() -> list[Finding]:
     findings: list[Finding] = []
     for path in cxx_files(["src", "tests", "bench", "examples"]):
@@ -418,6 +455,7 @@ def run_checks() -> list[Finding]:
         if rel_posix.startswith(REPLICA_ENCODE_DIR + "/"):
             findings.extend(check_replica_encode(sf))
         findings.extend(check_determinism(sf))
+        findings.extend(check_no_threads(sf))
         findings.extend(check_unordered_iteration(sf))
         findings.extend(check_raw_new_delete(sf))
     return findings

@@ -133,6 +133,13 @@ class InjectedRngTest(unittest.TestCase):
             self.assertEqual(list(cs.check_injected_rng(sf)), [], name)
 
 
+class NoThreadsTest(unittest.TestCase):
+    def test_flags_threads_and_locks_not_atomics_or_sleep(self) -> None:
+        sf = fixture("bad_thread.cc")
+        findings = list(cs.check_no_threads(sf))
+        self.assertEqual(flagged_lines(findings, "no-threads"), marked_lines(sf))
+
+
 class CleanFixtureTest(unittest.TestCase):
     def test_no_check_fires_on_clean_code(self) -> None:
         sf = fixture("clean.cc")
@@ -140,6 +147,7 @@ class CleanFixtureTest(unittest.TestCase):
             list(cs.check_determinism(sf))
             + list(cs.check_unordered_iteration(sf))
             + list(cs.check_raw_new_delete(sf))
+            + list(cs.check_no_threads(sf))
         )
         self.assertEqual(findings, [])
 

@@ -6,7 +6,7 @@
 // not call back into this object" — this guard enforces it: the
 // non-reentrant method opens an AXML_REENTRANCY_GUARD scope; a callback
 // that re-enters hits the still-armed guard and aborts with both
-// locations (death-tested in tests/concurrency_contract_test.cc).
+// locations (death-tested in tests/reentrancy_contract_test.cc).
 // AXML_DCHECK tier: compiled out under AXML_DISABLE_DCHECKS, a bool
 // set/clear otherwise.
 

@@ -8,20 +8,17 @@
 namespace axml {
 
 void EventLoop::ScheduleAt(SimTime t, Callback cb) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(cb != nullptr);
   if (t < now_) t = now_;
   queue_.push(Event{t, next_seq_++, std::move(cb)});
 }
 
 void EventLoop::ScheduleAfter(SimTime delay, Callback cb) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK_GE(delay, 0.0);
   ScheduleAt(now_ + delay, std::move(cb));
 }
 
 uint64_t EventLoop::AddPeriodic(SimTime interval, Callback cb) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(cb != nullptr);
   AXML_CHECK_GT(interval, 0.0);
   const uint64_t id = next_periodic_id_++;
@@ -31,7 +28,6 @@ uint64_t EventLoop::AddPeriodic(SimTime interval, Callback cb) {
 }
 
 void EventLoop::RemovePeriodic(uint64_t id) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   for (auto it = periodics_.begin(); it != periodics_.end(); ++it) {
     if (it->id == id) {
       periodics_.erase(it);
@@ -80,7 +76,6 @@ void EventLoop::FirePeriodics() {
 }
 
 bool EventLoop::RunOne() {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (queue_.empty()) return false;
   // Periodic tasks due before the head event fire first — the head's
   // timestamp is where virtual time is headed, and a tick may post new
@@ -104,7 +99,6 @@ uint64_t EventLoop::Run() {
 }
 
 uint64_t EventLoop::RunUntil(SimTime t) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   uint64_t n = 0;
   while (!queue_.empty() && queue_.top().time <= t) {
     RunOne();

@@ -13,18 +13,12 @@
 #include <queue>
 #include <vector>
 
-#include "common/sequence_checker.h"
-#include "common/thread_annotations.h"
 #include "net/sim_time.h"
 
 namespace axml {
 
-/// Single-sequence virtual-time event loop. The loop — queue, clock and
-/// periodic registry — is affine to the thread that drives it
-/// (SequenceChecker-enforced; docs/architecture.md has the contract):
-/// scheduling from another thread needs an explicit cross-thread
-/// mailbox, which the planned worker-thread split will add *next to*
-/// this queue, not inside it.
+/// Virtual-time event loop. Like every simulation object, it belongs to
+/// the one thread that runs its System (docs/architecture.md).
 class EventLoop {
  public:
   using Callback = std::function<void()>;
@@ -34,10 +28,7 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Current virtual time.
-  SimTime now() const {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return now_;
-  }
+  SimTime now() const { return now_; }
 
   /// Schedules `cb` to run at absolute time `t` (clamped to now()).
   void ScheduleAt(SimTime t, Callback cb);
@@ -69,18 +60,9 @@ class EventLoop {
   /// drains earlier. Returns events executed.
   uint64_t RunUntil(SimTime t);
 
-  bool empty() const {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return queue_.empty();
-  }
-  size_t pending() const {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return queue_.size();
-  }
-  uint64_t executed() const {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return executed_;
-  }
+  bool empty() const { return queue_.empty(); }
+  size_t pending() const { return queue_.size(); }
+  uint64_t executed() const { return executed_; }
 
  private:
   struct Event {
@@ -105,18 +87,14 @@ class EventLoop {
   /// earliest first, re-reading the head after every firing (a tick may
   /// post events — possibly earlier than the old head — or mutate the
   /// registry).
-  void FirePeriodics() AXML_REQUIRES(sequence_checker_);
+  void FirePeriodics();
 
-  SequenceChecker sequence_checker_;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_
-      AXML_GUARDED_BY_CONTEXT(sequence_checker_);
-  std::vector<Periodic> periodics_
-      AXML_GUARDED_BY_CONTEXT(sequence_checker_);
-  SimTime now_ AXML_GUARDED_BY_CONTEXT(sequence_checker_) = kSimStart;
-  uint64_t next_seq_ AXML_GUARDED_BY_CONTEXT(sequence_checker_) = 0;
-  uint64_t next_periodic_id_
-      AXML_GUARDED_BY_CONTEXT(sequence_checker_) = 1;
-  uint64_t executed_ AXML_GUARDED_BY_CONTEXT(sequence_checker_) = 0;
+  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Periodic> periodics_;
+  SimTime now_ = kSimStart;
+  uint64_t next_seq_ = 0;
+  uint64_t next_periodic_id_ = 1;
+  uint64_t executed_ = 0;
 };
 
 }  // namespace axml

@@ -28,7 +28,6 @@ Network::DeliverFn CarryPayload(std::shared_ptr<const wire::Payload> p,
 
 void Network::Send(PeerId from, PeerId to, uint64_t bytes,
                    DeliverFn on_deliver) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(from.is_concrete());
   AXML_CHECK(to.is_concrete());
   stats_.Record(from, to, bytes);
@@ -37,7 +36,6 @@ void Network::Send(PeerId from, PeerId to, uint64_t bytes,
 
 void Network::SendNotify(PeerId from, PeerId to, uint64_t bytes,
                          DeliverFn on_deliver) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(from.is_concrete());
   AXML_CHECK(to.is_concrete());
   stats_.RecordNotify(from, to, bytes);
@@ -46,7 +44,6 @@ void Network::SendNotify(PeerId from, PeerId to, uint64_t bytes,
 
 void Network::SendReliable(PeerId from, PeerId to, uint64_t bytes,
                            DeliverFn on_deliver) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(from.is_concrete());
   AXML_CHECK(to.is_concrete());
   stats_.Record(from, to, bytes);
@@ -100,7 +97,6 @@ void Network::ReliableAttempt(PeerId from, PeerId to, uint64_t bytes,
   // endpoint has crashed is abandoned instead — retrying into a down
   // peer forever would keep the event loop alive.
   DeliverFn on_drop = [this, from, to, bytes, on_deliver]() {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     if (!IsPeerUp(from) || !IsPeerUp(to)) return;
     const LinkParams link = topology_.Get(from, to);
     const SimTime rto =
@@ -108,7 +104,6 @@ void Network::ReliableAttempt(PeerId from, PeerId to, uint64_t bytes,
                      static_cast<double>(bytes) / link.bandwidth_bps,
                  kMinRetryDelay);
     loop_->ScheduleAfter(rto, [this, from, to, bytes, on_deliver]() {
-      AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
       if (!IsPeerUp(from) || !IsPeerUp(to)) return;
       stats_.Record(from, to, bytes);  // the retransmission is real bytes
       ReliableAttempt(from, to, bytes, on_deliver);
@@ -176,7 +171,6 @@ bool Network::ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
   loop_->ScheduleAt(
       arrival, [this, to, bytes, cb = std::move(on_deliver),
                 drop_cb = std::move(guarded_drop)]() mutable {
-        AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
         if (!IsPeerUp(to)) {
           stats_.RecordDrop(bytes);
           if (drop_cb) drop_cb();
@@ -190,7 +184,6 @@ bool Network::ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
 void Network::ControlRoundtrip(PeerId from, PeerId to, uint64_t messages,
                                uint64_t bytes, SimTime delay,
                                DeliverFn on_done) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(from.is_concrete());
   AXML_CHECK(to.is_concrete());
   stats_.RecordControl(messages, bytes);
@@ -204,11 +197,9 @@ void Network::ControlAttempt(PeerId from, PeerId to, uint64_t bytes,
   // retry. Only a crashed requester abandons the exchange — catalog
   // servers answer whoever is still alive.
   DeliverFn on_drop = [this, from, to, bytes, delay, on_done]() {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     if (!IsPeerUp(from)) return;
     const SimTime backoff = std::max(delay, kMinRetryDelay);
     loop_->ScheduleAfter(backoff, [this, from, to, bytes, delay, on_done]() {
-      AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
       if (!IsPeerUp(from)) return;
       stats_.RecordControl(1, bytes);
       ControlAttempt(from, to, bytes, delay, on_done);
@@ -220,7 +211,6 @@ void Network::ControlAttempt(PeerId from, PeerId to, uint64_t bytes,
 }
 
 void Network::SetPeerUp(PeerId peer, bool up) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(peer.is_concrete());
   if (up) {
     down_peers_.erase(peer.index());
@@ -230,7 +220,6 @@ void Network::SetPeerUp(PeerId peer, bool up) {
 }
 
 bool Network::IsPeerUp(PeerId peer) const {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   return down_peers_.count(peer.index()) == 0;
 }
 

@@ -14,8 +14,6 @@
 #include <unordered_set>
 
 #include "common/ids.h"
-#include "common/sequence_checker.h"
-#include "common/thread_annotations.h"
 #include "net/event_loop.h"
 #include "net/net_stats.h"
 #include "net/topology.h"
@@ -26,10 +24,9 @@ namespace axml {
 
 class FaultInjector;
 
-/// Point-to-point message fabric over an EventLoop. Affine to the
-/// loop's driving sequence (SequenceChecker-enforced): the in-flight
-/// link bookkeeping and stats are touched from Send paths and from
-/// delivery callbacks, which the single-sequence loop serializes.
+/// Point-to-point message fabric over an EventLoop. The in-flight link
+/// bookkeeping and stats are touched from Send paths and from delivery
+/// callbacks, which the loop runs one at a time.
 class Network {
  public:
   /// Called on the destination peer when a message arrives.
@@ -111,14 +108,8 @@ class Network {
   const Topology& topology() const { return topology_; }
   Topology* mutable_topology() { return &topology_; }
   EventLoop* loop() { return loop_; }
-  const NetStats& stats() const {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return stats_;
-  }
-  NetStats* mutable_stats() {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return &stats_;
-  }
+  const NetStats& stats() const { return stats_; }
+  NetStats* mutable_stats() { return &stats_; }
 
   /// Hooks the causal tracer in (AxmlSystem wires its own): every
   /// message records a "net" span covering its time on the wire, and the
@@ -152,32 +143,26 @@ class Network {
   /// `from` is down.
   bool ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
                         DeliverFn on_deliver, const char* kind,
-                        SimTime min_delay = 0, DeliverFn on_drop = nullptr)
-      AXML_REQUIRES(sequence_checker_);
+                        SimTime min_delay = 0, DeliverFn on_drop = nullptr);
 
   /// One (re)transmission attempt of a reliable send; wires the next
   /// attempt into the drop path.
   void ReliableAttempt(PeerId from, PeerId to, uint64_t bytes,
-                       DeliverFn on_deliver)
-      AXML_REQUIRES(sequence_checker_);
+                       DeliverFn on_deliver);
 
   /// One attempt of a control roundtrip; retries itself on drop.
   void ControlAttempt(PeerId from, PeerId to, uint64_t bytes,
-                      SimTime delay, DeliverFn on_done)
-      AXML_REQUIRES(sequence_checker_);
+                      SimTime delay, DeliverFn on_done);
 
-  SequenceChecker sequence_checker_;
   EventLoop* loop_;
   Topology topology_;
-  NetStats stats_ AXML_GUARDED_BY_CONTEXT(sequence_checker_);
+  NetStats stats_;
   Tracer* tracer_ = nullptr;
   FaultInjector* injector_ = nullptr;
   /// Peers currently crashed (by index); empty on the happy path.
-  std::unordered_set<uint32_t> down_peers_
-      AXML_GUARDED_BY_CONTEXT(sequence_checker_);
+  std::unordered_set<uint32_t> down_peers_;
   /// Per directed link: when the link becomes free to start transmitting.
-  std::unordered_map<uint64_t, SimTime> link_busy_until_
-      AXML_GUARDED_BY_CONTEXT(sequence_checker_);
+  std::unordered_map<uint64_t, SimTime> link_busy_until_;
 };
 
 }  // namespace axml

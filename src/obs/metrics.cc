@@ -97,14 +97,12 @@ std::string MetricsSnapshot::ToJson() const {
 
 MetricRegistry::SourceId MetricRegistry::RegisterSource(std::string prefix,
                                                         ExportFn fn) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   const SourceId id = next_source_id_++;
   sources_.push_back(Source{id, std::move(prefix), std::move(fn)});
   return id;
 }
 
 void MetricRegistry::UnregisterSource(SourceId id) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   for (auto it = sources_.begin(); it != sources_.end(); ++it) {
     if (it->id == id) {
       sources_.erase(it);
@@ -114,7 +112,6 @@ void MetricRegistry::UnregisterSource(SourceId id) {
 }
 
 MetricsSnapshot MetricRegistry::Snapshot() const {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   MetricsSnapshot snap;
   for (const Source& source : sources_) {
     MetricSink sink(source.prefix, &snap.values);

@@ -23,10 +23,7 @@
 //    for the bench_*.json perf-trajectory files (bench_common.h) and
 //    AxmlSystem::DumpMetrics().
 //
-// The registry is affine to its System's sequence, enforced by an
-// embedded SequenceChecker (docs/architecture.md has the contract);
-// export callbacks run synchronously inside Snapshot() on that same
-// sequence.
+// Export callbacks run synchronously inside Snapshot().
 
 #ifndef AXML_OBS_METRICS_H_
 #define AXML_OBS_METRICS_H_
@@ -39,9 +36,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "common/sequence_checker.h"
-#include "common/thread_annotations.h"
 
 namespace axml {
 
@@ -231,10 +225,7 @@ class MetricRegistry {
   /// Captures every source's exports.
   MetricsSnapshot Snapshot() const;
 
-  size_t source_count() const {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return sources_.size();
-  }
+  size_t source_count() const { return sources_.size(); }
 
  private:
   struct Source {
@@ -242,11 +233,8 @@ class MetricRegistry {
     std::string prefix;
     ExportFn fn;
   };
-  SequenceChecker sequence_checker_;
-  std::vector<Source> sources_
-      AXML_GUARDED_BY_CONTEXT(sequence_checker_);
-  SourceId next_source_id_
-      AXML_GUARDED_BY_CONTEXT(sequence_checker_) = 1;
+  std::vector<Source> sources_;
+  SourceId next_source_id_ = 1;
 };
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars) —

@@ -28,7 +28,6 @@ Tracer::Tracer(std::function<SimTime()> clock, size_t capacity)
     : clock_(std::move(clock)), capacity_(capacity == 0 ? 1 : capacity) {}
 
 void Tracer::set_capacity(size_t capacity) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   capacity_ = capacity == 0 ? 1 : capacity;
   ring_.clear();
   ring_.shrink_to_fit();
@@ -37,7 +36,6 @@ void Tracer::set_capacity(size_t capacity) {
 }
 
 std::function<void()> Tracer::Bind(std::function<void()> fn) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   const TraceId id = current_;
   if (id == 0) return fn;  // nothing to carry
   return [this, id, fn = std::move(fn)] {
@@ -48,7 +46,6 @@ std::function<void()> Tracer::Bind(std::function<void()> fn) {
 
 void Tracer::Record(std::string category, std::string name, PeerId peer,
                     uint64_t bytes, SimTime duration, std::string detail) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (!enabled_) return;
   TraceSpan span;
   span.seq = next_seq_++;
@@ -75,7 +72,6 @@ void Tracer::Record(std::string category, std::string name, PeerId peer,
 }
 
 std::vector<TraceSpan> Tracer::Events() const {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   std::vector<TraceSpan> out;
   out.reserve(size_);
   for (size_t i = 0; i < size_; ++i) {
@@ -85,14 +81,12 @@ std::vector<TraceSpan> Tracer::Events() const {
 }
 
 void Tracer::Clear() {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   ring_.clear();
   start_ = 0;
   size_ = 0;
 }
 
 std::string Tracer::ToChromeJson() const {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   // Chrome trace-event format, JSON-object flavor. Sim-time maps to the
   // trace clock at 1 s == 1e6 "microseconds"; peers render as processes
   // and causal chains as threads, so one mutation's cascade reads as a

@@ -27,11 +27,9 @@
 // log level is kDebug, every recorded event is mirrored to the log —
 // the interactive twin of the exported file.
 //
-// Affine to its System's sequence, enforced by an embedded
-// SequenceChecker: the scoped current-id trick *relies* on the event
-// loop running callbacks one at a time, so a second thread touching the
-// tracer would corrupt causal attribution silently — the checker makes
-// it abort loudly instead (docs/architecture.md has the contract).
+// The scoped current-id trick relies on the event loop running
+// callbacks one at a time, on the one thread that runs the System
+// (docs/architecture.md).
 
 #ifndef AXML_OBS_TRACE_H_
 #define AXML_OBS_TRACE_H_
@@ -42,8 +40,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/sequence_checker.h"
-#include "common/thread_annotations.h"
 #include "net/sim_time.h"
 
 namespace axml {
@@ -89,34 +85,22 @@ class Tracer {
 
   /// Resizes the ring buffer; existing events are dropped.
   void set_capacity(size_t capacity);
-  size_t capacity() const {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return capacity_;
-  }
+  size_t capacity() const { return capacity_; }
 
   // --- Causal ids ---
 
   /// Mints a fresh causal id (never 0; monotone, so deterministic runs
   /// assign deterministic ids). Does not change the current id — pair
   /// with a Scope.
-  TraceId NewTrace() {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return ++last_trace_id_;
-  }
+  TraceId NewTrace() { return ++last_trace_id_; }
 
   /// The causal id of whatever is executing right now (0 = none).
-  TraceId current() const {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return current_;
-  }
+  TraceId current() const { return current_; }
 
   /// The current id, or a fresh one when none is active: root spans
   /// (mutation, top-level read) open a chain only if they are not
   /// already part of one.
-  TraceId CurrentOrNew() {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return current_ != 0 ? current_ : NewTrace();
-  }
+  TraceId CurrentOrNew() { return current_ != 0 ? current_ : NewTrace(); }
 
   /// RAII current-id window. Everything recorded (on this thread)
   /// while the scope lives — including synchronous fan-out several
@@ -125,16 +109,12 @@ class Tracer {
    public:
     Scope(Tracer* tracer, TraceId id) : tracer_(tracer) {
       if (tracer_ != nullptr) {
-        AXML_DCHECK_CALLED_ON_SEQUENCE(tracer_->sequence_checker_);
         previous_ = tracer_->current_;
         tracer_->current_ = id;
       }
     }
     ~Scope() {
-      if (tracer_ != nullptr) {
-        AXML_DCHECK_CALLED_ON_SEQUENCE(tracer_->sequence_checker_);
-        tracer_->current_ = previous_;
-      }
+      if (tracer_ != nullptr) tracer_->current_ = previous_;
     }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
@@ -163,18 +143,9 @@ class Tracer {
   std::vector<TraceSpan> Events() const;
 
   /// Total events ever recorded / dropped by wraparound.
-  uint64_t recorded() const {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return recorded_;
-  }
-  uint64_t dropped() const {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return recorded_ - size_;
-  }
-  size_t size() const {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    return size_;
-  }
+  uint64_t recorded() const { return recorded_; }
+  uint64_t dropped() const { return recorded_ - size_; }
+  size_t size() const { return size_; }
 
   void Clear();
 
@@ -184,19 +155,17 @@ class Tracer {
   std::string ToChromeJson() const;
 
  private:
-  SequenceChecker sequence_checker_;
   std::function<SimTime()> clock_;
   bool enabled_ = false;
-  size_t capacity_ AXML_GUARDED_BY_CONTEXT(sequence_checker_);
+  size_t capacity_;
   /// Ring: ring_[(start_ + i) % capacity_] for i < size_.
-  std::vector<TraceSpan> ring_ AXML_GUARDED_BY_CONTEXT(sequence_checker_);
-  size_t start_ AXML_GUARDED_BY_CONTEXT(sequence_checker_) = 0;
-  size_t size_ AXML_GUARDED_BY_CONTEXT(sequence_checker_) = 0;
-  uint64_t recorded_ AXML_GUARDED_BY_CONTEXT(sequence_checker_) = 0;
-  uint64_t next_seq_ AXML_GUARDED_BY_CONTEXT(sequence_checker_) = 0;
-  TraceId last_trace_id_
-      AXML_GUARDED_BY_CONTEXT(sequence_checker_) = 0;
-  TraceId current_ AXML_GUARDED_BY_CONTEXT(sequence_checker_) = 0;
+  std::vector<TraceSpan> ring_;
+  size_t start_ = 0;
+  size_t size_ = 0;
+  uint64_t recorded_ = 0;
+  uint64_t next_seq_ = 0;
+  TraceId last_trace_id_ = 0;
+  TraceId current_ = 0;
 };
 
 }  // namespace axml

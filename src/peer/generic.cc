@@ -118,8 +118,7 @@ Result<ClassMember> GenericCatalog::PickDocument(
     // Demand signal for proactive placement: who keeps resolving which
     // class. Only concrete callers count — a copy can only be seeded at
     // a real peer.
-    const uint64_t demand = ++doc_pick_demand_[{class_name, from}];
-    if (demand_listener_) demand_listener_(class_name, from, demand);
+    ++doc_pick_demand_[{class_name, from}];
   }
   return picked;
 }

@@ -125,18 +125,6 @@ class GenericCatalog {
     if (n > 0) doc_pick_demand_[{class_name, from}] += n;
   }
 
-  /// Observer fired after every counted document pick with the updated
-  /// demand total for that (class, caller) pair. This is the push half
-  /// of the demand signal: the ReplicaManager's watermark trigger
-  /// listens here so a hot class can earn a placement round the moment
-  /// it crosses the threshold instead of waiting for the next periodic
-  /// tick.
-  using DemandListener = std::function<void(
-      const std::string& class_name, PeerId from, uint64_t demand)>;
-  void set_demand_listener(DemandListener listener) {
-    demand_listener_ = std::move(listener);
-  }
-
   void set_default_policy(PickPolicy p) { default_policy_ = p; }
   PickPolicy default_policy() const { return default_policy_; }
 
@@ -187,7 +175,6 @@ class GenericCatalog {
   std::map<PeerId, uint64_t> pick_counts_;
   /// (class, caller) -> document picks; the placement demand signal.
   std::map<std::pair<std::string, PeerId>, uint64_t> doc_pick_demand_;
-  DemandListener demand_listener_;
   PickPolicy default_policy_ = PickPolicy::kNearest;
   Rng rng_;
   MemberValidator doc_validator_;

@@ -33,10 +33,6 @@ AxmlSystem::AxmlSystem(Topology topology)
       [this](const std::string& cls, const ClassMember& m) {
         return replicas_.ValidateMember(cls, m);
       });
-  generics_.set_demand_listener(
-      [this](const std::string& cls, PeerId from, uint64_t demand) {
-        replicas_.OnPickDemand(cls, from, demand);
-      });
   // A pick sees what the caller's catalog lookup reports: every member,
   // except cached copies a region-scoped catalog keeps in their region.
   generics_.set_member_visibility([this](const ClassMember& m, PeerId from) {

@@ -28,20 +28,17 @@ class LruStrategy final : public EvictionStrategy {
   EvictionPolicy policy() const override { return EvictionPolicy::kLru; }
 
   void OnInsert(const ReplicaKey& key, uint64_t /*bytes*/) override {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     mru_.push_front(key);
     pos_[key] = mru_.begin();
   }
 
   void OnAccess(const ReplicaKey& key) override {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     auto it = pos_.find(key);
     AXML_CHECK(it != pos_.end());
     mru_.splice(mru_.begin(), mru_, it->second);
   }
 
   void OnErase(const ReplicaKey& key) override {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     auto it = pos_.find(key);
     AXML_CHECK(it != pos_.end());
     mru_.erase(it->second);
@@ -71,13 +68,11 @@ class LfuStrategy final : public EvictionStrategy {
   EvictionPolicy policy() const override { return EvictionPolicy::kLfu; }
 
   void OnInsert(const ReplicaKey& key, uint64_t /*bytes*/) override {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     Tick();
     freqs_[key] = Counts{1, tick_};
   }
 
   void OnAccess(const ReplicaKey& key) override {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     Tick();
     auto it = freqs_.find(key);
     AXML_CHECK(it != freqs_.end());
@@ -86,7 +81,6 @@ class LfuStrategy final : public EvictionStrategy {
   }
 
   void OnErase(const ReplicaKey& key) override {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     AXML_CHECK(freqs_.erase(key) == 1);
   }
 
@@ -137,7 +131,6 @@ class CostAwareStrategy final : public EvictionStrategy {
   }
 
   void OnInsert(const ReplicaKey& key, uint64_t bytes) override {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     // Priced once at insert: key.origin and bytes are fixed for the
     // entry's lifetime, and the wired CostModel call is far too heavy to
     // repeat per entry on every victim scan. A topology edit mid-flight
@@ -150,14 +143,12 @@ class CostAwareStrategy final : public EvictionStrategy {
   }
 
   void OnAccess(const ReplicaKey& key) override {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     auto it = entries_.find(key);
     AXML_CHECK(it != entries_.end());
     it->second.last_tick = ++tick_;
   }
 
   void OnErase(const ReplicaKey& key) override {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     AXML_CHECK(entries_.erase(key) == 1);
   }
 

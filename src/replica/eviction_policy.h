@@ -23,11 +23,8 @@
 // resident key is OnInsert'ed exactly once and OnErase'd exactly once,
 // with OnAccess touches in between.
 //
-// Contract (machine-checked; docs/architecture.md is the canonical
-// statement): strategies are sequence-affine — the EvictionStrategy
-// base embeds a SequenceChecker and every concrete strategy checks it
-// on each bookkeeping call, so driving a strategy from a second thread
-// aborts — and must not call back into the cache that drives them (the
+// Contract (docs/architecture.md is the canonical statement):
+// strategies must not call back into the cache that drives them (the
 // cache's own ReentrancyGuard turns such a callback into an abort).
 // PickVictim is const and repeatable — the cache erases the victim
 // itself and informs the strategy through OnErase. A strategy never sees ReplicaKey::shard
@@ -43,7 +40,6 @@
 #include <functional>
 #include <memory>
 
-#include "common/sequence_checker.h"
 #include "replica/replica_key.h"
 
 namespace axml {
@@ -86,12 +82,6 @@ class EvictionStrategy {
 
   /// Chooses the next budget victim; false iff no entries are tracked.
   virtual bool PickVictim(ReplicaKey* victim) const = 0;
-
- protected:
-  /// Concrete strategies open every bookkeeping call with
-  /// AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_) — the file
-  /// comment's affinity contract, enforced.
-  SequenceChecker sequence_checker_;
 };
 
 /// Builds a strategy for `policy`. `refetch_cost` is consulted only by

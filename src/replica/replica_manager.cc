@@ -49,7 +49,6 @@ uint64_t ReplicaManager::Version(PeerId owner, const DocName& name) const {
 }
 
 void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
 #ifndef AXML_DISABLE_DCHECKS
   // Same-key cycle detection (the header's reentrancy contract):
   // distinct keys legally nest — a drop's RemoveDocument fires the
@@ -88,8 +87,9 @@ void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
 
   // A durable write onto a document slot we were using for a cached copy
   // (e.g. send(d@p, ...) landing on the copy's name) promotes the slot:
-  // the copy ceases to exist, the document stays. Every entry of this
-  // peer's cache that shares the copy's blob is dropped with it.
+  // the copy ceases to exist, the document stays. Other cache entries
+  // that share the copy's bytes stay fresh: the promoted document is a
+  // decoded tree and aliases none of them.
   auto it = installed_.find({owner, name});
   if (it == installed_.end()) return;
   const PeerId origin = it->second;
@@ -98,23 +98,11 @@ void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
   if (TransferCache* cache = cache_it == caches_.end()
                                  ? nullptr
                                  : cache_it->second.get()) {
-    ContentDigest digest;
-    bool have_digest = false;
-    if (const TransferCache::Entry* e =
-            cache->Peek(ReplicaKey{origin, name})) {
-      digest = e->digest;
-      have_digest = true;
-    }
     cache->Erase(ReplicaKey{origin, name}, /*invalidation=*/true);
     // The sharded layout of the promoted copy goes too: manifest and
     // data shards of (origin, name) no longer describe anything.
     for (const ReplicaKey& k : cache->KeysForDoc(origin, name)) {
       cache->Erase(k, /*invalidation=*/true);
-    }
-    if (have_digest) {
-      for (const ReplicaKey& alias : cache->KeysWithDigest(digest)) {
-        cache->Erase(alias, /*invalidation=*/true);
-      }
     }
   }
   // A durable put keeps the catalog entry (the peer genuinely holds a
@@ -137,7 +125,6 @@ void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
 }
 
 TransferCache* ReplicaManager::CacheFor(PeerId peer) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   auto it = caches_.find(peer);
   if (it != caches_.end()) return it->second.get();
   auto cache = std::make_unique<TransferCache>(default_budget_,
@@ -177,7 +164,6 @@ const TransferCache* ReplicaManager::FindCache(PeerId peer) const {
 }
 
 void ReplicaManager::RecordCoalescedHit(PeerId reader, uint64_t bytes) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   auto it = caches_.find(reader);
   if (it != caches_.end()) {
     it->second->RecordCoalescedHit(bytes);
@@ -191,7 +177,6 @@ bool ReplicaManager::InsertCopy(PeerId reader, PeerId origin,
                                 const DocName& name, TreePtr landed,
                                 uint64_t snapshot_version,
                                 std::string encoded) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (sys_ == nullptr || reader == origin || !origin.is_concrete()) {
     return false;
   }
@@ -258,7 +243,6 @@ bool ReplicaManager::AdmitReadCopy(PeerId reader, PeerId source) {
 
 EncodedBlob ReplicaManager::LookupFresh(PeerId reader, PeerId origin,
                                         const DocName& name) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (reader == origin || !origin.is_concrete()) return nullptr;
   // A miss from a peer that never cached anything must not allocate a
   // TransferCache (plus evict listener) for it — readers that never
@@ -313,7 +297,6 @@ bool ReplicaManager::HasFreshInstalled(PeerId reader, PeerId origin,
 
 bool ReplicaManager::ValidateMember(const std::string& /*class_name*/,
                                     const ClassMember& member) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   auto it = installed_.find({member.peer, member.name});
   if (it == installed_.end()) return true;  // durable member
   const PeerId origin = it->second;
@@ -324,7 +307,6 @@ bool ReplicaManager::ValidateMember(const std::string& /*class_name*/,
 
 bool ReplicaManager::DropCopy(PeerId reader, PeerId origin,
                               const DocName& name) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   auto it = caches_.find(reader);
   if (it == caches_.end()) return false;
   // Whole-document entry and manifest both carry the copy's identity;
@@ -338,7 +320,6 @@ bool ReplicaManager::DropCopy(PeerId reader, PeerId origin,
 }
 
 void ReplicaManager::DropAllCopies() {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   for (auto& [peer, cache] : caches_) cache->Clear();
   // Cancel in-flight refresh shipments: their landing callbacks see the
   // erased flight token and discard the payload, so a reset cannot be
@@ -416,13 +397,11 @@ void ReplicaManager::ExportMetrics(MetricSink& sink) const {
 }
 
 void ReplicaManager::ResetStats() {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   for (auto& [peer, cache] : caches_) cache->ResetStats();
   subscription_stats_ = SubscriptionStats{};
   placement_stats_ = PlacementStats{};
   shard_stats_ = ShardStats{};
   uncached_stats_ = TransferCacheStats{};
-  refresh_spent_.clear();
   placement_spent_.clear();
 }
 
@@ -672,7 +651,6 @@ bool ReplicaManager::ShardedDeltaBytes(PeerId reader, PeerId origin,
 
 TreePtr ReplicaManager::LookupShardedFresh(PeerId reader, PeerId origin,
                                            const DocName& name) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (sys_ == nullptr || reader == origin || !origin.is_concrete()) {
     return nullptr;
   }
@@ -707,7 +685,6 @@ TreePtr ReplicaManager::LookupShardedFresh(PeerId reader, PeerId origin,
 bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
                                   const DocName& name,
                                   std::function<void(TreePtr)> deliver) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (sys_ == nullptr || reader == origin) return false;
   const ShardedDocument* sd = OriginShards(origin, name);
   if (sd == nullptr || sys_->peer(reader) == nullptr) return false;
@@ -796,7 +773,6 @@ bool ReplicaManager::InsertShardedCopy(
     PeerId reader, PeerId origin, const DocName& name,
     const std::string& manifest_blob,
     const std::vector<DocumentShard>& shipped, uint64_t snapshot_version) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (sys_ == nullptr || reader == origin || !origin.is_concrete()) {
     return false;
   }
@@ -850,7 +826,6 @@ bool ReplicaManager::InsertShardedCopy(
 }
 
 size_t ReplicaManager::RunPlacement() {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (sys_ == nullptr || !placement_.config().enabled) return 0;
   size_t started = 0;
   for (const PlacementDecision& decision :
@@ -864,23 +839,6 @@ void ReplicaManager::set_placement_tick_interval(SimTime interval_s) {
   AXML_CHECK(sys_ != nullptr);
   placement_tick_interval_ = interval_s;
   RearmTick(&placement_tick_id_, interval_s, [this] { RunPlacement(); });
-}
-
-void ReplicaManager::OnPickDemand(const std::string& /*class_name*/,
-                                  PeerId /*from*/, uint64_t demand) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-  if (placement_demand_watermark_ == 0 || sys_ == nullptr) return;
-  if (demand < placement_demand_watermark_) return;
-  if (placement_round_pending_) return;
-  // Post instead of running inline: the crossing pick is still inside
-  // PickDocument, and a placement round mutates the very class it was
-  // picking from. The round runs at the same virtual instant, between
-  // the current event and the next.
-  placement_round_pending_ = true;
-  sys_->loop().Post([this] {
-    placement_round_pending_ = false;
-    RunPlacement();
-  });
 }
 
 bool ReplicaManager::LaunchShipment(
@@ -1072,14 +1030,7 @@ bool ReplicaManager::StartRefresh(PeerId holder, const ReplicaKey& key,
   const bool launched = LaunchShipment(
       holder, key,
       /*admit=*/
-      [this, holder, attempt](uint64_t bytes) {
-        uint64_t& spent = refresh_spent_[holder];
-        if (spent > refresh_budget_bytes_ ||
-            bytes > refresh_budget_bytes_ - spent) {
-          ++subscription_stats_.budget_denied;
-          return false;
-        }
-        spent += bytes;
+      [this, attempt](uint64_t /*bytes*/) {
         if (attempt > 0) ++subscription_stats_.retries;
         return true;
       },
@@ -1105,7 +1056,7 @@ bool ReplicaManager::StartRefresh(PeerId holder, const ReplicaKey& key,
           // capped. Under sustained mutation (every landing overtaken
           // mid-flight) an unbounded chain ships forever without ever
           // landing fresh; past the cap the holder falls back to lazy
-          // pulls, like a budget denial.
+          // pulls.
           if (attempt + 1 >= kMaxCatchupAttempts) {
             ++subscription_stats_.catchup_exhausted;
             subscriptions_.Unsubscribe(key, holder);
@@ -1125,7 +1076,6 @@ bool ReplicaManager::StartRefresh(PeerId holder, const ReplicaKey& key,
 
 void ReplicaManager::ConfigureLeases(SimTime renew_interval_s,
                                      SimTime ttl_s) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(sys_ != nullptr);
   lease_renew_interval_ = renew_interval_s;
   lease_ttl_ = ttl_s;
@@ -1141,7 +1091,6 @@ void ReplicaManager::set_shipment_retry(int max_attempts,
 }
 
 void ReplicaManager::set_anti_entropy_interval(SimTime interval_s) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(sys_ != nullptr);
   anti_entropy_interval_ = interval_s;
   RearmTick(&anti_entropy_tick_id_, interval_s,
@@ -1149,7 +1098,6 @@ void ReplicaManager::set_anti_entropy_interval(SimTime interval_s) {
 }
 
 void ReplicaManager::LeaseTick() {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   const SimTime now = sys_->loop().now();
   // Live (origin, holder) pairs and their subscribed-key counts,
   // straight from the subscription table (std::map: deterministic
@@ -1265,7 +1213,6 @@ size_t ReplicaManager::ResubscribeResident(PeerId holder, PeerId origin) {
 }
 
 size_t ReplicaManager::RunAntiEntropySweep() {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (sys_ == nullptr) return 0;
   size_t repairs = 0;
   for (const auto& [holder, cache] : caches_) {
@@ -1276,7 +1223,6 @@ size_t ReplicaManager::RunAntiEntropySweep() {
 }
 
 size_t ReplicaManager::ReconcileHolder(PeerId holder) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   if (sys_ == nullptr) return 0;
   auto cit = caches_.find(holder);
   if (cit == caches_.end()) return 0;
@@ -1393,7 +1339,6 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
 }
 
 void ReplicaManager::OnPeerCrash(PeerId peer, CrashMode mode) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(sys_ != nullptr);
   TraceEvent("crash", peer,
              mode == CrashMode::kLoseCache ? "lose_cache" : "durable_cache");
@@ -1434,7 +1379,6 @@ void ReplicaManager::OnPeerCrash(PeerId peer, CrashMode mode) {
 }
 
 void ReplicaManager::OnPeerRejoin(PeerId peer) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_CHECK(sys_ != nullptr);
   TraceEvent("rejoin", peer, "");
   // Reconcile the surviving cache against every origin *before* the
@@ -1445,7 +1389,6 @@ void ReplicaManager::OnPeerRejoin(PeerId peer) {
 }
 
 void ReplicaManager::OnNotifyDelivered(PeerId origin, PeerId holder) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   auto cit = caches_.find(holder);
   if (cit == caches_.end()) return;  // late notify, holder has nothing
   TransferCache* cache = cit->second.get();

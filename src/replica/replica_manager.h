@@ -29,8 +29,8 @@
 //    time (never a stale advertisement between a write and the next
 //    read); under kEagerRefresh the origin additionally ships the new
 //    version through the transfer path, re-materializing the copy
-//    without a read asking for it (per-holder byte budget, in-flight
-//    coalescing of back-to-back mutations);
+//    without a read asking for it (in-flight coalescing of
+//    back-to-back mutations);
 //  - under RefreshPolicy::kLazy (the PR 1 baseline) a stale copy is
 //    instead dropped on its next lookup: evicted from the cache, removed
 //    as a local document, unregistered from the catalog, and withdrawn
@@ -47,10 +47,9 @@
 // so Σ-equivalence (the rule-equivalence property) is judged on durable
 // documents only.
 //
-// Threading / reentrancy contract (machine-checked; docs/architecture.md
-// is the canonical statement): the manager runs on its System's one
-// sequence, enforced by an embedded SequenceChecker — cross-thread use
-// aborts. Mutation fan-out is synchronous — NoteMutation drops
+// Reentrancy contract (docs/architecture.md is the canonical
+// statement): the manager runs on the one thread that runs its System.
+// Mutation fan-out is synchronous — NoteMutation drops
 // subscribed copies before it returns — and *legally* nests across
 // distinct documents: a drop fires RemoveDocument, whose mutation
 // listener re-enters NoteMutation for the holder's own name. What must
@@ -73,7 +72,6 @@
 #include <utility>
 
 #include "common/ids.h"
-#include "common/sequence_checker.h"
 #include "net/sim_time.h"
 #include "peer/generic.h"
 #include "replica/eviction_policy.h"
@@ -167,14 +165,6 @@ class ReplicaManager {
   /// immediate coherence; kLazy restores the drop-on-lookup baseline.
   void set_refresh_policy(RefreshPolicy p) { refresh_policy_ = p; }
   RefreshPolicy refresh_policy() const { return refresh_policy_; }
-
-  /// Cap on the wire bytes eager refresh may spend per holder (lifetime
-  /// of the manager, reset by ResetStats). Exhausted holders fall back
-  /// to drop. Default: unlimited.
-  void set_refresh_budget_bytes(uint64_t bytes) {
-    refresh_budget_bytes_ = bytes;
-  }
-  uint64_t refresh_budget_bytes() const { return refresh_budget_bytes_; }
 
   const SubscriptionStats& subscription_stats() const {
     return subscription_stats_;
@@ -422,24 +412,6 @@ class ReplicaManager {
     return placement_tick_interval_;
   }
 
-  /// Demand-watermark placement: when `picks` > 0, a (class, caller)
-  /// demand counter reaching `picks` posts one RunPlacement to the
-  /// event loop — between ticks, at the current virtual instant —
-  /// instead of waiting for the next periodic round. Crossings that
-  /// arrive while a round is already pending coalesce into it. 0
-  /// disables the trigger. Default: off.
-  void set_placement_demand_watermark(uint64_t picks) {
-    placement_demand_watermark_ = picks;
-  }
-  uint64_t placement_demand_watermark() const {
-    return placement_demand_watermark_;
-  }
-
-  /// The GenericCatalog demand-listener hook (AxmlSystem wires it up):
-  /// schedules the watermark-triggered round.
-  void OnPickDemand(const std::string& class_name, PeerId from,
-                    uint64_t demand);
-
   // --- Copies ---
 
   /// Records that `landed` — a copy of origin's `name`, freshly minted
@@ -617,12 +589,12 @@ class ReplicaManager {
 
   /// Ships the origin's current version of `key` to `holder`; the copy
   /// re-enters the cache (and its advertisements) when it lands. Folds
-  /// into an already in-flight shipment; respects the refresh budget.
+  /// into an already in-flight shipment.
   /// `attempt` > 0 marks a catch-up shipment after a mid-flight
   /// mutation; the chain is capped at kMaxCatchupAttempts, after which
   /// the holder falls back to lazy pulls (catchup_exhausted). Returns
   /// true when a shipment is (now) in flight for the pair — false means
-  /// nothing will land (budget denied, document removed).
+  /// nothing will land (document removed).
   bool StartRefresh(PeerId holder, const ReplicaKey& key, int attempt);
 
   /// Executes one planned placement seeding through the same in-flight
@@ -661,7 +633,6 @@ class ReplicaManager {
   void LeaseTick();
   size_t ResubscribeResident(PeerId holder, PeerId origin);
 
-  SequenceChecker sequence_checker_;
   /// (owner, name) keys whose NoteMutation fan-out is running right now.
   /// Distinct keys legally nest (drop → RemoveDocument → listener →
   /// NoteMutation for the holder's name); a same-key cycle aborts.
@@ -679,8 +650,6 @@ class ReplicaManager {
   RefreshPolicy refresh_policy_ = RefreshPolicy::kDrop;
   SubscriptionTable subscriptions_;
   SubscriptionStats subscription_stats_;
-  uint64_t refresh_budget_bytes_ = UINT64_MAX;
-  std::map<PeerId, uint64_t> refresh_spent_;  ///< wire bytes per holder
   /// (holder, key) -> generation of the refresh shipment on the wire.
   /// The landing callback acts only when its own generation is still
   /// registered: a shipment outliving a DropAllCopies (its event is
@@ -713,10 +682,6 @@ class ReplicaManager {
   std::map<PeerId, uint64_t> placement_spent_;
   SimTime placement_tick_interval_ = 0;
   uint64_t placement_tick_id_ = 0;  ///< EventLoop periodic id; 0 = none
-  uint64_t placement_demand_watermark_ = 0;  ///< 0 = trigger off
-  /// A watermark-triggered round is posted but has not run yet; further
-  /// crossings coalesce into it instead of stacking rounds.
-  bool placement_round_pending_ = false;
 
   bool sharding_enabled_ = false;
   ShardingConfig shard_config_;

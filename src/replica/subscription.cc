@@ -17,7 +17,6 @@ const char* RefreshPolicyName(RefreshPolicy p) {
 }
 
 void SubscriptionTable::Subscribe(const ReplicaKey& key, PeerId holder) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   auto& v = holders_[key];
   if (std::find(v.begin(), v.end(), holder) == v.end()) {
     v.push_back(holder);
@@ -25,7 +24,6 @@ void SubscriptionTable::Subscribe(const ReplicaKey& key, PeerId holder) {
 }
 
 void SubscriptionTable::Unsubscribe(const ReplicaKey& key, PeerId holder) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   auto it = holders_.find(key);
   if (it == holders_.end()) return;
   auto& v = it->second;
@@ -35,14 +33,12 @@ void SubscriptionTable::Unsubscribe(const ReplicaKey& key, PeerId holder) {
 
 std::vector<PeerId> SubscriptionTable::HoldersOf(
     const ReplicaKey& key) const {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   auto it = holders_.find(key);
   return it == holders_.end() ? std::vector<PeerId>{} : it->second;
 }
 
 bool SubscriptionTable::IsSubscribed(const ReplicaKey& key,
                                      PeerId holder) const {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   auto it = holders_.find(key);
   if (it == holders_.end()) return false;
   const auto& v = it->second;
@@ -51,7 +47,6 @@ bool SubscriptionTable::IsSubscribed(const ReplicaKey& key,
 
 std::vector<ReplicaKey> SubscriptionTable::KeysForDoc(
     PeerId origin, const DocName& name) const {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   std::vector<ReplicaKey> keys;
   // Keys order by (origin, name, shard), so one document's keys — the
   // doc key (shard "") first — form a contiguous range.
@@ -65,7 +60,6 @@ std::vector<ReplicaKey> SubscriptionTable::KeysForDoc(
 }
 
 size_t SubscriptionTable::subscription_count() const {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   size_t n = 0;
   for (const auto& [key, v] : holders_) n += v.size();
   return n;
@@ -73,7 +67,6 @@ size_t SubscriptionTable::subscription_count() const {
 
 const std::map<ReplicaKey, std::vector<PeerId>>& SubscriptionTable::entries()
     const {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   return holders_;
 }
 

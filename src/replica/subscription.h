@@ -20,8 +20,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/sequence_checker.h"
-#include "common/thread_annotations.h"
 #include "replica/transfer_cache.h"
 
 namespace axml {
@@ -73,8 +71,8 @@ struct SubscriptionStats {
   uint64_t coalesced = 0;
   /// Catch-up shipments issued because the origin moved on mid-flight.
   uint64_t retries = 0;
-  /// Eager refreshes denied by the per-holder byte budget (the copy
-  /// stays dropped; the next read re-pulls lazily).
+  /// Always 0: eager refresh has no per-holder byte budget. Kept
+  /// because perfbench reports it as `replica.budget_denied_per_write`.
   uint64_t budget_denied = 0;
   /// Lease renewals that reached the origin (ReplicaManager::
   /// ConfigureLeases; each arrival re-arms the holder's deadline).
@@ -143,10 +141,6 @@ static_assert(CountersCover<SubscriptionStats>());
 /// subscribed under the document-level key until it lands.) Mutation
 /// fan-out unions the dirty keys' holders, so a partial holder caching
 /// only untouched shards is not notified at all.
-///
-/// Sequence-affine (machine-checked): every method runs on the owning
-/// System's one sequence, enforced by an embedded SequenceChecker —
-/// cross-thread use aborts (docs/architecture.md has the contract).
 class SubscriptionTable {
  public:
   /// Idempotent: a holder subscribes once per key.
@@ -173,9 +167,7 @@ class SubscriptionTable {
   const std::map<ReplicaKey, std::vector<PeerId>>& entries() const;
 
  private:
-  SequenceChecker sequence_checker_;
-  std::map<ReplicaKey, std::vector<PeerId>> holders_
-      AXML_GUARDED_BY_CONTEXT(sequence_checker_);
+  std::map<ReplicaKey, std::vector<PeerId>> holders_;
 };
 
 // Notification, lease-renewal and anti-entropy message sizes are no

@@ -6,14 +6,12 @@
 namespace axml {
 
 void TransferCache::set_eviction_policy(EvictionPolicy policy) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_REENTRANCY_GUARD(mutation_guard_, "TransferCache::set_eviction_policy");
   if (policy == strategy_->policy()) return;
   RebuildStrategy(policy);
 }
 
 void TransferCache::set_refetch_cost(RefetchCostFn fn) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_REENTRANCY_GUARD(mutation_guard_, "TransferCache::set_refetch_cost");
   refetch_cost_ = std::move(fn);
   RebuildStrategy(strategy_->policy());
@@ -28,7 +26,6 @@ void TransferCache::RebuildStrategy(EvictionPolicy policy) {
 
 bool TransferCache::Put(const ReplicaKey& key, std::string encoded,
                         ContentDigest digest, uint64_t origin_version) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_REENTRANCY_GUARD(mutation_guard_, "TransferCache::Put");
   AXML_CHECK(!encoded.empty());
   // The budgeted size is the wire encoding's — the bytes a (re)shipment
@@ -64,7 +61,6 @@ bool TransferCache::Put(const ReplicaKey& key, std::string encoded,
 
 EncodedBlob TransferCache::Get(const ReplicaKey& key,
                                uint64_t expected_version) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_REENTRANCY_GUARD(mutation_guard_, "TransferCache::Get");
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -89,7 +85,6 @@ const TransferCache::Entry* TransferCache::Peek(
 }
 
 bool TransferCache::Erase(const ReplicaKey& key, bool invalidation) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_REENTRANCY_GUARD(mutation_guard_, "TransferCache::Erase");
   auto it = entries_.find(key);
   if (it == entries_.end()) return false;
@@ -98,20 +93,10 @@ bool TransferCache::Erase(const ReplicaKey& key, bool invalidation) {
 }
 
 void TransferCache::Clear() {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_REENTRANCY_GUARD(mutation_guard_, "TransferCache::Clear");
   while (!entries_.empty()) {
     Drop(entries_.begin(), nullptr);
   }
-}
-
-std::vector<ReplicaKey> TransferCache::KeysWithDigest(
-    const ContentDigest& digest) const {
-  std::vector<ReplicaKey> keys;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.digest == digest) keys.push_back(key);
-  }
-  return keys;
 }
 
 std::vector<ReplicaKey> TransferCache::KeysForDoc(
@@ -134,7 +119,6 @@ std::vector<ReplicaKey> TransferCache::Keys() const {
 }
 
 void TransferCache::set_byte_budget(uint64_t budget) {
-  AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
   AXML_REENTRANCY_GUARD(mutation_guard_, "TransferCache::set_byte_budget");
   byte_budget_ = budget;
   EvictToBudget();

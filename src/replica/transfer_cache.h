@@ -29,8 +29,6 @@
 
 #include "common/ids.h"
 #include "common/reentrancy_guard.h"
-#include "common/sequence_checker.h"
-#include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "xml/digest.h"
 #include "replica/eviction_policy.h"
@@ -87,11 +85,7 @@ static_assert(CountersCover<TransferCacheStats>());
 /// blob sharing and pluggable eviction. One instance
 /// per caching peer (owned by ReplicaManager).
 ///
-/// Contract (machine-checked; docs/architecture.md is the canonical
-/// statement):
-///  - Sequence-affine: every method runs on the owning System's one
-///    sequence, enforced by an embedded SequenceChecker (cross-thread
-///    use aborts; death-tested).
+/// Contract (docs/architecture.md is the canonical statement):
 ///  - Reentrancy: the evict listener fires *during* Put / Get / Erase /
 ///    Clear / set_byte_budget, before the entry is unlinked. It must not
 ///    call back into a mutating method of this cache (the entry map is
@@ -128,10 +122,7 @@ class TransferCache {
   /// Called just before an entry leaves the cache (eviction, staleness
   /// drop, or overwrite), so the owner can retract advertisements.
   using EvictListener = std::function<void(const ReplicaKey&, const Entry&)>;
-  void set_evict_listener(EvictListener fn) {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    on_evict_ = std::move(fn);
-  }
+  void set_evict_listener(EvictListener fn) { on_evict_ = std::move(fn); }
 
   // --- Eviction policy ---
 
@@ -177,10 +168,6 @@ class TransferCache {
   /// Drops everything (budget and stats are kept).
   void Clear();
 
-  /// Keys whose entries share `digest`'s blob (used when a blob is about
-  /// to be mutated in place and every alias must go).
-  std::vector<ReplicaKey> KeysWithDigest(const ContentDigest& digest) const;
-
   /// Every resident key of document (origin, name) — the whole-document
   /// entry, the manifest, and any data shards — in key order. O(log n +
   /// answer); the ReplicaManager's shard orphan cleanup scans with this.
@@ -202,16 +189,12 @@ class TransferCache {
   void set_byte_budget(uint64_t budget);
 
   const TransferCacheStats& stats() const { return stats_; }
-  void ResetStats() {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
-    stats_ = TransferCacheStats{};
-  }
+  void ResetStats() { stats_ = TransferCacheStats{}; }
 
   /// Counts a transfer avoided by joining an in-flight copy (the
   /// evaluator's read coalescing); the copy itself is recorded by the
   /// Put that follows the landing.
   void RecordCoalescedHit(uint64_t bytes) {
-    AXML_DCHECK_CALLED_ON_SEQUENCE(sequence_checker_);
     ++stats_.hits;
     stats_.bytes_saved += bytes;
   }
@@ -234,7 +217,6 @@ class TransferCache {
   /// Rebuilds the strategy for `policy`, re-seeding resident entries.
   void RebuildStrategy(EvictionPolicy policy);
 
-  SequenceChecker sequence_checker_;
   /// Armed across every mutating entry point; the evict listener runs
   /// inside the armed window, so a listener that calls back trips it.
   ReentrancyGuard mutation_guard_;

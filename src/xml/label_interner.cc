@@ -12,24 +12,21 @@ LabelInterner& LabelInterner::Global() {
   return *interner;
 }
 
-LabelInterner::LabelInterner() {
-  MutexLock lock(mu_);
-  SeedWellKnown();
-}
+LabelInterner::LabelInterner() { SeedWellKnown(); }
 
 void LabelInterner::SeedWellKnown() {
   // Id 0 is the empty label; the dialect labels take 1..5 in this
   // order. WellKnownLabels::Get caches these ids, so ResetForTesting
   // must reproduce the assignment exactly.
-  InternLocked("");
-  InternLocked("sc");
-  InternLocked("peer");
-  InternLocked("service");
-  InternLocked("param");
-  InternLocked("forw");
+  Intern("");
+  Intern("sc");
+  Intern("peer");
+  Intern("service");
+  Intern("param");
+  Intern("forw");
 }
 
-LabelId LabelInterner::InternLocked(std::string_view label) {
+LabelId LabelInterner::Intern(std::string_view label) {
   auto it = ids_.find(std::string(label));
   if (it != ids_.end()) return it->second;
   LabelId id = static_cast<LabelId>(texts_.size());
@@ -38,13 +35,7 @@ LabelId LabelInterner::InternLocked(std::string_view label) {
   return id;
 }
 
-LabelId LabelInterner::Intern(std::string_view label) {
-  MutexLock lock(mu_);
-  return InternLocked(label);
-}
-
 const std::string& LabelInterner::Text(LabelId id) const {
-  MutexLock lock(mu_);
   AXML_CHECK_LT(id, texts_.size()) << "unknown LabelId " << id;
   // Safe to return by reference: texts_ is a deque (no relocation on
   // growth) and entries are never erased outside ResetForTesting.
@@ -52,18 +43,13 @@ const std::string& LabelInterner::Text(LabelId id) const {
 }
 
 LabelId LabelInterner::Lookup(std::string_view label) const {
-  MutexLock lock(mu_);
   auto it = ids_.find(std::string(label));
   return it == ids_.end() ? 0 : it->second;
 }
 
-size_t LabelInterner::size() const {
-  MutexLock lock(mu_);
-  return texts_.size();
-}
+size_t LabelInterner::size() const { return texts_.size(); }
 
 void LabelInterner::ResetForTesting() {
-  MutexLock lock(mu_);
   ids_.clear();
   texts_.clear();
   SeedWellKnown();

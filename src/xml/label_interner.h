@@ -13,39 +13,33 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-
 namespace axml {
 
 /// Identifier of an interned label. Value 0 is the empty label.
 using LabelId = uint32_t;
 
-/// Process-wide label dictionary. This is one of the few pieces of
-/// state every System — and, after the worker-thread split, every
-/// thread — shares, so unlike the sequence-affine rest of the library
-/// it is mutex-guarded and safe to call from any thread (`mu_` is an
-/// annotated axml::Mutex; Clang's -Wthread-safety checks the guarded
-/// members). Text() returns a reference that stays valid for the
-/// interner's lifetime: ids are never reused and the text store never
-/// relocates an interned string.
+/// Process-wide label dictionary, shared by every System in the
+/// process (which, like the rest of the library, runs on one thread).
+/// Text() returns a reference that stays valid for the interner's
+/// lifetime: ids are never reused and the text store never relocates an
+/// interned string.
 class LabelInterner {
  public:
   /// The singleton used by all trees in the process.
   static LabelInterner& Global();
 
   /// Returns the id for `label`, interning it on first use.
-  LabelId Intern(std::string_view label) AXML_EXCLUDES(mu_);
+  LabelId Intern(std::string_view label);
 
   /// Returns the label text for `id`. `id` must have been produced by
   /// Intern().
-  const std::string& Text(LabelId id) const AXML_EXCLUDES(mu_);
+  const std::string& Text(LabelId id) const;
 
   /// Returns the id if `label` was interned before, 0 otherwise. Note the
   /// empty label also maps to 0; callers that care should check emptiness.
-  LabelId Lookup(std::string_view label) const AXML_EXCLUDES(mu_);
+  LabelId Lookup(std::string_view label) const;
 
-  size_t size() const AXML_EXCLUDES(mu_);
+  size_t size() const;
 
   /// Test-scoped reset hook: drops every interned label and re-interns
   /// the well-known dialect labels at their original ids, so one test
@@ -53,7 +47,7 @@ class LabelInterner {
   /// Only valid while no tree, schema or cached LabelId from before the
   /// reset is still alive (their ids would dangle) — call it from test
   /// teardown, never from library code.
-  void ResetForTesting() AXML_EXCLUDES(mu_);
+  void ResetForTesting();
 
  private:
   LabelInterner();
@@ -61,15 +55,12 @@ class LabelInterner {
   /// Seeds id 0 (the empty label) and the WellKnownLabels ids; shared
   /// by the constructor and ResetForTesting so reset reproduces the
   /// exact startup id assignment.
-  void SeedWellKnown() AXML_REQUIRES(mu_);
+  void SeedWellKnown();
 
-  LabelId InternLocked(std::string_view label) AXML_REQUIRES(mu_);
-
-  mutable Mutex mu_;
-  std::unordered_map<std::string, LabelId> ids_ AXML_GUARDED_BY(mu_);
+  std::unordered_map<std::string, LabelId> ids_;
   /// deque, not vector: Text() hands out references that must survive
   /// later Intern() growth.
-  std::deque<std::string> texts_ AXML_GUARDED_BY(mu_);
+  std::deque<std::string> texts_;
 };
 
 /// Shorthands over the global interner.

@@ -1,21 +1,16 @@
-// The machine-checked concurrency contracts, exercised from both sides:
-// the legal patterns must run clean, and every contract violation must
-// abort (death tests) — proof the SequenceChecker / ReentrancyGuard /
-// per-key mutation-cycle machinery is load-bearing, not decorative.
+// The callback reentrancy contracts, exercised from both sides: the
+// legal patterns must run clean, and every contract violation must
+// abort (death tests) — proof the ReentrancyGuard and per-key
+// mutation-cycle machinery is load-bearing, not decorative.
 // docs/architecture.md ("Threading & determinism contract") is the
 // canonical statement of what is enforced here.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/logging.h"
-#include "common/mutex.h"
 #include "common/reentrancy_guard.h"
-#include "common/sequence_checker.h"
 #include "peer/system.h"
 #include "replica/transfer_cache.h"
 #include "test_util.h"
@@ -26,49 +21,6 @@
 namespace axml {
 namespace {
 
-// Death tests below spawn threads; the default "fast" style forks from
-// a potentially multi-threaded process, which gtest warns about.
-class ThreadedDeathTest : public ::testing::Test {
- protected:
-  ThreadedDeathTest() {
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  }
-};
-
-using SequenceCheckerDeathTest = ThreadedDeathTest;
-using TransferCacheDeathTest = ThreadedDeathTest;
-using ReplicaManagerDeathTest = ThreadedDeathTest;
-
-// --- SequenceChecker ---
-
-TEST(SequenceCheckerTest, BindsOnFirstUseAndAcceptsItsOwnThread) {
-  SequenceChecker checker;
-  checker.Check();
-  checker.Check();  // same thread: fine, forever
-}
-
-TEST(SequenceCheckerTest, DetachAllowsDeliberateHandOff) {
-  SequenceChecker checker;
-  checker.Check();  // bind to the main thread
-  checker.DetachFromSequence();
-  std::thread other([&checker] {
-    checker.Check();  // re-binds to the new owner
-    checker.Check();
-  });
-  other.join();
-}
-
-TEST_F(SequenceCheckerDeathTest, CrossThreadUseAborts) {
-  EXPECT_DEATH(
-      {
-        SequenceChecker checker;
-        checker.Check();  // bound to this (child-process main) thread
-        std::thread trespasser([&checker] { checker.Check(); });
-        trespasser.join();
-      },
-      "sequence affinity violated");
-}
-
 // --- ReentrancyGuard ---
 
 TEST(ReentrancyGuardTest, SequentialScopesAreFine) {
@@ -78,7 +30,7 @@ TEST(ReentrancyGuardTest, SequentialScopesAreFine) {
   }
 }
 
-TEST_F(ThreadedDeathTest, NestedReentrancyAborts) {
+TEST(ReentrancyGuardDeathTest, NestedReentrancyAborts) {
   EXPECT_DEATH(
       {
         ReentrancyGuard guard;
@@ -88,24 +40,9 @@ TEST_F(ThreadedDeathTest, NestedReentrancyAborts) {
       "reentrancy: inner region entered while outer region");
 }
 
-// --- TransferCache: sequence affinity + evict-listener reentrancy ---
+// --- TransferCache: evict-listener reentrancy ---
 
-TEST_F(TransferCacheDeathTest, CrossThreadUseAborts) {
-  EXPECT_DEATH(
-      {
-        TransferCache cache;
-        NodeIdGen gen;
-        TreePtr t = MakeTextElement("r", "x", &gen);
-        cache.Put(ReplicaKey{PeerId(0), "d"},
-                  wire::EncodeTree(*t), DigestOf(*t), 1);
-        std::thread trespasser(
-            [&cache] { cache.Get(ReplicaKey{PeerId(0), "d"}, 1); });
-        trespasser.join();
-      },
-      "sequence affinity violated");
-}
-
-TEST_F(TransferCacheDeathTest, EvictListenerCallingBackAborts) {
+TEST(TransferCacheDeathTest, EvictListenerCallingBackAborts) {
   EXPECT_DEATH(
       {
         NodeIdGen gen;
@@ -177,7 +114,7 @@ TEST(ReplicaManagerContractTest, DistinctKeyMutationsLegallyNest) {
   EXPECT_FALSE(sys.replicas().HasFresh(reader, owner, "d"));
 }
 
-TEST_F(ReplicaManagerDeathTest, SameKeyMutationCycleAborts) {
+TEST(ReplicaManagerDeathTest, SameKeyMutationCycleAborts) {
   EXPECT_DEATH(
       {
         AxmlSystem sys;
@@ -246,39 +183,17 @@ TEST(ReplicaManagerContractTest, CrashRejoinChurnNestsLegally) {
   EXPECT_GT(sys.replicas().subscription_stats().sweep_repairs, 0u);
 }
 
-// --- LabelInterner: genuinely shared process-wide state ---
-
-TEST(LabelInternerConcurrencyTest, ConcurrentInterningIsConsistent) {
-  constexpr int kThreads = 4;
-  constexpr int kLabels = 64;
-  std::vector<std::vector<LabelId>> ids(kThreads,
-                                        std::vector<LabelId>(kLabels));
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([w, &ids] {
-      for (int i = 0; i < kLabels; ++i) {
-        ids[w][i] = InternLabel("concurrent_label_" + std::to_string(i));
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  for (int w = 1; w < kThreads; ++w) {
-    EXPECT_EQ(ids[w], ids[0]);  // same text -> same id, every thread
-  }
-  for (int i = 0; i < kLabels; ++i) {
-    EXPECT_EQ(LabelText(ids[0][i]), "concurrent_label_" + std::to_string(i));
-  }
-}
+// --- LabelInterner: references into the process-wide dictionary ---
 
 TEST(LabelInternerConcurrencyTest, TextReferencesSurviveConcurrentGrowth) {
+  // A LabelText reference held while the interner grows underneath it
+  // (the same thread interning hundreds of labels) stays valid.
   const std::string& anchor = LabelText(InternLabel("growth_anchor"));
-  std::thread grower([] {
-    for (int i = 0; i < 512; ++i) {
-      InternLabel("growth_filler_" + std::to_string(i));
-    }
-  });
-  grower.join();
+  const std::string* before = &anchor;
+  for (int i = 0; i < 512; ++i) {
+    InternLabel("growth_filler_" + std::to_string(i));
+  }
+  EXPECT_EQ(&LabelText(InternLabel("growth_anchor")), before);
   EXPECT_EQ(anchor, "growth_anchor");  // deque storage: no reallocation
 }
 
@@ -305,27 +220,6 @@ TEST(ProcessWideStateTest, LogLevelResetRestoresTheEnvDefault) {
   ASSERT_EQ(GetLogLevel(), LogLevel::kDebug);
   ResetLogLevelForTesting();  // re-parses AXML_LOG_LEVEL (or default)
   EXPECT_EQ(GetLogLevel(), before);
-}
-
-// --- Mutex smoke: the annotated lock actually excludes ---
-
-TEST(MutexTest, ExcludesConcurrentIncrements) {
-  Mutex mu;
-  int counter = 0;
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 10000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&mu, &counter] {
-      for (int i = 0; i < kIncrements; ++i) {
-        MutexLock lock(mu);
-        ++counter;
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  EXPECT_EQ(counter, kThreads * kIncrements);
 }
 
 }  // namespace

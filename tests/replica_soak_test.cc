@@ -588,62 +588,5 @@ TEST(ReplicaSoakTickTest, TickDrivenRoundMatchesAManualRound) {
   }
 }
 
-TEST(ReplicaSoakTickTest, WatermarkTriggeredRoundMatchesAManualRound) {
-  // Twin systems, identical demand. One runs placement by hand; the
-  // other arms the demand watermark so the 4th pick itself earns the
-  // round (posted between events, same virtual instant). The two must
-  // end byte-identical: same virtual clock, same metrics dump, same
-  // state fingerprint — the trigger is purely *when*, never *what*.
-  auto build = [](AxmlSystem& sys, std::vector<PeerId>* peers) {
-    PeerId origin = sys.AddPeer("origin");
-    PeerId r0 = sys.AddPeer("r0");
-    PeerId r1 = sys.AddPeer("r1");
-    NodeIdGen* gen = sys.peer(origin)->gen();
-    TreePtr doc = TreeNode::Element("doc", gen);
-    for (int i = 0; i < 12; ++i) {
-      doc->AddChild(MakeTextElement("x", StrCat("payload-", i), gen));
-    }
-    ASSERT_TRUE(sys.InstallDocument(origin, "hot", doc).ok());
-    sys.generics().AddDocumentMember("cls_hot", ClassMember{"hot", origin});
-    PlacementConfig placement;
-    placement.enabled = true;
-    placement.min_picks = 2;
-    placement.max_targets_per_class = 2;
-    sys.replicas().placement().set_config(placement);
-    *peers = {origin, r0, r1};
-  };
-  auto pick = [](AxmlSystem& sys, PeerId reader, int n) {
-    for (int i = 0; i < n; ++i) {
-      ASSERT_TRUE(sys.generics()
-                      .PickDocument("cls_hot", reader, PickPolicy::kNearest,
-                                    sys.network(), 64)
-                      .ok());
-    }
-  };
-  auto digest = [](AxmlSystem& sys) {
-    return StrCat("t=", sys.loop().now(), "\n", sys.DumpMetrics(), "\n",
-                  sys.StateFingerprint());
-  };
-
-  AxmlSystem manual_sys;
-  std::vector<PeerId> manual_peers;
-  build(manual_sys, &manual_peers);
-  pick(manual_sys, manual_peers[1], 4);
-  pick(manual_sys, manual_peers[2], 2);
-  manual_sys.replicas().RunPlacement();
-  manual_sys.RunToQuiescence();
-
-  AxmlSystem wm_sys;
-  std::vector<PeerId> wm_peers;
-  build(wm_sys, &wm_peers);
-  wm_sys.replicas().set_placement_demand_watermark(4);
-  pick(wm_sys, wm_peers[1], 4);  // 4th pick crosses the watermark
-  pick(wm_sys, wm_peers[2], 2);  // below watermark; coalesces anyway
-  wm_sys.RunToQuiescence();
-
-  EXPECT_GT(manual_sys.replicas().placement_stats().shipments, 0u);
-  EXPECT_EQ(digest(manual_sys), digest(wm_sys));
-}
-
 }  // namespace
 }  // namespace axml

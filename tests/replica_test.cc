@@ -553,29 +553,6 @@ TEST(PushRefreshTest, ReadRacingAnInFlightRefreshJoinsTheShipment) {
   EXPECT_TRUE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
 }
 
-TEST(PushRefreshTest, RefreshBudgetExhaustionFallsBackToDrop) {
-  TwoPeers f;
-  f.sys.replicas().set_refresh_policy(RefreshPolicy::kEagerRefresh);
-  f.sys.replicas().set_refresh_budget_bytes(16);  // far below one catalog
-  Evaluator ev(&f.sys, CachingOptions());
-  ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
-
-  Rng rng(17);
-  f.sys.peer(f.origin)->PutDocument(
-      "d", MakeCatalog(8, f.sys.peer(f.origin)->gen(), &rng));
-
-  const SubscriptionStats& ss = f.sys.replicas().subscription_stats();
-  EXPECT_EQ(ss.budget_denied, 1u);
-  EXPECT_FALSE(f.sys.replicas().IsRefreshInFlight(f.client, f.origin, "d"));
-  EXPECT_FALSE(f.sys.replicas().ExpectedFresh(f.client, f.origin, "d"));
-  f.sys.RunToQuiescence();
-  EXPECT_FALSE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
-
-  // The next read re-pulls lazily — the budget gates pushes, not reads.
-  ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
-  EXPECT_TRUE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
-}
-
 TEST(PushRefreshTest, RemovedDocumentPushesDropWithoutRefresh) {
   TwoPeers f;
   f.sys.replicas().set_refresh_policy(RefreshPolicy::kEagerRefresh);

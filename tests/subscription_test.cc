@@ -161,10 +161,11 @@ TEST(CacheStatsTest, OverwriteReleasesTheOldBlobBeforeCharging) {
   EXPECT_EQ(cache.stats().invalidations, 0u);
 }
 
-TEST(CacheStatsTest, PromotionErasesEveryDedupAliasOfTheBlob) {
+TEST(CacheStatsTest, PromotionErasesOnlyThePromotedEntry) {
   // Two origins serve identical content; the reader caches both, which
-  // share one blob. A durable write onto one slot must erase *both*
-  // aliases (the mutated tree may alias the shared blob), releasing it.
+  // share one blob. A durable write onto one slot erases that slot's
+  // entry only: the other origin's copy is fresh and its bytes are not
+  // aliased by the promoted document.
   AxmlSystem sys;
   PeerId reader = sys.AddPeer("reader");
   PeerId o1 = sys.AddPeer("o1");
@@ -186,13 +187,18 @@ TEST(CacheStatsTest, PromotionErasesEveryDedupAliasOfTheBlob) {
   ASSERT_EQ(cache->entry_count(), 2u);
   ASSERT_EQ(cache->blob_count(), 1u);
 
+  const uint64_t resident_before = cache->resident_bytes();
+
   // Durable write onto the first copy's slot: the slot is promoted and
-  // every alias of the (possibly aliased) blob goes with it.
+  // its entry goes; the mirror entry keeps the shared blob resident.
   Peer* host = sys.peer(reader);
   host->PutDocument("d", MakeTextElement("mine", "1", host->gen()));
-  EXPECT_EQ(cache->entry_count(), 0u);
-  EXPECT_EQ(cache->blob_count(), 0u);
-  EXPECT_EQ(cache->resident_bytes(), 0u);
+  EXPECT_EQ(cache->entry_count(), 1u);
+  EXPECT_EQ(cache->blob_count(), 1u);
+  EXPECT_EQ(cache->resident_bytes(), resident_before);
+  EXPECT_EQ(cache->Peek(ReplicaKey{o1, "d"}), nullptr);
+  EXPECT_NE(cache->Peek(ReplicaKey{o2, "mirror"}), nullptr);
+  EXPECT_TRUE(sys.replicas().HasFresh(reader, o2, "mirror"));
   EXPECT_TRUE(host->HasDocument("d"));  // the promoted document stays
   EXPECT_FALSE(sys.replicas().IsCachedCopy(reader, "d"));
 }
