@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific source lints the compiler cannot enforce.
 
-Eight checks over src/ (and tests/, bench/, examples/ where noted),
+Nine checks over src/ (and tests/, bench/, examples/ where noted),
 each pinning a repo-wide contract that used to live only in review
 comments:
 
@@ -69,6 +69,17 @@ comments:
                        std::condition_variable are banned there.
                        std::atomic (the log level) and
                        std::this_thread::sleep_for stay legal.
+
+  process-state        Two equal systems in one process must run
+                       equally, so a simulation keeps its state in its
+                       own objects. A function-local ``static`` in src/
+                       that is neither const nor constexpr and is
+                       initialized with ``=`` or braces is state shared
+                       by every system in the process (a static counter
+                       once named shipped queries differently in the
+                       second of two equal systems). Deliberate
+                       process-wide singletons carry the waiver with
+                       their reason.
 
 Suppressions: append ``// lint: allow-<check>`` (e.g. ``// lint:
 allow-determinism``) to the flagged line or the line above. Use rarely;
@@ -439,6 +450,62 @@ def check_no_threads(sf: SourceFile) -> Iterator[Finding]:
                 )
 
 
+# --- process-state ---
+
+# `static T name =` / `static T name{` with no const/constexpr on the
+# line. A function `static T f(...) {` never matches: its name is
+# followed by the parameter list.
+_STATIC_VAR_RE = re.compile(
+    r"^\s*static\s+(?!.*\bconst(?:expr)?\b)[\w:<>,*&\s]+?\b\w+\s*(?:=(?!=)|\{)"
+)
+_TEMPLATE_HEAD_RE = re.compile(r"\btemplate\s*<[^;{]*?>")
+_SCOPE_HEAD_RE = re.compile(r"\b(?:namespace|class|struct|union|enum)\b")
+
+
+def in_function_body(sf: SourceFile) -> list[bool]:
+    """Per line (index 1..n), True when the line starts inside a brace
+    that opens neither a namespace nor a class, struct, union or enum —
+    a function or lambda body, or a block nested in one."""
+    inside = [False]
+    opens_body: list[bool] = []  # one entry per open brace
+    head = ""  # code since the last brace or semicolon
+    for line in sf.code:
+        inside.append(any(opens_body))
+        for ch in line + " ":
+            if ch == "{":
+                head = _TEMPLATE_HEAD_RE.sub("", head)
+                opens_body.append(not _SCOPE_HEAD_RE.search(head))
+                head = ""
+            elif ch in "};":
+                if ch == "}" and opens_body:
+                    opens_body.pop()
+                head = ""
+            else:
+                head += ch
+    return inside
+
+
+def check_process_state(sf: SourceFile) -> Iterator[Finding]:
+    """No mutable function-local statics: state lives in the system."""
+    inside = in_function_body(sf)
+    for i, line in enumerate(sf.code, 1):
+        if (
+            inside[i]
+            and _STATIC_VAR_RE.search(line)
+            and not suppressed(sf, i, "process-state")
+        ):
+            yield Finding(
+                sf.path,
+                i,
+                "process-state",
+                "mutable function-local static — every system in the "
+                "process shares its value, so two equal simulations "
+                "diverge; keep the state in the object that owns it, or "
+                "waive a deliberate singleton with "
+                "'// lint: allow-process-state' and its reason",
+            )
+
+
 def run_checks() -> list[Finding]:
     findings: list[Finding] = []
     for path in cxx_files(["src", "tests", "bench", "examples"]):
@@ -447,6 +514,7 @@ def run_checks() -> list[Finding]:
         top = rel_parts[0]
         if top == "src":
             findings.extend(check_header_hygiene(sf))
+            findings.extend(check_process_state(sf))
         if top == "src" and "fault_injector" in path.name:
             findings.extend(check_injected_rng(sf))
         rel_posix = "/".join(rel_parts)

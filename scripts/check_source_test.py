@@ -140,6 +140,13 @@ class NoThreadsTest(unittest.TestCase):
         self.assertEqual(flagged_lines(findings, "no-threads"), marked_lines(sf))
 
 
+class ProcessStateTest(unittest.TestCase):
+    def test_flags_mutable_function_local_statics_only(self) -> None:
+        sf = fixture("bad_process_state.cc")
+        findings = list(cs.check_process_state(sf))
+        self.assertEqual(flagged_lines(findings, "process-state"), marked_lines(sf))
+
+
 class CleanFixtureTest(unittest.TestCase):
     def test_no_check_fires_on_clean_code(self) -> None:
         sf = fixture("clean.cc")
@@ -148,6 +155,7 @@ class CleanFixtureTest(unittest.TestCase):
             + list(cs.check_unordered_iteration(sf))
             + list(cs.check_raw_new_delete(sf))
             + list(cs.check_no_threads(sf))
+            + list(cs.check_process_state(sf))
         )
         self.assertEqual(findings, [])
 

@@ -286,57 +286,22 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
     return;
   }
   const DocName doc_name = e->doc_name();
-  // Documents above the sharding threshold read through the shard
-  // layer: full assemblies from resident shards, delta fetches for the
-  // rest. Everything else keeps the whole-document replica path — a
-  // fresh whole-document copy included (e.g. cached before sharding was
-  // enabled): the cost model prices that copy at zero, so the read must
-  // serve it rather than re-fetch the document as shards.
-  const bool sharded_read =
-      owner != ctx && options_.use_replica_cache &&
-      sys_->replicas().ShardedReadApplies(owner, doc_name) &&
-      !sys_->replicas().HasFreshWholeCopy(ctx, owner, doc_name);
   if (owner != ctx && options_.use_replica_cache) {
-    if (sharded_read) {
-      // Shard fast path: manifest fresh and every data shard resident —
-      // the document assembles locally for 0 wire bytes. The assembly
-      // is freshly minted, so it is emitted without another clone.
-      if (TreePtr assembled =
-              sys_->replicas().LookupShardedFresh(ctx, owner, doc_name)) {
-        ++counters_.sharded_hits;
-        if (Tracer& tr = sys_->tracer(); tr.enabled()) {
-          tr.Record("eval", "shard_hit", ctx, 0, 0,
-                    StrCat(doc_name, "@", owner.ToString()));
-        }
-        sys_->loop().Post(
-            [assembled = std::move(assembled), emit = std::move(emit)] {
-              emit(assembled);
-            });
-        return;
-      }
-    } else if (EncodedBlob blob = sys_->replicas().LookupFresh(ctx, owner,
-                                                               doc_name)) {
-      // Replica fast path: a fresh cached copy of the remote document is
-      // read locally — a transfer the cache's hit stats account for. A
-      // stale copy is dropped by this very lookup (versioned
-      // invalidation) and the read falls through to the wire.
-      ++counters_.replica_hits;
+    // Replica fast path: a fresh copy of the remote document — whole, or
+    // assembled from resident shards; the replica layer picks — is read
+    // locally, a transfer the cache's hit stats account for. A stale
+    // copy is dropped by this very read (versioned invalidation) and the
+    // read falls through to the wire. The copy is a private instance
+    // decoded from the cached wire bytes, as the ship this hit replaces
+    // would have delivered (§3.2: sends copy their data-model instances).
+    bool sharded = false;
+    if (TreePtr fresh = sys_->replicas().ReadFreshCopy(ctx, owner, doc_name,
+                                                       &sharded)) {
+      ++(sharded ? counters_.sharded_hits : counters_.replica_hits);
       if (Tracer& tr = sys_->tracer(); tr.enabled()) {
-        tr.Record("eval", "replica_hit", ctx, 0, 0,
+        tr.Record("eval", sharded ? "shard_hit" : "replica_hit", ctx, 0, 0,
                   StrCat(doc_name, "@", owner.ToString()));
       }
-      // Deliver a private instance, as the ship this hit replaces would
-      // have (§3.2: sends copy their data-model instances). The cache
-      // keeps the received wire bytes, so the copy is a decode of those
-      // bytes — the same operation a fresh transfer would have performed.
-      Result<TreePtr> decoded = wire::DecodeTree(
-          *blob, sys_->peer(ctx)->gen(), &sys_->wire_stats());
-      AXML_DCHECK(decoded.ok());
-      if (!decoded.ok()) {
-        Fail(decoded.status());
-        return;
-      }
-      TreePtr fresh = std::move(decoded).value();
       sys_->loop().Post(
           [fresh = std::move(fresh), emit = std::move(emit)] {
             emit(fresh);
@@ -374,42 +339,38 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
     }
     inflight_.emplace(std::make_tuple(ctx, owner, doc_name),
                       std::vector<EmitFn>{});
-  }
-  if (sharded_read) {
-    // Delta fetch: only the stale manifest and the shards this reader
-    // lacks cross the wire; resident shards serve locally. The landing
-    // caches + installs the copy (unless a rack-mate served it) and
-    // hands back the assembled document, which stands in for the
-    // whole-document `landed` below.
-    const bool launched = sys_->replicas().FetchForRead(
-        ctx, owner, doc_name,
-        [this, ctx, owner, doc_name, emit](TreePtr assembled) {
-          std::vector<EmitFn> waiters;
-          auto flight = inflight_.find({ctx, owner, doc_name});
-          if (flight != inflight_.end()) {
-            waiters = std::move(flight->second);
-            inflight_.erase(flight);
-          }
-          if (assembled == nullptr) {
-            Fail(Status::NotFound(StrCat("sharded read of \"", doc_name,
-                                         "\" failed to assemble")));
-            return;
-          }
-          NodeIdGen* gen = sys_->peer(ctx)->gen();
-          const uint64_t bytes = wire::EncodedTreeSize(*assembled);
-          emit(assembled);
-          for (EmitFn& w : waiters) {
-            sys_->replicas().RecordCoalescedHit(ctx, bytes);
-            w(assembled->Clone(gen));
-          }
-        });
-    if (launched) {
+    // A document that replicates as shards is fetched as a delta: only
+    // the stale manifest and the shards this reader lacks cross the
+    // wire; resident shards serve locally. The landing caches + installs
+    // the copy (unless a rack-mate served it) and hands back the
+    // assembled document, which stands in for the whole-document
+    // `landed` below. For any other document nothing is sent, and the
+    // whole-document path below ships it under the same in-flight entry.
+    if (sys_->replicas().FetchForRead(
+            ctx, owner, doc_name,
+            [this, ctx, owner, doc_name, emit](TreePtr assembled) {
+              std::vector<EmitFn> waiters;
+              auto joined = inflight_.find({ctx, owner, doc_name});
+              if (joined != inflight_.end()) {
+                waiters = std::move(joined->second);
+                inflight_.erase(joined);
+              }
+              if (assembled == nullptr) {
+                Fail(Status::NotFound(StrCat("sharded read of \"", doc_name,
+                                             "\" failed to assemble")));
+                return;
+              }
+              NodeIdGen* gen = sys_->peer(ctx)->gen();
+              const uint64_t bytes = wire::EncodedTreeSize(*assembled);
+              emit(assembled);
+              for (EmitFn& w : waiters) {
+                sys_->replicas().RecordCoalescedHit(ctx, bytes);
+                w(assembled->Clone(gen));
+              }
+            })) {
       ++counters_.sharded_fetches;
       return;
     }
-    // The document vanished between the probe and the fetch; the
-    // whole-document path below raises the error.
-    inflight_.erase({ctx, owner, doc_name});
   }
   TreePtr root = host->GetDocument(doc_name);
   if (root == nullptr) {
@@ -443,23 +404,18 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
                                              TreePtr landed,
                                              const std::string& blob) {
                 // Materialize the transferred tree as a replica: later
-                // reads (here or via d@any) hit the copy. Trees still
-                // carrying service calls are excluded — a copy freezes
-                // their activation state — and so is a payload from
-                // the reader's own rack, which already serves it.
-                // The cache stores the bytes that crossed the wire and
-                // the landed tree becomes the installed local copy;
-                // every consumer — the reader that triggered the
-                // transfer and any coalesced waiters — gets its own
-                // clone of it, mirroring what a per-reader ship would
-                // have delivered.
-                bool cached = false;
-                if (options_.use_replica_cache &&
-                    !landed->ContainsServiceCall() &&
-                    sys_->replicas().AdmitReadCopy(ctx, owner)) {
-                  cached = sys_->replicas().InsertCopy(
-                      ctx, owner, doc_name, landed, snap_version, blob);
-                }
+                // reads (here or via d@any) hit the copy, unless the
+                // replica layer declines it. The cache stores the bytes
+                // that crossed the wire and the landed tree becomes the
+                // installed local copy; every consumer — the reader that
+                // triggered the transfer and any coalesced waiters — gets
+                // its own clone of it, mirroring what a per-reader ship
+                // would have delivered.
+                const bool cached =
+                    options_.use_replica_cache &&
+                    sys_->replicas().InsertReadCopy(ctx, owner, doc_name,
+                                                    landed, snap_version,
+                                                    blob);
                 NodeIdGen* gen = sys_->peer(ctx)->gen();
                 emit(cached ? landed->Clone(gen) : landed);
                 // Wake the readers that coalesced onto this transfer.
@@ -856,20 +812,22 @@ void Evaluator::DeployShipQuery(PeerId ctx, const ExprPtr& e, EmitFn) {
     return;
   }
   Query q = e->query();
-  ServiceName name = e->install_as();
-  if (name.empty()) {
-    static uint64_t counter = 0;
-    // "Rather than giving it an explicit name ... we may refer to this
-    // service as send_{p1→p2}(q@p1)" — we generate a stable name.
-    name = StrCat("shipped_q", counter++);
-  }
   sys_->network().SendReliable(
       ctx, to,
       wire::EncodeText(wire::MessageClass::kQuery, q.text(),
                        &sys_->wire_stats()),
-      [this, to, name](const wire::Payload& p) {
+      [this, to, name = e->install_as()](const wire::Payload& p) mutable {
         Peer* dest = sys_->peer(to);
         if (dest == nullptr) return;
+        // "Rather than giving it an explicit name ... we may refer to this
+        // service as send_{p1→p2}(q@p1)": an anonymous ship installs as
+        // the first shipped_q<n> the destination does not define yet, so
+        // the name depends on the system's state alone.
+        for (uint64_t n = 0; name.empty(); ++n) {
+          if (!dest->HasService(StrCat("shipped_q", n))) {
+            name = StrCat("shipped_q", n);
+          }
+        }
         // The service re-materializes from the wire text: the canonical
         // form Parse()s back to an equal query, so the shipped bytes are
         // the installed definition — no in-process alias survives.

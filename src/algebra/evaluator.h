@@ -61,12 +61,11 @@ struct EvalOptions {
   /// How def. (9) picks among generic-class members.
   PickPolicy pick_policy = PickPolicy::kNearest;
   /// Route remote document reads through the replica subsystem
-  /// (src/replica/): a fresh cached copy is read locally for 0 wire
-  /// bytes, and a transferred document is inserted into the reader's
-  /// transfer cache and advertised in the catalog / generic classes.
-  /// When the system additionally enables document sharding
-  /// (ReplicaManager::set_sharding_enabled), large documents read as
-  /// shard deltas: only the pieces the reader lacks cross the wire.
+  /// (src/replica/), which owns every copy decision: a fresh copy is
+  /// read locally for 0 wire bytes (ReplicaManager::ReadFreshCopy), a
+  /// document that replicates as shards is fetched as a delta of the
+  /// pieces the reader lacks (FetchForRead), and any other transferred
+  /// document is offered to the reader's cache (InsertReadCopy).
   /// Off by default — the paper's baseline semantics always transfer.
   bool use_replica_cache = false;
 };

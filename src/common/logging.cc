@@ -12,9 +12,9 @@ namespace {
 /// Latched process-wide level. Function-local static: the AXML_LOG_LEVEL
 /// parse happens exactly once, on first use, and an explicit
 /// SetLogLevel afterwards simply overwrites the latched value. Atomic
-/// (relaxed — the level is advisory, not a synchronization point) so a
-/// logging worker thread never races a SetLogLevel.
+/// (relaxed — the level is advisory, not a synchronization point).
 std::atomic<LogLevel>& Level() {
+  // lint: allow-process-state — the log level is the process's, by design.
   static std::atomic<LogLevel> level =
       ParseLogLevel(std::getenv("AXML_LOG_LEVEL"), LogLevel::kWarning);
   return level;

@@ -12,8 +12,8 @@ AxmlSystem::AxmlSystem() : AxmlSystem(Topology(LinkParams{})) {}
 
 AxmlSystem::AxmlSystem(Topology topology)
     : network_(std::make_unique<Network>(&loop_, std::move(topology))),
+      replicas_(*this),
       tracer_([this] { return loop_.now(); }) {
-  replicas_.Bind(this);
   network_->set_tracer(&tracer_);
   // Each source reads the stats structs through their counter tables
   // (obs/metrics.h), the same fields the typed accessors return.

@@ -25,12 +25,6 @@ namespace {
 /// unbounded chain would ship forever without ever landing fresh.
 constexpr int kMaxCatchupAttempts = 3;
 
-/// The system's wire encode/decode accounting, nullptr for unbound
-/// managers (headless unit tests).
-wire::WireStats* WireStatsOf(AxmlSystem* sys) {
-  return sys == nullptr ? nullptr : &sys->wire_stats();
-}
-
 /// The shipped-and-reused counters one delta adds, whichever path sent
 /// it.
 void CountShardDelta(const ShardDelta& delta, ShardStats* stats) {
@@ -68,8 +62,8 @@ void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
   // the fan-out below triggers — synchronously or across simulated
   // network hops — inherits this id (unless the mutation is itself part
   // of a chain already, e.g. a landed copy installing).
-  Tracer* tr = trace();
-  Tracer::Scope trace_scope(tr, tr != nullptr ? tr->CurrentOrNew() : 0);
+  Tracer& tr = sys_->tracer();
+  Tracer::Scope trace_scope(&tr, tr.CurrentOrNew());
   TraceEvent("mutation", owner, 0, ReplicaKey{owner, name});
 
   // A never-mutated document is at version 1 (the header's contract), so
@@ -81,7 +75,7 @@ void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
   // subscriber's copy and advertisements are retracted before this call
   // returns — no stale advertisement survives into the window between
   // this mutation and the next read.
-  if (refresh_policy_ != RefreshPolicy::kLazy && sys_ != nullptr) {
+  if (refresh_policy_ != RefreshPolicy::kLazy) {
     PushInvalidate(ReplicaKey{owner, name});
   }
 
@@ -110,18 +104,16 @@ void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
   // durable one; a removal must retract it — the listener fires for
   // both, so check which one happened. Membership in the origin's
   // classes goes either way: the write may have broken equivalence.
-  if (sys_ != nullptr) {
-    const Peer* holder = sys_->peer(owner);
-    const bool still_exists = holder != nullptr && holder->HasDocument(name);
-    if (CatalogBackend* catalog = sys_->catalog()) {
-      if (still_exists) {
-        catalog->Register(ResourceKind::kDocument, name, owner);
-      } else {
-        catalog->Unregister(ResourceKind::kDocument, name, owner);
-      }
+  const Peer* holder = sys_->peer(owner);
+  const bool still_exists = holder != nullptr && holder->HasDocument(name);
+  if (CatalogBackend* catalog = sys_->catalog()) {
+    if (still_exists) {
+      catalog->Register(ResourceKind::kDocument, name, owner);
+    } else {
+      catalog->Unregister(ResourceKind::kDocument, name, owner);
     }
-    LeaveGenericClasses(ClassMember{name, owner});
   }
+  LeaveGenericClasses(ClassMember{name, owner});
 }
 
 TransferCache* ReplicaManager::CacheFor(PeerId peer) {
@@ -141,15 +133,13 @@ TransferCache* ReplicaManager::CacheFor(PeerId peer) {
         subscriptions_.Unsubscribe(key, peer);
         RetractAdvertisements(peer, key);
       });
-  if (sys_ != nullptr) {
-    // The cost-aware policy prices victims by what re-pulling them over
-    // the holder<-origin link would cost (CostModel::RefetchCost): a
-    // copy of a distant origin survives bursts of cheap nearby traffic.
-    cache->set_refetch_cost(
-        [this, peer](const ReplicaKey& key, uint64_t bytes) {
-          return CostModel(sys_).RefetchCost(peer, key.origin, bytes);
-        });
-  }
+  // The cost-aware policy prices victims by what re-pulling them over
+  // the holder<-origin link would cost (CostModel::RefetchCost): a copy
+  // of a distant origin survives bursts of cheap nearby traffic.
+  cache->set_refetch_cost(
+      [this, peer](const ReplicaKey& key, uint64_t bytes) {
+        return CostModel(sys_).RefetchCost(peer, key.origin, bytes);
+      });
   return caches_.emplace(peer, std::move(cache)).first->second.get();
 }
 
@@ -177,9 +167,7 @@ bool ReplicaManager::InsertCopy(PeerId reader, PeerId origin,
                                 const DocName& name, TreePtr landed,
                                 uint64_t snapshot_version,
                                 std::string encoded) {
-  if (sys_ == nullptr || reader == origin || !origin.is_concrete()) {
-    return false;
-  }
+  if (reader == origin || !origin.is_concrete()) return false;
   Peer* holder = sys_->peer(reader);
   if (holder == nullptr || landed == nullptr) return false;
   if (snapshot_version != Version(origin, name)) {
@@ -233,6 +221,15 @@ void ReplicaManager::InstallAndAdvertise(PeerId reader, PeerId origin,
   }
 }
 
+bool ReplicaManager::InsertReadCopy(PeerId reader, PeerId origin,
+                                    const DocName& name, TreePtr landed,
+                                    uint64_t snapshot_version,
+                                    std::string encoded) {
+  return !landed->ContainsServiceCall() && AdmitReadCopy(reader, origin) &&
+         InsertCopy(reader, origin, name, std::move(landed),
+                    snapshot_version, std::move(encoded));
+}
+
 bool ReplicaManager::AdmitReadCopy(PeerId reader, PeerId source) {
   const Topology& topo = sys_->network().topology();
   const uint32_t rack = topo.RackOf(reader);
@@ -241,19 +238,55 @@ bool ReplicaManager::AdmitReadCopy(PeerId reader, PeerId source) {
   return false;
 }
 
-EncodedBlob ReplicaManager::LookupFresh(PeerId reader, PeerId origin,
-                                        const DocName& name) {
-  if (reader == origin || !origin.is_concrete()) return nullptr;
+TreePtr ReplicaManager::ReadFreshCopy(PeerId reader, PeerId origin,
+                                      const DocName& name, bool* sharded) {
+  *sharded = false;
+  Peer* holder = sys_->peer(reader);
+  if (holder == nullptr || reader == origin || !origin.is_concrete()) {
+    return nullptr;
+  }
+  // Pick the shape by Peeks alone: a read served by shards must not
+  // also Get the whole-document entry, whose miss would count.
+  const ReplicaKey key{origin, name};
+  const uint64_t version = Version(origin, name);
+  const bool shardable = OriginShards(origin, name) != nullptr;
+  auto it = caches_.find(reader);
+  TransferCache* cache = it == caches_.end() ? nullptr : it->second.get();
+  const TransferCache::Entry* whole =
+      cache == nullptr ? nullptr : cache->Peek(key);
+  *sharded = shardable &&
+             (whole == nullptr || whole->origin_version != version);
   // A miss from a peer that never cached anything must not allocate a
   // TransferCache (plus evict listener) for it — readers that never
   // insert would each leak an empty cache. The miss is tallied
   // manager-side so TotalStats stays truthful.
-  auto it = caches_.find(reader);
-  if (it == caches_.end()) {
+  if (cache == nullptr) {
     ++uncached_stats_.misses;
     return nullptr;
   }
-  return it->second->Get(ReplicaKey{origin, name}, Version(origin, name));
+  if (!*sharded) {
+    EncodedBlob blob = cache->Get(key, version);
+    return blob == nullptr ? nullptr
+                           : DecodeStoredTree(*blob, holder->gen(),
+                                              &sys_->wire_stats());
+  }
+  // A stale manifest is dropped by this Get (with its advertisements,
+  // via the evict listener) and the read falls through to a delta fetch.
+  EncodedBlob blob = cache->Get(ManifestKey(origin, name), version);
+  TreePtr manifest =
+      blob == nullptr ? nullptr : DecodeManifest(*blob, &sys_->wire_stats());
+  if (manifest == nullptr) return nullptr;
+  // Assemble from Peeks first: an incomplete copy must not charge
+  // recency/hit credit for shards this read cannot use yet (the delta
+  // fetch that follows will claim them).
+  TreePtr assembled = AssembleResident(*cache, origin, name, *manifest,
+                                       holder->gen(), &sys_->wire_stats());
+  if (assembled == nullptr) return nullptr;
+  for (const std::string& id : ManifestShardIds(*manifest)) {
+    cache->Get(ShardDataKey(origin, name, id), kImmutableShardVersion);
+  }
+  ++shard_stats_.full_hits;
+  return assembled;
 }
 
 bool ReplicaManager::HasFresh(PeerId reader, PeerId origin,
@@ -272,7 +305,7 @@ uint64_t ReplicaManager::FreshCopyBytes(PeerId reader, PeerId origin,
   // A complete sharded copy is as fresh as a whole-document one.
   const TransferCache::Entry* m = cache->Peek(ManifestKey(origin, name));
   if (m == nullptr || m->origin_version != Version(origin, name)) return 0;
-  TreePtr manifest = DecodeManifest(*m->encoded, WireStatsOf(sys_));
+  TreePtr manifest = DecodeManifest(*m->encoded, &sys_->wire_stats());
   return manifest == nullptr
              ? 0
              : ResidentShardBytes(*cache, origin, name, *manifest);
@@ -337,21 +370,17 @@ TransferCacheStats ReplicaManager::TotalStats() const {
   return total;
 }
 
-Tracer* ReplicaManager::trace() const {
-  return sys_ == nullptr ? nullptr : &sys_->tracer();
-}
-
 void ReplicaManager::TraceEvent(const char* event, PeerId peer,
                                 uint64_t bytes, const ReplicaKey& key) const {
-  if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-    tr->Record("replica", event, peer, bytes, 0, key.ToString());
+  if (Tracer& tr = sys_->tracer(); tr.enabled()) {
+    tr.Record("replica", event, peer, bytes, 0, key.ToString());
   }
 }
 
 void ReplicaManager::TraceEvent(const char* event, PeerId peer,
                                 const char* detail, PeerId origin) const {
-  if (Tracer* tr = trace(); tr != nullptr && tr->enabled()) {
-    tr->Record("replica", event, peer, 0, 0,
+  if (Tracer& tr = sys_->tracer(); tr.enabled()) {
+    tr.Record("replica", event, peer, 0, 0,
                origin.valid() ? StrCat(detail, origin.ToString()) : detail);
   }
 }
@@ -423,7 +452,6 @@ void ReplicaManager::RetractAdvertisements(PeerId reader,
     return;  // cache-only copy, nothing advertised
   }
   installed_.erase(it);
-  if (sys_ == nullptr) return;
   if (Peer* holder = sys_->peer(reader)) {
     (void)holder->RemoveDocument(key.name);
   }
@@ -498,13 +526,10 @@ void ReplicaManager::PushInvalidate(const ReplicaKey& key) {
     } else {
       ++subscription_stats_.shard_notifies;
     }
-    // Size 0: under batching the wire size exists only at send time.
     TraceEvent("notify", holder, 0, key);
     // The notification is wire traffic on the origin->holder link;
-    // NetStats tallies it apart from data transfers. Inside a
-    // NotifyBatch window, events to the same (origin, holder) pair share
-    // one message.
-    QueueNotify(key, holder);
+    // NetStats tallies it apart from data transfers.
+    SendNotifyMessage(key, holder);
     // Coherence is synchronous: copy and advertisements are gone before
     // the mutating call returns — no lookup can ever see them stale.
     if (DropCopy(holder, key.origin, key.name)) {
@@ -532,55 +557,27 @@ void ReplicaManager::PushInvalidate(const ReplicaKey& key) {
   }
 }
 
-void ReplicaManager::QueueNotify(const ReplicaKey& key, PeerId holder) {
-  if (notify_batch_depth_ > 0) {
-    std::vector<ReplicaKey>& queued =
-        pending_notifies_[{key.origin, holder}];
-    if (!queued.empty()) ++subscription_stats_.batched;
-    queued.push_back(key);
-    return;
-  }
-  if (sys_ != nullptr) {
-    SendNotifyMessage(key.origin, holder, {key});
-  }
-}
-
-void ReplicaManager::SendNotifyMessage(
-    PeerId origin, PeerId holder, const std::vector<ReplicaKey>& keys) {
+void ReplicaManager::SendNotifyMessage(const ReplicaKey& key,
+                                       PeerId holder) {
+  const PeerId origin = key.origin;
   wire::NotifyBatch batch;
   batch.origin = origin.index();
-  batch.keys.reserve(keys.size());
-  for (const ReplicaKey& k : keys) {
-    batch.keys.push_back({k.name, k.shard});
-  }
+  batch.keys.push_back({key.name, key.shard});
   // The arrival hook is the asynchronous half of invalidation: a no-op
   // on the perfect fabric (the drop already happened, synchronously), a
   // repair when faults let stale state survive. The priced size is the
-  // encoded batch's — one key or fifty, the bytes are what they are.
+  // encoded message's.
   sys_->network().SendNotify(
-      origin, holder, wire::EncodeNotifyBatch(batch, WireStatsOf(sys_)),
+      origin, holder, wire::EncodeNotifyBatch(batch, &sys_->wire_stats()),
       [this, origin, holder](const wire::Payload& p) {
         // The carried keys are advisory — the repair rescans the whole
         // cache — but a payload that does not parse is a bug, not a
         // tolerable fault.
         Result<wire::NotifyBatch> got =
-            wire::DecodeNotifyBatch(p, WireStatsOf(sys_));
+            wire::DecodeNotifyBatch(p, &sys_->wire_stats());
         AXML_DCHECK(got.ok());
         OnNotifyDelivered(origin, holder);
       });
-}
-
-void ReplicaManager::BeginNotifyBatch() { ++notify_batch_depth_; }
-
-void ReplicaManager::EndNotifyBatch() {
-  AXML_CHECK(notify_batch_depth_ > 0);
-  if (--notify_batch_depth_ > 0) return;
-  for (const auto& [pair, queued] : pending_notifies_) {
-    if (sys_ != nullptr && !queued.empty()) {
-      SendNotifyMessage(pair.first, pair.second, queued);
-    }
-  }
-  pending_notifies_.clear();
 }
 
 void ReplicaManager::set_sharding_config(ShardingConfig cfg) {
@@ -591,9 +588,7 @@ void ReplicaManager::set_sharding_config(ShardingConfig cfg) {
 
 const ShardedDocument* ReplicaManager::OriginShards(
     PeerId origin, const DocName& name) const {
-  if (!sharding_enabled_ || sys_ == nullptr || !origin.is_concrete()) {
-    return nullptr;
-  }
+  if (!sharding_enabled_ || !origin.is_concrete()) return nullptr;
   Peer* host = sys_->peer(origin);
   const ReplicaKey key{origin, name};
   TreePtr root = host == nullptr ? nullptr : host->GetDocument(name);
@@ -616,11 +611,6 @@ const ShardedDocument* ReplicaManager::OriginShards(
   return &pos->second.sharded;
 }
 
-bool ReplicaManager::ShardedReadApplies(PeerId origin,
-                                        const DocName& name) const {
-  return OriginShards(origin, name) != nullptr;
-}
-
 std::set<std::string> ReplicaManager::LiveShardIds(
     const ReplicaKey& doc) const {
   std::set<std::string> live;
@@ -628,14 +618,6 @@ std::set<std::string> ReplicaManager::LiveShardIds(
     for (const DocumentShard& s : sd->shards) live.insert(s.id.ToString());
   }
   return live;
-}
-
-bool ReplicaManager::HasFreshWholeCopy(PeerId reader, PeerId origin,
-                                       const DocName& name) const {
-  const TransferCache* cache = FindCache(reader);
-  if (cache == nullptr) return false;
-  const TransferCache::Entry* e = cache->Peek(ReplicaKey{origin, name});
-  return e != nullptr && e->origin_version == Version(origin, name);
 }
 
 bool ReplicaManager::ShardedDeltaBytes(PeerId reader, PeerId origin,
@@ -649,43 +631,10 @@ bool ReplicaManager::ShardedDeltaBytes(PeerId reader, PeerId origin,
   return true;
 }
 
-TreePtr ReplicaManager::LookupShardedFresh(PeerId reader, PeerId origin,
-                                           const DocName& name) {
-  if (sys_ == nullptr || reader == origin || !origin.is_concrete()) {
-    return nullptr;
-  }
-  auto it = caches_.find(reader);
-  if (it == caches_.end()) {
-    ++uncached_stats_.misses;  // as in LookupFresh: never allocate
-    return nullptr;
-  }
-  TransferCache* cache = it->second.get();
-  // A stale manifest is dropped by this Get (with its advertisements,
-  // via the evict listener) and the read falls through to a delta fetch.
-  EncodedBlob blob = cache->Get(ManifestKey(origin, name),
-                                Version(origin, name));
-  if (blob == nullptr) return nullptr;
-  Peer* holder = sys_->peer(reader);
-  if (holder == nullptr) return nullptr;
-  TreePtr manifest = DecodeManifest(*blob, WireStatsOf(sys_));
-  if (manifest == nullptr) return nullptr;
-  // Assemble from Peeks first: an incomplete copy must not charge
-  // recency/hit credit for shards this read cannot use yet (the delta
-  // fetch that follows will claim them).
-  TreePtr assembled = AssembleResident(*cache, origin, name, *manifest,
-                                       holder->gen(), WireStatsOf(sys_));
-  if (assembled == nullptr) return nullptr;
-  for (const std::string& id : ManifestShardIds(*manifest)) {
-    cache->Get(ShardDataKey(origin, name, id), kImmutableShardVersion);
-  }
-  ++shard_stats_.full_hits;
-  return assembled;
-}
-
 bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
                                   const DocName& name,
                                   std::function<void(TreePtr)> deliver) {
-  if (sys_ == nullptr || reader == origin) return false;
+  if (reader == origin) return false;
   const ShardedDocument* sd = OriginShards(origin, name);
   if (sd == nullptr || sys_->peer(reader) == nullptr) return false;
   auto cache_it = caches_.find(reader);
@@ -711,7 +660,7 @@ bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
     }
   }
   wire::Payload payload = EncodeCopyShipment(
-      origin, name, snap_version, &delta, nullptr, WireStatsOf(sys_));
+      origin, name, snap_version, &delta, nullptr, &sys_->wire_stats());
   const uint64_t wire_bytes = payload.size();
   ++shard_stats_.sharded_reads;
   CountShardDelta(delta, &shard_stats_);
@@ -719,8 +668,8 @@ bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
 
   // A read-path delta fetch roots its own chain (unless the read is
   // already inside one); the Send below carries the id to the landing.
-  Tracer* tr = trace();
-  Tracer::Scope trace_scope(tr, tr != nullptr ? tr->CurrentOrNew() : 0);
+  Tracer& tr = sys_->tracer();
+  Tracer::Scope trace_scope(&tr, tr.CurrentOrNew());
   TraceEvent("delta_fetch", reader, wire_bytes, ReplicaKey{origin, name});
 
   // Reliable: the read path runs the loop to quiescence and a silently
@@ -735,11 +684,11 @@ bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
         std::optional<ShipmentPayload> landed;
         if (dest != nullptr) {
           landed = DecodeCopyShipment(p, resident_manifest, dest->gen(),
-                                      WireStatsOf(sys_));
+                                      &sys_->wire_stats());
         }
         TreePtr manifest =
             landed.has_value()
-                ? DecodeManifest(landed->manifest, WireStatsOf(sys_))
+                ? DecodeManifest(landed->manifest, &sys_->wire_stats())
                 : nullptr;
         if (manifest == nullptr) {
           deliver(nullptr);  // reader vanished mid-flight, or bad payload
@@ -764,7 +713,7 @@ bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
               auto blob = blobs.find(id);
               return blob == blobs.end() ? nullptr : blob->second;
             },
-            dest->gen(), WireStatsOf(sys_)));
+            dest->gen(), &sys_->wire_stats()));
       });
   return true;
 }
@@ -773,15 +722,13 @@ bool ReplicaManager::InsertShardedCopy(
     PeerId reader, PeerId origin, const DocName& name,
     const std::string& manifest_blob,
     const std::vector<DocumentShard>& shipped, uint64_t snapshot_version) {
-  if (sys_ == nullptr || reader == origin || !origin.is_concrete()) {
-    return false;
-  }
+  if (reader == origin || !origin.is_concrete()) return false;
   Peer* holder = sys_->peer(reader);
   if (holder == nullptr) return false;
   if (snapshot_version != Version(origin, name)) {
     return false;  // the origin moved on while the delta was on the wire
   }
-  TreePtr manifest = DecodeManifest(manifest_blob, WireStatsOf(sys_));
+  TreePtr manifest = DecodeManifest(manifest_blob, &sys_->wire_stats());
   if (manifest == nullptr) return false;
 
   TransferCache* cache = CacheFor(reader);
@@ -819,26 +766,20 @@ bool ReplicaManager::InsertShardedCopy(
   // delta reads but must never be read by name. The assembly decodes
   // fresh nodes from the resident bytes.
   if (TreePtr assembled = AssembleResident(*cache, origin, name, *manifest,
-                                           holder->gen(), WireStatsOf(sys_))) {
+                                           holder->gen(), &sys_->wire_stats())) {
     InstallAndAdvertise(reader, origin, name, std::move(assembled));
   }
   return true;
 }
 
 size_t ReplicaManager::RunPlacement() {
-  if (sys_ == nullptr || !placement_.config().enabled) return 0;
+  if (!placement_.config().enabled) return 0;
   size_t started = 0;
   for (const PlacementDecision& decision :
        placement_.Plan(sys_->generics(), *this)) {
     if (StartPlacementShipment(decision)) ++started;
   }
   return started;
-}
-
-void ReplicaManager::set_placement_tick_interval(SimTime interval_s) {
-  AXML_CHECK(sys_ != nullptr);
-  placement_tick_interval_ = interval_s;
-  RearmTick(&placement_tick_id_, interval_s, [this] { RunPlacement(); });
 }
 
 bool ReplicaManager::LaunchShipment(
@@ -875,7 +816,7 @@ bool ReplicaManager::LaunchShipment(
   }
   wire::Payload payload = EncodeCopyShipment(
       key.origin, key.name, snap_version, delta ? &*delta : nullptr,
-      root.get(), WireStatsOf(sys_));
+      root.get(), &sys_->wire_stats());
   const uint64_t bytes = payload.size();
   if (!admit(bytes)) return false;
   TraceEvent("shipment", holder, bytes, key);
@@ -907,7 +848,7 @@ bool ReplicaManager::LaunchShipment(
         // node ids from the received bytes — the simulated form of
         // deserialization at the destination.
         std::optional<ShipmentPayload> landed = DecodeCopyShipment(
-            p, resident_manifest, dest->gen(), WireStatsOf(sys_));
+            p, resident_manifest, dest->gen(), &sys_->wire_stats());
         if (landed.has_value()) on_land(*landed, p.size());
       });
   if (ship_max_attempts_ > 0) {
@@ -1076,7 +1017,6 @@ bool ReplicaManager::StartRefresh(PeerId holder, const ReplicaKey& key,
 
 void ReplicaManager::ConfigureLeases(SimTime renew_interval_s,
                                      SimTime ttl_s) {
-  AXML_CHECK(sys_ != nullptr);
   lease_renew_interval_ = renew_interval_s;
   lease_ttl_ = ttl_s;
   lease_deadlines_.clear();
@@ -1091,7 +1031,6 @@ void ReplicaManager::set_shipment_retry(int max_attempts,
 }
 
 void ReplicaManager::set_anti_entropy_interval(SimTime interval_s) {
-  AXML_CHECK(sys_ != nullptr);
   anti_entropy_interval_ = interval_s;
   RearmTick(&anti_entropy_tick_id_, interval_s,
             [this] { RunAntiEntropySweep(); });
@@ -1173,10 +1112,10 @@ void ReplicaManager::LeaseTick() {
     lease.origin = origin.index();
     lease.subscribed_keys = keys;
     sys_->network().Send(
-        holder, origin, wire::EncodeLeaseRenewal(lease, WireStatsOf(sys_)),
+        holder, origin, wire::EncodeLeaseRenewal(lease, &sys_->wire_stats()),
         [this, origin, holder](const wire::Payload& p) {
           Result<wire::LeaseRenewal> got =
-              wire::DecodeLeaseRenewal(p, WireStatsOf(sys_));
+              wire::DecodeLeaseRenewal(p, &sys_->wire_stats());
           AXML_DCHECK(got.ok());
           ++subscription_stats_.lease_renewals;
           lease_deadlines_[{origin, holder}] =
@@ -1213,7 +1152,6 @@ size_t ReplicaManager::ResubscribeResident(PeerId holder, PeerId origin) {
 }
 
 size_t ReplicaManager::RunAntiEntropySweep() {
-  if (sys_ == nullptr) return 0;
   size_t repairs = 0;
   for (const auto& [holder, cache] : caches_) {
     if (!sys_->network().IsPeerUp(holder)) continue;
@@ -1223,7 +1161,6 @@ size_t ReplicaManager::RunAntiEntropySweep() {
 }
 
 size_t ReplicaManager::ReconcileHolder(PeerId holder) {
-  if (sys_ == nullptr) return 0;
   auto cit = caches_.find(holder);
   if (cit == caches_.end()) return 0;
   TransferCache* cache = cit->second.get();
@@ -1267,18 +1204,18 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
       const TransferCache::Entry* whole = cache->Peek(doc);
       if (whole != nullptr && whole->origin_version == current) {
         if (TreePtr tree = DecodeStoredTree(*whole->encoded, dest->gen(),
-                                            WireStatsOf(sys_))) {
+                                            &sys_->wire_stats())) {
           InstallAndAdvertise(holder, doc.origin, doc.name, std::move(tree));
         }
       } else if (const TransferCache::Entry* m =
                      cache->Peek(ManifestKey(doc.origin, doc.name));
                  m != nullptr && m->origin_version == current) {
-        TreePtr manifest = DecodeManifest(*m->encoded, WireStatsOf(sys_));
+        TreePtr manifest = DecodeManifest(*m->encoded, &sys_->wire_stats());
         TreePtr assembled =
             manifest == nullptr
                 ? nullptr
                 : AssembleResident(*cache, doc.origin, doc.name, *manifest,
-                                   dest->gen(), WireStatsOf(sys_));
+                                   dest->gen(), &sys_->wire_stats());
         if (assembled != nullptr) {
           InstallAndAdvertise(holder, doc.origin, doc.name,
                               std::move(assembled));
@@ -1325,7 +1262,7 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
       if (any) ex.docs.push_back(std::move(d));
     }
     wire::Payload payload =
-        wire::EncodeDigestExchange(ex, WireStatsOf(sys_));
+        wire::EncodeDigestExchange(ex, &sys_->wire_stats());
     const uint64_t response_bytes = payload.size();
     const SimTime delay =
         sys_->network().EstimateTransferTime(holder, origin,
@@ -1339,7 +1276,6 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
 }
 
 void ReplicaManager::OnPeerCrash(PeerId peer, CrashMode mode) {
-  AXML_CHECK(sys_ != nullptr);
   TraceEvent("crash", peer,
              mode == CrashMode::kLoseCache ? "lose_cache" : "durable_cache");
   // In-flight shipments toward the crashed holder will never land (the
@@ -1379,7 +1315,6 @@ void ReplicaManager::OnPeerCrash(PeerId peer, CrashMode mode) {
 }
 
 void ReplicaManager::OnPeerRejoin(PeerId peer) {
-  AXML_CHECK(sys_ != nullptr);
   TraceEvent("rejoin", peer, "");
   // Reconcile the surviving cache against every origin *before* the
   // peer serves anything: stale entries drop, fresh complete copies

@@ -15,9 +15,14 @@
 //    discovery catalog lists the caching peer as a holder, and the copy
 //    joins every generic class the origin belongs to — so d@any
 //    resolution routes to the nearest fresh copy;
+//  - the manager, not the evaluator, decides a read copy's shape: a
+//    read is served by ReadFreshCopy when a fresh copy exists (whole or
+//    sharded), fetched as a shard delta by FetchForRead when the
+//    document replicates as shards, and otherwise shipped whole by the
+//    evaluator, whose landing hands the copy to InsertReadCopy;
 //  - a read makes a copy only when its source sits outside the reader's
-//    rack (AdmitReadCopy): a source in the same rack already serves
-//    every rack-mate over the link a new copy would use;
+//    rack: a source in the same rack already serves every rack-mate over
+//    the link a new copy would use;
 //  - every successful cache insert *subscribes* the holder at the origin
 //    under the inserted entry's exact key — whole-document, manifest or
 //    data shard (SubscriptionTable); a mutation at the origin pushes to
@@ -85,7 +90,6 @@
 namespace axml {
 
 class AxmlSystem;
-class Tracer;
 
 /// What a simulated peer crash does to the peer's replica cache.
 enum class CrashMode {
@@ -131,14 +135,12 @@ static_assert(CountersCover<ShardStats>());
 /// Owns every peer's transfer cache and the document version table.
 class ReplicaManager {
  public:
-  ReplicaManager() = default;
+  /// The manager of `sys`'s replicas (AxmlSystem owns one); it touches
+  /// peers, the catalog and the generic registry when advertising or
+  /// retracting copies.
+  explicit ReplicaManager(AxmlSystem& sys) : sys_(&sys) {}
   ReplicaManager(const ReplicaManager&) = delete;
   ReplicaManager& operator=(const ReplicaManager&) = delete;
-
-  /// Ties the manager to its system (called by AxmlSystem's constructor;
-  /// the manager touches peers, the catalog and the generic registry when
-  /// advertising or retracting copies).
-  void Bind(AxmlSystem* sys) { sys_ = sys; }
 
   // --- Document versions ---
 
@@ -192,7 +194,7 @@ class ReplicaManager {
   /// that cannot renew stops serving; a crashed holder's cache is left
   /// for rejoin-time reconciliation). Runs off EventLoop::AddPeriodic,
   /// so an idle loop still quiesces. 0/0 (the default) disables leases
-  /// and clears all deadlines. Requires a bound system.
+  /// and clears all deadlines.
   void ConfigureLeases(SimTime renew_interval_s, SimTime ttl_s);
   SimTime lease_renew_interval() const { return lease_renew_interval_; }
   SimTime lease_ttl() const { return lease_ttl_; }
@@ -212,7 +214,7 @@ class ReplicaManager {
   /// holder reconciles its cache against the origins (ReconcileHolder),
   /// charging one control roundtrip per (holder, origin) pair. 0 (the
   /// default) disables the tick; RunAntiEntropySweep stays callable
-  /// manually. Requires a bound system.
+  /// manually.
   void set_anti_entropy_interval(SimTime interval_s);
   SimTime anti_entropy_interval() const { return anti_entropy_interval_; }
 
@@ -253,18 +255,6 @@ class ReplicaManager {
   /// tolerated the same way: a no-op, never an abort.
   void OnNotifyDelivered(PeerId origin, PeerId holder);
 
-  // --- Notification batching ---
-
-  /// Opens / closes a batching window (nestable) for push notifications:
-  /// while a window is open, invalidation events to the same (origin,
-  /// holder) pair coalesce into one encoded NotifyBatch payload carrying
-  /// all their keys, sent when the outermost window closes. Copy drops
-  /// stay synchronous — only the wire message is deferred. Wrap these
-  /// around an event-loop turn that mutates many documents; see the
-  /// NotifyBatch RAII helper.
-  void BeginNotifyBatch();
-  void EndNotifyBatch();
-
   // --- Document sharding (xml/sharding.h) ---
 
   /// Turns sharded replication on or off. When on, documents for which
@@ -288,32 +278,11 @@ class ReplicaManager {
   const ShardedDocument* OriginShards(PeerId origin,
                                       const DocName& name) const;
 
-  /// True when a read of origin's `name` should use the sharded path
-  /// (OriginShards != nullptr). The evaluator's gate.
-  bool ShardedReadApplies(PeerId origin, const DocName& name) const;
-
-  /// True when `reader` holds a fresh *whole-document* entry for
-  /// origin's `name` (shard dimension empty). No side effects and no
-  /// stats. The evaluator prefers such a copy over the sharded path —
-  /// e.g. one cached before sharding was enabled — so a read the cost
-  /// model prices at zero never re-fetches over the wire.
-  bool HasFreshWholeCopy(PeerId reader, PeerId origin,
-                         const DocName& name) const;
-
-  /// The document assembled from reader's resident shards, iff the
-  /// manifest is fresh and every data shard it references is resident.
-  /// Counts cache hits and touches recency for the manifest and every
-  /// shard; a stale manifest is dropped (with its advertisements) and
-  /// the call misses. The result is freshly decoded from the resident
-  /// bytes — callers may hand it out directly. nullptr on any miss.
-  TreePtr LookupShardedFresh(PeerId reader, PeerId origin,
-                             const DocName& name);
-
   /// Starts a read-path delta fetch: ships only the manifest (if stale)
   /// and the data shards `reader` lacks; resident shards are served
   /// locally (each counts a cache hit). When the transfer lands, the
   /// copy is cached + installed + advertised (InsertShardedCopy) unless
-  /// AdmitReadCopy declines it, and `deliver` receives the assembled
+  /// a rack-mate served it, and `deliver` receives the assembled
   /// document (nullptr only if the reader peer vanished mid-flight).
   /// Never allocates a TransferCache: a reader without one plans
   /// against nothing resident, and only the landing's InsertShardedCopy
@@ -402,16 +371,6 @@ class ReplicaManager {
   /// the caller drives the event loop to land them.
   size_t RunPlacement();
 
-  /// Periodic placement: when `interval_s` > 0, RunPlacement fires
-  /// automatically every `interval_s` seconds of virtual time
-  /// (EventLoop::AddPeriodic — the tick piggybacks on event activity,
-  /// so an idle loop still quiesces and manual rounds stay possible).
-  /// 0 cancels the tick. Default: off. Requires a bound system.
-  void set_placement_tick_interval(SimTime interval_s);
-  SimTime placement_tick_interval() const {
-    return placement_tick_interval_;
-  }
-
   // --- Copies ---
 
   /// Records that `landed` — a copy of origin's `name`, freshly minted
@@ -428,27 +387,28 @@ class ReplicaManager {
                   TreePtr landed, uint64_t snapshot_version,
                   std::string encoded);
 
-  /// Read-path admission, asked by both read landings (the evaluator's
-  /// whole-document Ship and FetchForRead) before they cache: false when
-  /// `source` — the origin or a copy holder the payload came from — sits
-  /// in `reader`'s rack of a Hierarchical topology. That source already
-  /// serves every rack-mate over the rack link a new copy would use, so
-  /// the reader caches, subscribes to and advertises nothing
-  /// (TransferCacheStats::rack_declined counts each decline). Outside a
-  /// hierarchy every peer's rack is UINT32_MAX, and every read is
-  /// admitted. Placement and refresh shipments do not ask.
-  bool AdmitReadCopy(PeerId reader, PeerId source);
+  /// The landing of a whole-document read at `reader`: InsertCopy,
+  /// unless `landed` still carries service calls (a copy would freeze
+  /// their activation state) or a rack-mate served it (AdmitReadCopy).
+  /// Returns true when the copy was cached.
+  bool InsertReadCopy(PeerId reader, PeerId origin, const DocName& name,
+                      TreePtr landed, uint64_t snapshot_version,
+                      std::string encoded);
 
-  /// The blob of the fresh cached copy of origin's `name` held by
-  /// `reader`, or nullptr; a reader decodes its own tree from it. A
-  /// stale copy is dropped (cache, local document, catalog, generic
-  /// classes) before returning the miss. Counts hit/miss stats.
+  /// A private instance, freshly decoded for `reader`, of its fresh copy
+  /// of origin's `name`, or nullptr. `*sharded` tells which shape served
+  /// it. A fresh whole-document entry wins — e.g. one cached before
+  /// sharding was enabled, which the cost model prices at zero. Else,
+  /// when the document replicates as shards (OriginShards), the copy is
+  /// assembled from resident shards iff the manifest is fresh and every
+  /// shard it references is resident (ShardStats::full_hits); else the
+  /// whole-document entry is read. Counts hit/miss stats and touches
+  /// recency of every entry it reads; a stale entry is dropped (cache,
+  /// local document, catalog, generic classes) before the miss returns.
   /// Never allocates: a reader that never cached anything gets a plain
   /// miss (counted manager-side, see TotalStats), not a TransferCache.
-  /// Whole-document entries only; sharded copies read through
-  /// LookupShardedFresh.
-  EncodedBlob LookupFresh(PeerId reader, PeerId origin,
-                          const DocName& name);
+  TreePtr ReadFreshCopy(PeerId reader, PeerId origin, const DocName& name,
+                        bool* sharded);
 
   /// True when `reader` holds a fresh copy of origin's `name` — a
   /// whole-document entry at the current version, or a complete sharded
@@ -545,25 +505,28 @@ class ReplicaManager {
   /// the set are orphans: no future manifest will name them.
   std::set<std::string> LiveShardIds(const ReplicaKey& doc) const;
 
+  /// Read-path admission, asked by both read landings (InsertReadCopy
+  /// and FetchForRead's) before they cache: false when `source` — the
+  /// origin or a copy holder the payload came from — sits in `reader`'s
+  /// rack of a Hierarchical topology. That source already serves every
+  /// rack-mate over the rack link a new copy would use, so the reader
+  /// caches, subscribes to and advertises nothing
+  /// (TransferCacheStats::rack_declined counts each decline). Outside a
+  /// hierarchy every peer's rack is UINT32_MAX, and every read is
+  /// admitted. Placement and refresh shipments do not ask.
+  bool AdmitReadCopy(PeerId reader, PeerId source);
+
   /// Replaces the periodic tick `*tick_id` (0 = none) with one running
   /// `fn` every `interval_s` of virtual time; none when `interval_s` is
   /// not positive.
   void RearmTick(uint64_t* tick_id, SimTime interval_s,
                  std::function<void()> fn);
 
-  /// Sends one invalidation notification for `key` (or folds it into the
-  /// open batch).
-  void QueueNotify(const ReplicaKey& key, PeerId holder);
+  /// Sends `holder` one invalidation notification for `key`: an encoded
+  /// one-key wire::NotifyBatch, origin -> holder, priced at its encoded
+  /// size.
+  void SendNotifyMessage(const ReplicaKey& key, PeerId holder);
 
-  /// Encodes `keys` into one wire::NotifyBatch payload and sends it
-  /// origin -> holder; the priced size is the encoded size. Requires a
-  /// bound system.
-  void SendNotifyMessage(PeerId origin, PeerId holder,
-                         const std::vector<ReplicaKey>& keys);
-
-  /// The system's causal tracer, nullptr before Bind (headless unit
-  /// tests construct managers without a system).
-  Tracer* trace() const;
   /// Records one "replica" trace event when tracing is on; the detail
   /// string (the key, or `detail` followed by `origin` when valid) is
   /// built only then.
@@ -637,7 +600,7 @@ class ReplicaManager {
   /// Distinct keys legally nest (drop → RemoveDocument → listener →
   /// NoteMutation for the holder's name); a same-key cycle aborts.
   std::set<ReplicaKey> active_mutations_;
-  AxmlSystem* sys_ = nullptr;
+  AxmlSystem* const sys_;
   uint64_t default_budget_ = TransferCache::kDefaultByteBudget;
   EvictionPolicy default_eviction_policy_ = EvictionPolicy::kLru;
   std::map<PeerId, std::unique_ptr<TransferCache>> caches_;
@@ -680,8 +643,6 @@ class ReplicaManager {
   /// Wire bytes placement spent per receiving holder (the placement
   /// config's per-holder budget draws down against this).
   std::map<PeerId, uint64_t> placement_spent_;
-  SimTime placement_tick_interval_ = 0;
-  uint64_t placement_tick_id_ = 0;  ///< EventLoop periodic id; 0 = none
 
   bool sharding_enabled_ = false;
   ShardingConfig shard_config_;
@@ -689,29 +650,6 @@ class ReplicaManager {
   /// mutable because cost-model probes (const) may recompute it.
   mutable std::map<ReplicaKey, OriginShardState> origin_shards_;
   ShardStats shard_stats_;
-
-  /// Open notify-batch windows; > 0 defers notification sends into
-  /// pending_notifies_.
-  int notify_batch_depth_ = 0;
-  /// (origin, holder) -> keys invalidated in the open batch; flushed as
-  /// one encoded NotifyBatch per pair.
-  std::map<std::pair<PeerId, PeerId>, std::vector<ReplicaKey>>
-      pending_notifies_;
-};
-
-/// RAII notify-batch window: all push notifications issued while alive
-/// coalesce into one wire message per (origin, holder) pair, flushed on
-/// destruction. Wrap one around any stretch that mutates many documents
-/// in a single event-loop turn.
-class NotifyBatch {
- public:
-  explicit NotifyBatch(ReplicaManager* m) : m_(m) { m_->BeginNotifyBatch(); }
-  ~NotifyBatch() { m_->EndNotifyBatch(); }
-  NotifyBatch(const NotifyBatch&) = delete;
-  NotifyBatch& operator=(const NotifyBatch&) = delete;
-
- private:
-  ReplicaManager* m_;
 };
 
 }  // namespace axml

@@ -35,8 +35,7 @@ enum class RefreshPolicy {
   kDrop,
   /// Push-refresh: like kDrop, but the origin also ships the new version
   /// so the holder's copy re-materializes without a read asking for it.
-  /// Bounded by a per-holder refresh byte budget; back-to-back mutations
-  /// coalesce onto the in-flight shipment.
+  /// Back-to-back mutations coalesce onto the in-flight shipment.
   kEagerRefresh,
 };
 
@@ -46,9 +45,8 @@ const char* RefreshPolicyName(RefreshPolicy p);
 /// All counters are cumulative since the last ReplicaManager::ResetStats.
 struct SubscriptionStats {
   /// Invalidation events pushed to holders — one per (mutated key,
-  /// holder) pair. Wire *messages* can be fewer: under a notify batch
-  /// (ReplicaManager::NotifyBatch) events to the same (origin, holder)
-  /// pair share one message (NetStats::notify_messages counts those).
+  /// holder) pair, each its own wire message (NetStats::notify_messages
+  /// counts those that were sent).
   uint64_t notifies = 0;
   /// Notifies split by targeting: `doc_notifies` went to holders whose
   /// copy is dirty as a whole (a whole-document entry, an installed
@@ -61,9 +59,6 @@ struct SubscriptionStats {
   /// they hold is still referenced by the new version — the fan-out
   /// shard-granular subscriptions save over document-level ones.
   uint64_t clean_skips = 0;
-  /// Notify events folded into an earlier message of the same batch;
-  /// `notifies - batched` is the number of wire messages sent.
-  uint64_t batched = 0;
   uint64_t drops = 0;          ///< copies dropped at mutation time
   uint64_t refreshes = 0;      ///< eager re-materializations that landed
   uint64_t refresh_bytes = 0;  ///< wire bytes those shipments cost
@@ -111,7 +106,6 @@ struct SubscriptionStats {
       Counter{"doc_notifies", &SubscriptionStats::doc_notifies},
       Counter{"shard_notifies", &SubscriptionStats::shard_notifies},
       Counter{"clean_skips", &SubscriptionStats::clean_skips},
-      Counter{"batched", &SubscriptionStats::batched},
       Counter{"drops", &SubscriptionStats::drops},
       Counter{"refreshes", &SubscriptionStats::refreshes},
       Counter{"refresh_bytes", &SubscriptionStats::refresh_bytes},

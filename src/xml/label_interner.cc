@@ -8,6 +8,7 @@ LabelInterner& LabelInterner::Global() {
   // Deliberately leaked (raw new allowed here — see
   // scripts/check_source.py): trees may outlive every static
   // destruction order the linker could pick.
+  // lint: allow-process-state — labels are interned once per process.
   static LabelInterner* interner = new LabelInterner();
   return *interner;
 }
@@ -57,6 +58,7 @@ void LabelInterner::ResetForTesting() {
 
 const WellKnownLabels& WellKnownLabels::Get() {
   // Leaked like the interner (allowed raw new, same reason).
+  // lint: allow-process-state — fixed ids of the process-wide interner.
   static WellKnownLabels* labels = [] {
     auto* l = new WellKnownLabels();
     l->sc = InternLabel("sc");

@@ -343,6 +343,44 @@ TEST_F(EvaluatorTest, ShipQueryOfForeignQueryIsUndefined) {
   EXPECT_EQ(out.status().code(), StatusCode::kUndefined);
 }
 
+// An anonymous ship's service name is a function of the system's state:
+// two equal systems evaluating the same anonymous ship end equal.
+TEST(ShipQueryNameTest, EqualSystemsInstallEqualAnonymousServices) {
+  Query q = Query::Parse("for $x in input(0)//i return $x").value();
+  auto run = [&q](AxmlSystem* sys) {
+    const PeerId p0 = sys->AddPeer("p0");
+    const PeerId p1 = sys->AddPeer("p1");
+    Evaluator ev(sys);
+    ASSERT_TRUE(ev.Eval(p0, Expr::ShipQuery(p1, q, p0, "")).ok());
+    EXPECT_NE(sys->peer(p1)->GetService("shipped_q0"), nullptr);
+  };
+  AxmlSystem first;
+  AxmlSystem second;
+  run(&first);
+  run(&second);
+  EXPECT_EQ(first.StateFingerprint(), second.StateFingerprint());
+}
+
+// Two anonymous ships to one peer, in flight at the same time, install
+// two services rather than one overwriting the other.
+TEST_F(EvaluatorTest, TwoAnonymousShipsToOnePeerInstallTwoServices) {
+  Query unnest = Query::Parse("for $x in input(0)//i return $x").value();
+  Query wrap = Query::Parse("for $x in input(0) return <w>{ $x }</w>").value();
+  Query both = Query::Parse(
+                   "for $a in input(0) for $b in input(1) return <p/>")
+                   .value();
+  Evaluator ev(&sys_);
+  auto out = ev.Eval(p0_, Expr::Apply(both, p0_,
+                                      {Expr::ShipQuery(p1_, unnest, p0_, ""),
+                                       Expr::ShipQuery(p1_, wrap, p0_, "")}));
+  ASSERT_TRUE(out.ok()) << out.status();
+  const Service* q0 = sys_.peer(p1_)->GetService("shipped_q0");
+  const Service* q1 = sys_.peer(p1_)->GetService("shipped_q1");
+  ASSERT_NE(q0, nullptr);
+  ASSERT_NE(q1, nullptr);
+  EXPECT_NE(q0->query().text(), q1->query().text());
+}
+
 // --- Rules (14)/(15) carrier: EvalAt ---
 
 TEST_F(EvaluatorTest, EvalAtProducesSameResultsAsLocal) {

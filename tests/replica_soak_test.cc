@@ -3,7 +3,7 @@
 // An 8-peer system (two distant origins, six readers on a fast regional
 // backbone) runs Zipf-skewed reads — direct doc@origin reads and
 // d@any generic resolutions — interleaved with periodic mutations at
-// the origins and proactive placement rounds (manual or tick-driven),
+// the origins and proactive placement rounds,
 // under every (EvictionPolicy × RefreshPolicy) pair. Sharding is on
 // with a cap small enough that the larger documents replicate as
 // manifest + data shards, so every combination also soaks the
@@ -84,10 +84,8 @@ enum class FaultMode {
 class SoakHarness {
  public:
   SoakHarness(EvictionPolicy eviction, RefreshPolicy refresh,
-              uint64_t seed, bool tick_placement = false,
-              FaultMode fault_mode = FaultMode::kNone)
-      : tick_placement_(tick_placement),
-        fault_mode_(fault_mode),
+              uint64_t seed, FaultMode fault_mode = FaultMode::kNone)
+      : fault_mode_(fault_mode),
         rng_(seed),
         // The injector's stream is independent of the workload's so a
         // fault schedule never perturbs which ops the workload issues.
@@ -123,11 +121,6 @@ class SoakHarness {
     // Property 4 rides along: spans record for the whole soak (the ring
     // wraps; the most recent cascades stay resident).
     sys_.tracer().set_enabled(true);
-    if (tick_placement_) {
-      // Placement rides the event loop instead of manual rounds; reads
-      // and refreshes below generate the activity that advances time.
-      sys_.replicas().set_placement_tick_interval(0.5);
-    }
     if (fault_mode_ == FaultMode::kIdleInjector) {
       // Attached but all-zero: the byte-identical contract under test.
       sys_.network().set_fault_injector(&injector_);
@@ -222,7 +215,7 @@ class SoakHarness {
         host->PutDocument(victim.name, MakeDoc(victim, host->gen()));
         sys_.RunToQuiescence();
       }
-      if (!tick_placement_ && i % 30 == 29) {
+      if (i % 30 == 29) {
         sys_.replicas().RunPlacement();
         sys_.RunToQuiescence();
       }
@@ -252,11 +245,6 @@ class SoakHarness {
     // spans and a sampled cascade's tail may be missing a hop; the
     // causal-chain assertions belong to the perfect fabric.
     if (fault_mode_ != FaultMode::kFaults) CheckTraceCascades();
-    if (tick_placement_) {
-      // The tick actually drove placement: rounds ran without any
-      // manual RunPlacement call.
-      EXPECT_GT(sys_.replicas().placement_stats().shipments, 0u);
-    }
   }
 
   /// Everything observable about the finished run, for the
@@ -404,7 +392,7 @@ class SoakHarness {
         StrCat(::testing::TempDir(), "soak_trace_",
                EvictionPolicyName(sys_.replicas().default_eviction_policy()),
                "_", static_cast<int>(sys_.replicas().refresh_policy()),
-               tick_placement_ ? "_tick" : "", ".json");
+               ".json");
     {
       std::ofstream out(path);
       ASSERT_TRUE(out.good()) << path;
@@ -432,7 +420,6 @@ class SoakHarness {
     return false;
   }
 
-  bool tick_placement_;
   FaultMode fault_mode_;
   Rng rng_;
   Rng fault_rng_;
@@ -478,7 +465,7 @@ class ReplicaSoakFaultTest : public ::testing::TestWithParam<PolicyPair> {};
 TEST_P(ReplicaSoakFaultTest, NoStaleReadSurvivesTheFaultSchedule) {
   const auto [eviction, refresh] = GetParam();
   SoakHarness harness(eviction, refresh, TestSeed(0xFA17),
-                      /*tick_placement=*/false, FaultMode::kFaults);
+                      FaultMode::kFaults);
   harness.Run();
 }
 
@@ -501,91 +488,12 @@ INSTANTIATE_TEST_SUITE_P(
 // no injector at all.
 TEST(ReplicaSoakFaultOffTest, IdleInjectorIsByteIdenticalToNoInjector) {
   SoakHarness plain(EvictionPolicy::kLru, RefreshPolicy::kDrop,
-                    TestSeed(0x1DE0), /*tick_placement=*/false,
-                    FaultMode::kNone);
+                    TestSeed(0x1DE0), FaultMode::kNone);
   SoakHarness idle(EvictionPolicy::kLru, RefreshPolicy::kDrop,
-                   TestSeed(0x1DE0), /*tick_placement=*/false,
-                   FaultMode::kIdleInjector);
+                   TestSeed(0x1DE0), FaultMode::kIdleInjector);
   plain.Run();
   idle.Run();
   EXPECT_EQ(plain.RunDigest(), idle.RunDigest());
-}
-
-// The same soak with placement driven by the event-loop tick instead of
-// manual rounds: every invariant must hold, and the tick must actually
-// have shipped seeds.
-TEST(ReplicaSoakTickTest, TickDrivenPlacementHoldsEveryInvariant) {
-  SoakHarness harness(EvictionPolicy::kLru, RefreshPolicy::kDrop,
-                      TestSeed(0x50AD), /*tick_placement=*/true);
-  harness.Run();
-}
-
-// A tick-driven placement round is the same round RunPlacement runs by
-// hand: identical demand in identical twin systems must yield identical
-// shipments and identical landed copies.
-TEST(ReplicaSoakTickTest, TickDrivenRoundMatchesAManualRound) {
-  auto build = [](AxmlSystem& sys, std::vector<PeerId>* peers) {
-    PeerId origin = sys.AddPeer("origin");
-    PeerId r0 = sys.AddPeer("r0");
-    PeerId r1 = sys.AddPeer("r1");
-    NodeIdGen* gen = sys.peer(origin)->gen();
-    TreePtr doc = TreeNode::Element("doc", gen);
-    for (int i = 0; i < 12; ++i) {
-      doc->AddChild(MakeTextElement("x", StrCat("payload-", i), gen));
-    }
-    ASSERT_TRUE(sys.InstallDocument(origin, "hot", doc).ok());
-    sys.generics().AddDocumentMember("cls_hot", ClassMember{"hot", origin});
-    PlacementConfig placement;
-    placement.enabled = true;
-    placement.min_picks = 2;
-    placement.max_targets_per_class = 2;
-    sys.replicas().placement().set_config(placement);
-    *peers = {origin, r0, r1};
-    // Identical demand in both systems: r0 resolves the class four
-    // times, r1 twice (resolution alone caches nothing, so placement
-    // has something to seed).
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(sys.generics()
-                      .PickDocument("cls_hot", r0, PickPolicy::kNearest,
-                                    sys.network(), 64)
-                      .ok());
-    }
-    for (int i = 0; i < 2; ++i) {
-      ASSERT_TRUE(sys.generics()
-                      .PickDocument("cls_hot", r1, PickPolicy::kNearest,
-                                    sys.network(), 64)
-                      .ok());
-    }
-  };
-
-  AxmlSystem manual_sys;
-  std::vector<PeerId> manual_peers;
-  build(manual_sys, &manual_peers);
-  manual_sys.replicas().RunPlacement();
-  manual_sys.RunToQuiescence();
-
-  AxmlSystem tick_sys;
-  std::vector<PeerId> tick_peers;
-  build(tick_sys, &tick_peers);
-  tick_sys.replicas().set_placement_tick_interval(0.5);
-  // Any activity carrying virtual time past the interval fires the
-  // tick; an empty turn of bookkeeping is enough.
-  tick_sys.loop().ScheduleAfter(1.0, [] {});
-  tick_sys.RunToQuiescence();
-
-  const PlacementStats& m = manual_sys.replicas().placement_stats();
-  const PlacementStats& t = tick_sys.replicas().placement_stats();
-  EXPECT_GT(m.shipments, 0u);
-  EXPECT_EQ(m.shipments, t.shipments);
-  EXPECT_EQ(m.landed, t.landed);
-  EXPECT_EQ(m.shipped_bytes, t.shipped_bytes);
-  for (size_t i = 1; i < manual_peers.size(); ++i) {
-    EXPECT_EQ(manual_sys.replicas().HasFresh(manual_peers[i],
-                                             manual_peers[0], "hot"),
-              tick_sys.replicas().HasFresh(tick_peers[i], tick_peers[0],
-                                           "hot"))
-        << "reader " << i;
-  }
 }
 
 }  // namespace

@@ -198,7 +198,7 @@ TEST(ReplicaManagerTest, RepeatedReadHitsCacheAndSkipsTheWire) {
   ASSERT_NE(cache, nullptr);
   EXPECT_EQ(cache->stats().hits, 1u);
   // The cold read missed before the client had a cache; that miss is
-  // tallied manager-side (LookupFresh must not allocate a cache for it).
+  // tallied manager-side (a read must not allocate a cache for it).
   EXPECT_EQ(cache->stats().misses, 0u);
   EXPECT_EQ(f.sys.replicas().TotalStats().misses, 1u);
   EXPECT_GT(cache->stats().bytes_saved, 0u);
@@ -296,7 +296,9 @@ TEST(ReplicaManagerTest, StaleDropRetractsAllAdvertisements) {
   Rng rng(5);
   f.sys.peer(f.origin)->PutDocument(
       "d", MakeCatalog(4, f.sys.peer(f.origin)->gen(), &rng));
-  EXPECT_EQ(f.sys.replicas().LookupFresh(f.client, f.origin, "d"), nullptr);
+  bool sharded = false;
+  EXPECT_EQ(f.sys.replicas().ReadFreshCopy(f.client, f.origin, "d", &sharded),
+            nullptr);
 
   EXPECT_FALSE(f.sys.replicas().IsCachedCopy(f.client, "d"));
   EXPECT_FALSE(f.sys.peer(f.client)->HasDocument("d"));
@@ -368,9 +370,11 @@ TEST(ReplicaManagerTest, CacheBlobIsIsolatedFromTheInstalledDocument) {
   TwoPeers f;
   Evaluator ev(&f.sys, CachingOptions());
   ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
-  TreePtr blob = testing::DecodeBlob(
-      f.sys.replicas().LookupFresh(f.client, f.origin, "d"));
+  bool sharded = false;
+  TreePtr blob =
+      f.sys.replicas().ReadFreshCopy(f.client, f.origin, "d", &sharded);
   ASSERT_NE(blob, nullptr);
+  EXPECT_FALSE(sharded);
   const std::string pristine = CanonicalForm(*blob);
 
   // Mutate the installed document's tree directly (no listener fires for
@@ -380,9 +384,8 @@ TEST(ReplicaManagerTest, CacheBlobIsIsolatedFromTheInstalledDocument) {
   EXPECT_NE(installed, blob);
   installed->AddChild(
       Leafy("graffiti", "x", f.sys.peer(f.client)->gen()));
-  EXPECT_EQ(CanonicalForm(
-                *testing::DecodeBlob(f.sys.replicas().LookupFresh(
-                    f.client, f.origin, "d"))),
+  EXPECT_EQ(CanonicalForm(*f.sys.replicas().ReadFreshCopy(
+                f.client, f.origin, "d", &sharded)),
             pristine);
 }
 
@@ -464,7 +467,9 @@ TEST(PushRefreshTest, LazyPolicyKeepsTheStaleAdvertisementWindow) {
   EXPECT_TRUE(f.sys.replicas().IsCachedCopy(f.client, "d"));
   EXPECT_EQ(f.sys.replicas().subscription_stats().notifies, 0u);
   // ...until the next lookup drops it.
-  EXPECT_EQ(f.sys.replicas().LookupFresh(f.client, f.origin, "d"), nullptr);
+  bool sharded = false;
+  EXPECT_EQ(f.sys.replicas().ReadFreshCopy(f.client, f.origin, "d", &sharded),
+            nullptr);
   EXPECT_FALSE(f.sys.catalog()->IsAdvertised(ResourceKind::kDocument, "d",
                                              f.client));
 }
@@ -489,8 +494,9 @@ TEST(PushRefreshTest, EagerRefreshRematerializesTheCopy) {
   // The copy re-materialized at the new version without any read.
   EXPECT_TRUE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
   EXPECT_FALSE(f.sys.replicas().IsRefreshInFlight(f.client, f.origin, "d"));
-  TreePtr copy = testing::DecodeBlob(
-      f.sys.replicas().LookupFresh(f.client, f.origin, "d"));
+  bool sharded = false;
+  TreePtr copy =
+      f.sys.replicas().ReadFreshCopy(f.client, f.origin, "d", &sharded);
   ASSERT_NE(copy, nullptr);
   EXPECT_TRUE(
       TreesEqualUnordered(*copy, *f.sys.peer(f.origin)->GetDocument("d")));
@@ -524,8 +530,9 @@ TEST(PushRefreshTest, BackToBackMutationsCoalesceOntoOneShipment) {
   f.sys.RunToQuiescence();
   EXPECT_EQ(ss.retries, 1u);    // the first shipment landed stale
   EXPECT_EQ(ss.refreshes, 1u);  // only the catch-up materialized
-  TreePtr copy = testing::DecodeBlob(
-      f.sys.replicas().LookupFresh(f.client, f.origin, "d"));
+  bool sharded = false;
+  TreePtr copy =
+      f.sys.replicas().ReadFreshCopy(f.client, f.origin, "d", &sharded);
   ASSERT_NE(copy, nullptr);
   EXPECT_TRUE(TreesEqualUnordered(*copy, *origin->GetDocument("d")));
 }
@@ -865,7 +872,9 @@ TEST(WriteRetractionTest, LazyPolicyRetractsNothingAtWriteTime) {
     EXPECT_TRUE(f.Advertised(copy)) << copy.ToString();
   }
   // ...until a lookup drops a stale copy, which its holder retracts.
-  EXPECT_EQ(f.sys.replicas().LookupFresh(f.copy_a, f.origin, "d"), nullptr);
+  bool sharded = false;
+  EXPECT_EQ(f.sys.replicas().ReadFreshCopy(f.copy_a, f.origin, "d", &sharded),
+            nullptr);
   f.sys.RunToQuiescence();
   EXPECT_FALSE(f.Advertised(f.copy_a));
   const std::vector<std::pair<PeerId, PeerId>> expected = {
@@ -1002,7 +1011,7 @@ TEST(CopyAdmissionTest, ShardedReadAppliesTheSameRule) {
   ShardingConfig sharding;
   sharding.max_shard_bytes = 128;
   f.sys.replicas().set_sharding_config(sharding);
-  ASSERT_TRUE(f.sys.replicas().ShardedReadApplies(f.origin, "d"));
+  ASSERT_NE(f.sys.replicas().OriginShards(f.origin, "d"), nullptr);
   Evaluator ev(&f.sys, CachingOptions());
 
   ASSERT_TRUE(f.Read(&ev, f.mate));

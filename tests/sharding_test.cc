@@ -681,12 +681,17 @@ TEST(ShardedReplicaTest, FreshWholeCopyIsPreferredOverReSharding) {
   f.sys.replicas().set_sharding_enabled(false);
   Evaluator ev(&f.sys, CachingOptions());
   ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
-  ASSERT_TRUE(f.sys.replicas().HasFreshWholeCopy(f.client, f.origin, "d"));
+  ASSERT_TRUE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
 
   // Turning sharding on must not strand that copy: the cost model still
-  // prices the read at zero, so the evaluator must serve it instead of
+  // prices the read at zero, so the read must serve it instead of
   // re-fetching the document as shards.
   f.sys.replicas().set_sharding_enabled(true);
+  ASSERT_NE(f.sys.replicas().OriginShards(f.origin, "d"), nullptr);
+  bool sharded = true;
+  EXPECT_NE(f.sys.replicas().ReadFreshCopy(f.client, f.origin, "d", &sharded),
+            nullptr);
+  EXPECT_FALSE(sharded);
   CostModel cached(&f.sys, /*assume_replica_cache=*/true);
   EXPECT_EQ(cached.Estimate(f.client, Expr::Doc("d", f.origin)).remote_bytes,
             0.0);
@@ -1012,7 +1017,7 @@ TEST(ShardedReplicaTest, NestedManifestDocumentReplicatesEndToEnd) {
   cfg.max_shard_bytes = 2048;
   sys.replicas().set_sharding_config(cfg);
   sys.replicas().set_sharding_enabled(true);
-  ASSERT_TRUE(sys.replicas().ShardedReadApplies(origin, "d"));
+  ASSERT_NE(sys.replicas().OriginShards(origin, "d"), nullptr);
 
   Evaluator plain(&sys);
   Evaluator ev(&sys, CachingOptions());
@@ -1055,62 +1060,6 @@ TEST(ShardedReplicaTest, NestedManifestDocumentReplicatesEndToEnd) {
   auto truth = plain.Eval(client, read);
   ASSERT_TRUE(truth.ok());
   EXPECT_TRUE(ResultsEqual(truth->results, after->results));
-}
-
-TEST(ShardedReplicaTest, BatchedNotificationsShareOneWireMessage) {
-  AxmlSystem sys{Topology(LinkParams{0.010, 1.0e6})};
-  const PeerId origin = sys.AddPeer("origin");
-  const PeerId reader = sys.AddPeer("reader");
-  Rng rng(9);
-  constexpr int kDocs = 5;
-  for (int i = 0; i < kDocs; ++i) {
-    ASSERT_TRUE(sys.InstallDocument(origin, StrCat("d", i),
-                                    MakeCatalog(8, sys.peer(origin)->gen(),
-                                                &rng))
-                    .ok());
-  }
-  Evaluator ev(&sys, CachingOptions());
-  Query q = Query::Parse(
-                "for $p in input(0)/catalog/product return <r>{ $p/name }</r>")
-                .value();
-  for (int i = 0; i < kDocs; ++i) {
-    ASSERT_TRUE(
-        ev.Eval(reader,
-                Expr::Apply(q, reader, {Expr::Doc(StrCat("d", i), origin)}))
-            .ok());
-    ASSERT_TRUE(sys.replicas().HasFresh(reader, origin, StrCat("d", i)));
-  }
-
-  // One event-loop turn mutates every document: one wire message per
-  // (origin, holder) pair, carrying all five keys.
-  sys.network().mutable_stats()->Reset();
-  sys.replicas().ResetStats();
-  {
-    NotifyBatch batch(&sys.replicas());
-    for (int i = 0; i < kDocs; ++i) {
-      sys.peer(origin)->PutDocument(
-          StrCat("d", i),
-          MakeCatalog(8, sys.peer(origin)->gen(), &rng));
-    }
-  }
-  sys.RunToQuiescence();
-  const SubscriptionStats& ss = sys.replicas().subscription_stats();
-  EXPECT_EQ(ss.notifies, static_cast<uint64_t>(kDocs));
-  EXPECT_EQ(ss.batched, static_cast<uint64_t>(kDocs - 1));
-  EXPECT_EQ(sys.network().stats().notify_messages(), 1u);
-  // The batched message is priced at exactly its encoded size: one
-  // envelope carrying all five keys — bigger than a lone notification
-  // but far smaller than five of them.
-  wire::NotifyBatch expected{origin.index(), {}};
-  for (int i = 0; i < kDocs; ++i) {
-    expected.keys.push_back({StrCat("d", i), ""});
-  }
-  EXPECT_EQ(sys.network().stats().notify_bytes(),
-            wire::EncodeNotifyBatch(expected).size());
-  // Coherence was still synchronous: every copy dropped at mutation.
-  for (int i = 0; i < kDocs; ++i) {
-    EXPECT_FALSE(sys.replicas().HasFresh(reader, origin, StrCat("d", i)));
-  }
 }
 
 }  // namespace

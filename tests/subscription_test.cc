@@ -1,6 +1,6 @@
 // Unit tests for the push-refresh subscription table plus the
 // correctness fixes riding along with it: the Version() base contract,
-// the no-allocation LookupFresh miss path, and the TransferCache stats
+// the no-allocation ReadFreshCopy miss path, and the TransferCache stats
 // invariants (immediate-eviction Put, dedup alias erase on promotion,
 // TotalStats arithmetic across peers).
 
@@ -110,14 +110,17 @@ TEST(VersionContractTest, FirstEverMutationInvalidatesPreexistingCopies) {
   EXPECT_FALSE(sys.replicas().HasFresh(reader, owner, "d"));
 }
 
-// --- LookupFresh allocation fix (regression) ---
+// --- Fresh-copy read allocation fix (regression) ---
 
 TEST(LookupFreshTest, MissDoesNotAllocateACacheForTheReader) {
   AxmlSystem sys;
   PeerId owner = sys.AddPeer("owner");
   PeerId reader = sys.AddPeer("reader");
-  EXPECT_EQ(sys.replicas().LookupFresh(reader, owner, "d"), nullptr);
-  EXPECT_EQ(sys.replicas().LookupFresh(reader, owner, "d"), nullptr);
+  bool sharded = false;
+  EXPECT_EQ(sys.replicas().ReadFreshCopy(reader, owner, "d", &sharded),
+            nullptr);
+  EXPECT_EQ(sys.replicas().ReadFreshCopy(reader, owner, "d", &sharded),
+            nullptr);
   // No TransferCache (plus evict listener) sprang into existence for a
   // peer that only ever read.
   EXPECT_EQ(sys.replicas().FindCache(reader), nullptr);
@@ -344,11 +347,12 @@ TEST(CacheStatsTest, TotalStatsSumsAcrossPeersAndUncachedMisses) {
       sys.replicas().Version(owner, "d"), wire::EncodeTree(*t)));
   // r1: one hit. r2: one hit, one (stale-free) hit. A third peer that
   // never cached: one manager-side miss.
-  EXPECT_NE(sys.replicas().LookupFresh(r1, owner, "d"), nullptr);
-  EXPECT_NE(sys.replicas().LookupFresh(r2, owner, "d"), nullptr);
-  EXPECT_NE(sys.replicas().LookupFresh(r2, owner, "d"), nullptr);
+  bool sharded = false;
+  EXPECT_NE(sys.replicas().ReadFreshCopy(r1, owner, "d", &sharded), nullptr);
+  EXPECT_NE(sys.replicas().ReadFreshCopy(r2, owner, "d", &sharded), nullptr);
+  EXPECT_NE(sys.replicas().ReadFreshCopy(r2, owner, "d", &sharded), nullptr);
   PeerId r3 = sys.AddPeer("r3");
-  EXPECT_EQ(sys.replicas().LookupFresh(r3, owner, "d"), nullptr);
+  EXPECT_EQ(sys.replicas().ReadFreshCopy(r3, owner, "d", &sharded), nullptr);
 
   const TransferCacheStats total = sys.replicas().TotalStats();
   EXPECT_EQ(total.inserts, 2u);

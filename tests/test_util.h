@@ -13,7 +13,6 @@
 #include "common/str_util.h"
 #include "xml/tree.h"
 #include "xml/tree_equal.h"
-#include "xml/wire.h"
 
 namespace axml {
 namespace testing {
@@ -51,15 +50,6 @@ inline TreePtr MakeCatalog(size_t n_products, NodeIdGen* gen, Rng* rng,
     catalog->AddChild(std::move(prod));
   }
   return catalog;
-}
-
-/// The tree a stored wire blob (a cache entry's bytes) encodes, decoded
-/// with a throwaway NodeIdGen; nullptr for a null or undecodable blob.
-inline TreePtr DecodeBlob(const std::shared_ptr<const std::string>& blob) {
-  if (blob == nullptr) return nullptr;
-  NodeIdGen gen;
-  Result<TreePtr> tree = wire::DecodeTree(*blob, &gen);
-  return tree.ok() ? std::move(tree).value() : nullptr;
 }
 
 /// A random labeled tree with `n` elements, for fuzz-ish round trips.
