@@ -452,11 +452,14 @@ def check_no_threads(sf: SourceFile) -> Iterator[Finding]:
 
 # --- process-state ---
 
-# `static T name =` / `static T name{` with no const/constexpr on the
-# line. A function `static T f(...) {` never matches: its name is
-# followed by the parameter list.
+# `static T name =`, `static T name{`, `static T name(...)` and
+# `static T name;` with no const/constexpr on the line. A function
+# `static T f(...) {` (a member of a local class) never matches: its
+# parameter list is followed by the body's brace. A block-scope function
+# declaration cannot be `static`, so `static T name(...);` is a variable.
 _STATIC_VAR_RE = re.compile(
-    r"^\s*static\s+(?!.*\bconst(?:expr)?\b)[\w:<>,*&\s]+?\b\w+\s*(?:=(?!=)|\{)"
+    r"^\s*static\s+(?!.*\bconst(?:expr)?\b)[\w:<>,*&\s]+?\b\w+\s*"
+    r"(?:=(?!=)|\{|;|\((?!.*\)\s*(?:noexcept\s*)?(?:->[^{;]*)?\{))"
 )
 _TEMPLATE_HEAD_RE = re.compile(r"\btemplate\s*<[^;{]*?>")
 _SCOPE_HEAD_RE = re.compile(r"\b(?:namespace|class|struct|union|enum)\b")

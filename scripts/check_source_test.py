@@ -146,6 +146,19 @@ class ProcessStateTest(unittest.TestCase):
         findings = list(cs.check_process_state(sf))
         self.assertEqual(flagged_lines(findings, "process-state"), marked_lines(sf))
 
+    def test_flags_each_initializer_form(self) -> None:
+        for line, flagged in [
+            ("static SchemaTypePtr t(new SchemaType(Kind::kText, 0, {}));", True),
+            ("static std::string s;", True),
+            ("static int n = 0;", True),
+            ("static int n{0};", True),
+            ("static const SchemaTypePtr t(new SchemaType(Kind::kAny, 0, {}));", False),
+            ("static int Make(int x) { return x; }", False),
+            ("static auto Make() noexcept -> int {", False),
+        ]:
+            with self.subTest(line=line):
+                self.assertEqual(bool(cs._STATIC_VAR_RE.search(line)), flagged)
+
 
 class CleanFixtureTest(unittest.TestCase):
     def test_no_check_fires_on_clean_code(self) -> None:

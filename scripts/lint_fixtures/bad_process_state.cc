@@ -3,6 +3,7 @@
 // flag each marked line and accept the legal shapes around them.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 namespace axml {
@@ -30,8 +31,15 @@ T Mint() {
 std::string FixtureProcessState() {
   static uint64_t counter = 0;                       // MUST be flagged
   static std::string name{"shipped"};                // MUST be flagged
+  static std::shared_ptr<int> shared(new int(0));    // MUST be flagged
+  static int uninitialized;                          // MUST be flagged
   static const int kConst = 1;
+  static const std::shared_ptr<int> kShared(new int(3));
   static constexpr int kConstexpr = 2;
+  struct Local {
+    // A local class's static member function is not state.
+    static int Make() { return 5; }
+  };
   auto bump = [] {
     static int* seen = nullptr;                      // MUST be flagged
     return seen;
@@ -44,8 +52,10 @@ std::string FixtureProcessState() {
   static int waived = 0;
   // static int in_a_comment = 0;
   (void)bump;
+  (void)uninitialized;
   return name + std::to_string(counter++ + kConst + kConstexpr + waived +
-                               file_counter + Holder::Make());
+                               file_counter + Holder::Make() + *shared +
+                               *kShared + Local::Make());
 }
 
 }  // namespace axml

@@ -157,9 +157,11 @@ CostEstimate CostModel::DocTransferCost(PeerId reader, PeerId owner,
                                         const DocName& name,
                                         double bytes) const {
   // ExpectedFresh, not HasFresh: under RefreshPolicy::kEagerRefresh a
-  // mutation drops the copy but its replacement is already on the wire —
-  // the fresh-copy assumption plans are priced on does not decay at
-  // mutation time. (Under kDrop/kLazy the two probes agree.)
+  // mutation drops a whole or installed copy but its replacement is
+  // already on the wire — the fresh-copy assumption plans are priced on
+  // does not decay at mutation time. A partial sharded copy is not
+  // re-shipped, so it stays priced at its delta below. (Under
+  // kDrop/kLazy the two probes agree.)
   if (assume_replica_cache_) {
     if (sys_->replicas().ExpectedFresh(reader, owner, name)) {
       return CostEstimate{};  // a cache hit costs 0 bytes on the wire

@@ -526,7 +526,6 @@ void ReplicaManager::PushInvalidate(const ReplicaKey& key) {
     } else {
       ++subscription_stats_.shard_notifies;
     }
-    TraceEvent("notify", holder, 0, key);
     // The notification is wire traffic on the origin->holder link;
     // NetStats tallies it apart from data transfers.
     SendNotifyMessage(key, holder);
@@ -547,7 +546,13 @@ void ReplicaManager::PushInvalidate(const ReplicaKey& key) {
         }
       }
     }
+    // Only a copy that could serve a read by name is re-shipped: a
+    // whole-document entry, an installed sharded copy, or one whose
+    // refresh is already in flight. A partial holder keeps the drop
+    // alone: it serves no read locally, so a push would buy it nothing,
+    // and its next read fetches the delta against its live shards.
     if (refresh_policy_ == RefreshPolicy::kEagerRefresh &&
+        doc_wide.count(holder) > 0 &&
         StartRefresh(holder, key, /*attempt=*/0)) {
       // The holder stays subscribed (doc-level flight interest) while
       // its copy re-materializes, so a mutation overtaking the shipment
@@ -563,12 +568,14 @@ void ReplicaManager::SendNotifyMessage(const ReplicaKey& key,
   wire::NotifyBatch batch;
   batch.origin = origin.index();
   batch.keys.push_back({key.name, key.shard});
+  wire::Payload payload = wire::EncodeNotifyBatch(batch, &sys_->wire_stats());
+  // The span carries the size the link is charged: the encoded message.
+  TraceEvent("notify", holder, payload.size(), key);
   // The arrival hook is the asynchronous half of invalidation: a no-op
   // on the perfect fabric (the drop already happened, synchronously), a
-  // repair when faults let stale state survive. The priced size is the
-  // encoded message's.
+  // repair when faults let stale state survive.
   sys_->network().SendNotify(
-      origin, holder, wire::EncodeNotifyBatch(batch, &sys_->wire_stats()),
+      origin, holder, std::move(payload),
       [this, origin, holder](const wire::Payload& p) {
         // The carried keys are advisory — the repair rescans the whole
         // cache — but a payload that does not parse is a bug, not a
@@ -1222,8 +1229,8 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
         }
       }
     }
-    // A dropped stale copy re-materializes eagerly under kEagerRefresh,
-    // exactly as a mutation-time drop would have.
+    // A dropped stale whole-document entry or manifest re-materializes
+    // eagerly under kEagerRefresh.
     if (dropped_doc && refresh_policy_ == RefreshPolicy::kEagerRefresh &&
         StartRefresh(holder, doc, /*attempt=*/0)) {
       subscriptions_.Subscribe(doc, holder);

@@ -33,9 +33,9 @@
 //    holder's copy and all its advertisements are retracted at mutation
 //    time (never a stale advertisement between a write and the next
 //    read); under kEagerRefresh the origin additionally ships the new
-//    version through the transfer path, re-materializing the copy
-//    without a read asking for it (in-flight coalescing of
-//    back-to-back mutations);
+//    version through the transfer path, re-materializing a whole or
+//    installed copy without a read asking for it (in-flight coalescing
+//    of back-to-back mutations; a partial sharded copy is only dropped);
 //  - under RefreshPolicy::kLazy (the PR 1 baseline) a stale copy is
 //    instead dropped on its next lookup: evicted from the cache, removed
 //    as a local document, unregistered from the catalog, and withdrawn
@@ -524,7 +524,7 @@ class ReplicaManager {
 
   /// Sends `holder` one invalidation notification for `key`: an encoded
   /// one-key wire::NotifyBatch, origin -> holder, priced at its encoded
-  /// size.
+  /// size, which its "notify" trace span records too.
   void SendNotifyMessage(const ReplicaKey& key, PeerId holder);
 
   /// Records one "replica" trace event when tracing is on; the detail
@@ -541,7 +541,9 @@ class ReplicaManager {
   /// sharded copy; partial holders only when a data shard they hold is
   /// no longer referenced by the new version — then notifies each dirty
   /// holder, drops its dirty entries synchronously, and — under eager
-  /// refresh — starts the re-materializing shipment. Before the drops,
+  /// refresh — starts the re-materializing shipment for every dirty
+  /// holder but a partial one, which could not serve a read from what
+  /// lands and fetches the delta on its next read. Before the drops,
   /// the origin retracts the catalog entries of every copy they will
   /// take down (CatalogBackend::RetractCopiesOf). Clean partial
   /// holders are skipped entirely (SubscriptionStats::clean_skips):

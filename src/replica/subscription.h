@@ -6,10 +6,10 @@
 // (def. 9) only pay off if copies stay *fresh*, so this module flips the
 // direction: the origin knows every holder of every copy (the version
 // table already records both sides), and a mutation notifies them all
-// immediately. Each holder either drops its copy on the spot — the
-// advertisements go at *mutation* time, not lookup time — or, under
-// RefreshPolicy::kEagerRefresh, re-materializes the new version through
-// the existing transfer path.
+// immediately. Each holder drops its copy on the spot — the
+// advertisements go at *mutation* time, not lookup time — and, under
+// RefreshPolicy::kEagerRefresh, a holder whose copy could serve a read
+// re-materializes the new version through the existing transfer path.
 
 #ifndef AXML_REPLICA_SUBSCRIPTION_H_
 #define AXML_REPLICA_SUBSCRIPTION_H_
@@ -34,8 +34,12 @@ enum class RefreshPolicy {
   /// catalog/generic advertisements at mutation time.
   kDrop,
   /// Push-refresh: like kDrop, but the origin also ships the new version
-  /// so the holder's copy re-materializes without a read asking for it.
-  /// Back-to-back mutations coalesce onto the in-flight shipment.
+  /// so the holder's copy re-materializes without a read asking for it —
+  /// to holders whose copy could serve a read by name (a whole-document
+  /// entry, an installed sharded copy, a refresh in flight). A partial
+  /// sharded copy is dropped as under kDrop: it never serves a read
+  /// locally, so its next read fetches the delta instead. Back-to-back
+  /// mutations coalesce onto the in-flight shipment.
   kEagerRefresh,
 };
 

@@ -92,17 +92,17 @@ std::string SchemaType::ToString() const {
 }
 
 SchemaTypePtr SchemaType::Text() {
-  static SchemaTypePtr t(new SchemaType(Kind::kText, 0, {}));
+  static const SchemaTypePtr t(new SchemaType(Kind::kText, 0, {}));
   return t;
 }
 
 SchemaTypePtr SchemaType::Number() {
-  static SchemaTypePtr t(new SchemaType(Kind::kNumber, 0, {}));
+  static const SchemaTypePtr t(new SchemaType(Kind::kNumber, 0, {}));
   return t;
 }
 
 SchemaTypePtr SchemaType::Any() {
-  static SchemaTypePtr t(new SchemaType(Kind::kAny, 0, {}));
+  static const SchemaTypePtr t(new SchemaType(Kind::kAny, 0, {}));
   return t;
 }
 

@@ -455,6 +455,37 @@ TEST(ObsSystemTest, EvaluatorUnmountsItsCountersOnDestruction) {
             ev1.counters().replica_hits + ev2.counters().replica_hits);
 }
 
+TEST(ObsSystemTest, NotifySpansCarryTheEncodedNotifyBytes) {
+  ObsRig f;
+  const PeerId other = f.sys.AddPeer("other");
+  Evaluator ev(&f.sys, CachingOptions());
+  ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
+  ASSERT_TRUE(
+      ev.Eval(other, Expr::Apply(f.q, other, {Expr::Doc("d", f.origin)}))
+          .ok());
+
+  f.sys.tracer().set_enabled(true);
+  f.sys.network().mutable_stats()->Reset();
+  Rng rng(17);
+  f.sys.peer(f.origin)->PutDocument(
+      "d", MakeCatalog(20, f.sys.peer(f.origin)->gen(), &rng));
+  f.sys.RunToQuiescence();
+
+  // Each notify span records the size its message was charged, so the
+  // spans add up to the link's notify tally.
+  uint64_t spans = 0, span_bytes = 0;
+  for (const TraceSpan& s : f.sys.tracer().Events()) {
+    if (s.category == "replica" && s.name == "notify") {
+      ++spans;
+      EXPECT_GT(s.bytes, 0u);
+      span_bytes += s.bytes;
+    }
+  }
+  EXPECT_EQ(spans, 2u);
+  EXPECT_EQ(spans, f.sys.network().stats().notify_messages());
+  EXPECT_EQ(span_bytes, f.sys.network().stats().notify_bytes());
+}
+
 TEST(ObsSystemTest, MutationCascadeSharesOneTraceId) {
   ObsRig f;
   f.sys.replicas().set_refresh_policy(RefreshPolicy::kEagerRefresh);

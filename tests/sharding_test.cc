@@ -617,6 +617,71 @@ TEST(ShardedReplicaTest, MutationShipsOnlyTheDirtyShard) {
   EXPECT_TRUE(ResultsEqual(base->results, read->results));
 }
 
+TEST(ShardedReplicaTest, EagerRefreshDropsAPartialCopyWithoutShipping) {
+  ShardedPeers f;
+  f.sys.replicas().set_refresh_policy(RefreshPolicy::kEagerRefresh);
+  // The budget holds most of the document's shards, not all of them.
+  const ShardedDocument* split = f.sys.replicas().OriginShards(f.origin, "d");
+  ASSERT_NE(split, nullptr);
+  f.sys.replicas().set_default_byte_budget(split->TotalBytes() * 3 / 4);
+  Evaluator ev(&f.sys, CachingOptions());
+  ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
+  ASSERT_FALSE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
+  const TransferCache* cache = f.sys.replicas().FindCache(f.client);
+  ASSERT_NE(cache, nullptr);
+  std::set<std::string> before;
+  for (const ReplicaKey& k : cache->KeysForDoc(f.origin, "d")) {
+    if (k.is_shard_data()) before.insert(k.shard);
+  }
+  ASSERT_FALSE(before.empty());
+
+  f.sys.network().mutable_stats()->Reset();
+  f.sys.replicas().ResetStats();
+  f.MutateOneProduct(190);  // its shard is resident (see `dead` below)
+  f.sys.RunToQuiescence();
+
+  // One notify, no shipment: the only traffic is the notify message.
+  const SubscriptionStats& subs = f.sys.replicas().subscription_stats();
+  EXPECT_EQ(subs.notifies, 1u);
+  EXPECT_EQ(subs.shard_notifies, 1u);
+  EXPECT_EQ(subs.refreshes, 0u);
+  EXPECT_EQ(subs.refresh_bytes, 0u);
+  const NetStats& net = f.sys.network().stats();
+  EXPECT_EQ(net.notify_messages(), 1u);
+  EXPECT_EQ(net.total_messages(), net.notify_messages());
+  EXPECT_EQ(net.remote_bytes(), net.notify_bytes());
+
+  // The dead shard is gone, the live ones stay.
+  std::set<std::string> live;
+  for (const DocumentShard& s :
+       f.sys.replicas().OriginShards(f.origin, "d")->shards) {
+    live.insert(s.id.ToString());
+  }
+  std::set<std::string> after;
+  for (const ReplicaKey& k : cache->KeysForDoc(f.origin, "d")) {
+    if (k.is_shard_data()) after.insert(k.shard);
+  }
+  size_t dead = 0;
+  for (const std::string& id : before) {
+    if (live.count(id) == 0) {
+      ++dead;
+      EXPECT_EQ(after.count(id), 0u) << id;
+    } else {
+      EXPECT_EQ(after.count(id), 1u) << id;
+    }
+  }
+  EXPECT_EQ(dead, 1u);
+  EXPECT_FALSE(f.sys.replicas().ExpectedFresh(f.client, f.origin, "d"));
+
+  // The next read fetches the delta and returns the current content.
+  Evaluator plain(&f.sys);
+  auto truth = plain.Eval(f.client, f.Read());
+  ASSERT_TRUE(truth.ok());
+  auto read = ev.Eval(f.client, f.Read());
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(ResultsEqual(truth->results, read->results));
+}
+
 TEST(ShardedReplicaTest, BudgetSmallerThanDocumentStillHits) {
   ShardedPeers f;
   // The cache can hold roughly a third of the document's shards.
