@@ -720,7 +720,7 @@ bool ReplicaManager::FetchForRead(PeerId reader, PeerId origin,
               auto blob = blobs.find(id);
               return blob == blobs.end() ? nullptr : blob->second;
             },
-            dest->gen(), &sys_->wire_stats()));
+            dest->gen(), &sys_->wire_stats(), &landed->decoded));
       });
   return true;
 }

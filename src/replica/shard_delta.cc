@@ -97,9 +97,8 @@ std::optional<ShipmentPayload> DecodeCopyShipment(
   // Each shard is filed under the id it was shipped under, so its bytes
   // must digest to that id: a mismatch would cache content under a
   // name that promises other content.
-  NodeIdGen scratch;
   for (wire::Shipment::Shard& s : arrived.shards) {
-    TreePtr tree = DecodeStoredTree(s.tree, &scratch, stats);
+    TreePtr tree = DecodeStoredTree(s.tree, gen, stats);
     if (tree == nullptr) return std::nullopt;
     const ContentDigest id = DigestOf(*tree);
     const std::string hex = id.ToString();
@@ -107,6 +106,7 @@ std::optional<ShipmentPayload> DecodeCopyShipment(
                              << " digests to " << hex;
     if (hex != s.id) return std::nullopt;
     landed.shards.push_back({id, std::move(s.tree)});
+    landed.decoded[hex] = std::move(tree);
   }
   return landed;
 }
@@ -124,7 +124,8 @@ TreePtr DecodeManifest(std::string_view blob, wire::WireStats* stats) {
 }
 
 TreePtr AssembleCopy(const TreeNode& manifest, const ShardLookup& lookup,
-                     NodeIdGen* gen, wire::WireStats* stats) {
+                     NodeIdGen* gen, wire::WireStats* stats,
+                     std::map<std::string, TreePtr>* decoded) {
   // Probe first: a half-built assembly would mint node ids for nothing.
   for (const std::string& id : ManifestShardIds(manifest)) {
     if (lookup(id) == nullptr) return nullptr;
@@ -132,6 +133,15 @@ TreePtr AssembleCopy(const TreeNode& manifest, const ShardLookup& lookup,
   return AssembleDocument(
       manifest,
       [&](const std::string& id) {
+        // A repeated id needs fresh nodes the second time: take the
+        // decoded tree once, then decode the bytes.
+        if (decoded != nullptr) {
+          if (auto it = decoded->find(id); it != decoded->end()) {
+            TreePtr tree = std::move(it->second);
+            decoded->erase(it);
+            return tree;
+          }
+        }
         return DecodeStoredTree(*lookup(id), gen, stats);
       },
       gen);

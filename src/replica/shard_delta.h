@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -79,6 +80,9 @@ struct ShipmentPayload {
   /// The data shards that crossed the wire, each checked against the id
   /// it was shipped under.
   std::vector<DocumentShard> shards;
+  /// Each shipped shard as the digest check decoded it with `gen`, by id
+  /// hex, so a read's delivery assembles it without decoding it again.
+  std::map<std::string, TreePtr> decoded;
 };
 
 /// One copy of origin's `name` at `version`: `delta` when non-null,
@@ -88,10 +92,11 @@ wire::Payload EncodeCopyShipment(PeerId origin, const DocName& name,
                                  const TreeNode* whole,
                                  wire::WireStats* stats);
 
-/// Decodes a landed copy shipment. A whole document is minted from the
-/// receiving peer's `gen`; a delta that did not carry its manifest takes
-/// `resident_manifest`. nullopt when any part does not decode, or when
-/// a shard's content does not digest to the id it was shipped under.
+/// Decodes a landed copy shipment. A whole document and each shipped
+/// shard are minted from the receiving peer's `gen`; a delta that did
+/// not carry its manifest takes `resident_manifest`. nullopt when any
+/// part does not decode, or when a shard's content does not digest to
+/// the id it was shipped under.
 std::optional<ShipmentPayload> DecodeCopyShipment(
     const wire::Payload& p, const EncodedBlob& resident_manifest,
     NodeIdGen* gen, wire::WireStats* stats);
@@ -111,9 +116,11 @@ using ShardLookup = std::function<const std::string*(const std::string& id)>;
 
 /// The complete document `manifest` describes, decoded from `lookup`'s
 /// shard blobs with `gen`; nullptr, with no node id minted, when one is
-/// missing.
+/// missing. A shard that `decoded` (id hex -> tree minted from `gen`)
+/// holds is taken from there instead, once.
 TreePtr AssembleCopy(const TreeNode& manifest, const ShardLookup& lookup,
-                     NodeIdGen* gen, wire::WireStats* stats);
+                     NodeIdGen* gen, wire::WireStats* stats,
+                     std::map<std::string, TreePtr>* decoded = nullptr);
 
 /// AssembleCopy over the shards of origin's `name` resident in `cache`.
 TreePtr AssembleResident(const TransferCache& cache, PeerId origin,

@@ -122,12 +122,16 @@ bool Reader::ReadByte(uint8_t* b) {
   return true;
 }
 
+bool Reader::ReadBytes(uint64_t n, std::string_view* s) {
+  if (n > remaining()) return false;
+  *s = buf_.substr(pos_, n);
+  pos_ += n;
+  return true;
+}
+
 bool Reader::ReadLengthPrefixed(std::string_view* s) {
   uint64_t len = 0;
-  if (!ReadVarint(&len) || len > remaining()) return false;
-  *s = buf_.substr(pos_, len);
-  pos_ += len;
-  return true;
+  return ReadVarint(&len) && ReadBytes(len, s);
 }
 
 namespace {
@@ -163,6 +167,73 @@ Status ReadHeader(Reader* r, MessageClass expect) {
 }
 
 // --- tree encoding ---
+//
+// A node record starts with one varint header, (value << 2) | kind. The
+// boundaries of a varint's length (2^7, 2^14, ...) are multiples of 4,
+// so a header's length depends on its value alone, never on its kind.
+
+enum RecordKind : uint8_t {
+  kKindText = 0,     ///< value = byte length; the raw bytes follow
+  kKindElement = 1,  ///< value = label index; child count, children follow
+  kKindLeaf = 2,     ///< value = label index; one length-prefixed text
+  kKindEmpty = 3,    ///< value = label index; nothing follows
+};
+
+RecordKind KindOf(const TreeNode& n) {
+  if (n.is_text()) return kKindText;
+  if (n.child_count() == 0) return kKindEmpty;
+  if (n.child_count() == 1 && n.child(0)->is_text()) return kKindLeaf;
+  return kKindElement;
+}
+
+uint64_t Header(uint64_t value, RecordKind kind) { return (value << 2) | kind; }
+
+size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+/// What a tree's encoding depends on apart from child order, gathered in
+/// one pass: each label's use count, and every record byte except the
+/// element headers (whose size waits on the label table).
+struct Census {
+  std::vector<uint32_t> uses;  ///< by LabelId
+  std::vector<LabelId> labels;  ///< distinct, in first-seen order
+  uint64_t body_bytes = 0;
+
+  void Take(const TreeNode& n) {
+    const RecordKind kind = KindOf(n);
+    if (kind == kKindText) {
+      body_bytes += VarintSize(Header(n.text().size(), kKindText)) +
+                    n.text().size();
+      return;
+    }
+    const LabelId label = n.label();
+    if (label >= uses.size()) uses.resize(label + 1, 0);
+    if (uses[label]++ == 0) labels.push_back(label);
+    if (kind == kKindLeaf) {
+      const std::string& text = n.child(0)->text();
+      body_bytes += VarintSize(text.size()) + text.size();
+    } else if (kind == kKindElement) {
+      body_bytes += VarintSize(n.child_count());
+      for (const auto& child : n.children()) Take(*child);
+    }
+  }
+
+  /// Sorts `labels` into table order: descending use, ties by text. The
+  /// most used labels get the one-byte headers, and no index depends on
+  /// child order.
+  void OrderLabels() {
+    std::sort(labels.begin(), labels.end(), [this](LabelId a, LabelId b) {
+      if (uses[a] != uses[b]) return uses[a] > uses[b];
+      return LabelText(a) < LabelText(b);
+    });
+  }
+};
 
 /// Canonically ordered view of one subtree: children sorted by their
 /// canonical form (tree_equal.h), each form computed exactly once, so
@@ -197,76 +268,77 @@ CanonNode Canonicalize(const TreeNode& n) {
   return c;
 }
 
-/// First-use label table over the canonical walk.
-void CollectLabels(const CanonNode& c, std::vector<LabelId>* order,
-                   std::vector<uint32_t>* index_of) {
-  if (c.node->is_element()) {
-    const LabelId label = c.node->label();
-    if (label >= index_of->size()) {
-      index_of->resize(label + 1, UINT32_MAX);
-    }
-    if ((*index_of)[label] == UINT32_MAX) {
-      (*index_of)[label] = static_cast<uint32_t>(order->size());
-      order->push_back(label);
-    }
-    for (const CanonNode& k : c.kids) CollectLabels(k, order, index_of);
-  }
-}
-
-constexpr uint8_t kTagText = 0;
-constexpr uint8_t kTagElement = 1;
-
 void EncodeNode(const CanonNode& c, const std::vector<uint32_t>& index_of,
                 std::string* out) {
-  if (c.node->is_text()) {
-    out->push_back(static_cast<char>(kTagText));
-    AppendLengthPrefixed(c.node->text(), out);
+  const TreeNode& n = *c.node;
+  const RecordKind kind = KindOf(n);
+  if (kind == kKindText) {
+    AppendVarint(Header(n.text().size(), kKindText), out);
+    out->append(n.text());
     return;
   }
-  out->push_back(static_cast<char>(kTagElement));
-  AppendVarint(index_of[c.node->label()], out);
-  AppendVarint(c.kids.size(), out);
-  for (const CanonNode& k : c.kids) EncodeNode(k, index_of, out);
+  AppendVarint(Header(index_of[n.label()], kind), out);
+  if (kind == kKindLeaf) {
+    AppendLengthPrefixed(n.child(0)->text(), out);
+  } else if (kind == kKindElement) {
+    AppendVarint(c.kids.size(), out);
+    for (const CanonNode& k : c.kids) EncodeNode(k, index_of, out);
+  }
 }
 
 Result<TreePtr> DecodeNode(Reader* r, const std::vector<LabelId>& labels,
                            NodeIdGen* gen, size_t depth) {
   if (depth > kMaxNestingDepth) return Malformed("nesting too deep");
-  uint8_t tag = 0;
-  if (!r->ReadByte(&tag)) return Malformed("truncated node tag");
-  if (tag == kTagText) {
+  uint64_t header = 0;
+  if (!r->ReadVarint(&header)) return Malformed("truncated node header");
+  const uint64_t value = header >> 2;
+  const auto kind = static_cast<RecordKind>(header & 3);
+  if (kind == kKindText) {
     std::string_view text;
-    if (!r->ReadLengthPrefixed(&text)) return Malformed("truncated text");
+    if (!r->ReadBytes(value, &text)) return Malformed("truncated text");
     return TreeNode::Text(std::string(text));
   }
-  if (tag != kTagElement) return Malformed("unknown node tag");
-  uint64_t label_index = 0;
-  uint64_t child_count = 0;
-  if (!r->ReadVarint(&label_index) || !r->ReadVarint(&child_count)) {
-    return Malformed("truncated element");
-  }
-  if (label_index >= labels.size()) return Malformed("label index");
-  // Every child occupies >= 2 bytes; a count beyond that is corrupt.
-  if (child_count > r->remaining()) return Malformed("child count");
-  TreePtr node = TreeNode::Element(labels[label_index], gen->Next());
-  for (uint64_t i = 0; i < child_count; ++i) {
-    auto child = DecodeNode(r, labels, gen, depth + 1);
-    if (!child.ok()) return child.status();
-    node->AddChild(std::move(child).value());
+  if (value >= labels.size()) return Malformed("label index");
+  TreePtr node = TreeNode::Element(labels[value], gen->Next());
+  if (kind == kKindLeaf) {
+    std::string_view text;
+    if (!r->ReadLengthPrefixed(&text)) return Malformed("truncated leaf text");
+    node->AddChild(TreeNode::Text(std::string(text)));
+  } else if (kind == kKindElement) {
+    uint64_t child_count = 0;
+    if (!r->ReadVarint(&child_count)) return Malformed("truncated element");
+    // Every record occupies >= 1 byte; a count beyond that is corrupt.
+    if (child_count > r->remaining()) return Malformed("child count");
+    for (uint64_t i = 0; i < child_count; ++i) {
+      auto child = DecodeNode(r, labels, gen, depth + 1);
+      if (!child.ok()) return child.status();
+      node->AddChild(std::move(child).value());
+    }
   }
   return node;
 }
 
-void EncodeTreeBody(const TreeNode& root, std::string* out) {
-  const CanonNode canon = Canonicalize(root);
-  std::vector<LabelId> label_order;
-  std::vector<uint32_t> index_of;
-  CollectLabels(canon, &label_order, &index_of);
-  AppendVarint(label_order.size(), out);
-  for (LabelId label : label_order) {
-    AppendLengthPrefixed(LabelText(label), out);
+/// Bytes of the label table: its count, then each label length-prefixed.
+uint64_t LabelTableSize(const std::vector<LabelId>& labels) {
+  uint64_t bytes = VarintSize(labels.size());
+  for (LabelId label : labels) {
+    const size_t len = LabelText(label).size();
+    bytes += VarintSize(len) + len;
   }
-  EncodeNode(canon, index_of, out);
+  return bytes;
+}
+
+void EncodeTreeBody(const TreeNode& root, std::string* out) {
+  Census census;
+  census.Take(root);
+  census.OrderLabels();
+  std::vector<uint32_t> index_of(census.uses.size(), UINT32_MAX);
+  AppendVarint(census.labels.size(), out);
+  for (size_t i = 0; i < census.labels.size(); ++i) {
+    index_of[census.labels[i]] = static_cast<uint32_t>(i);
+    AppendLengthPrefixed(LabelText(census.labels[i]), out);
+  }
+  EncodeNode(Canonicalize(root), index_of, out);
 }
 
 Result<TreePtr> DecodeTreeBody(Reader* r, NodeIdGen* gen) {
@@ -298,7 +370,14 @@ std::string EncodeTree(const TreeNode& root, WireStats* stats) {
 }
 
 uint64_t EncodedTreeSize(const TreeNode& root) {
-  return EncodeTree(root).size();
+  Census census;
+  census.Take(root);
+  census.OrderLabels();
+  uint64_t bytes = 2 + LabelTableSize(census.labels) + census.body_bytes;
+  for (size_t i = 0; i < census.labels.size(); ++i) {
+    bytes += census.uses[census.labels[i]] * VarintSize(uint64_t{i} << 2);
+  }
+  return bytes;
 }
 
 Result<TreePtr> DecodeTree(std::string_view blob, NodeIdGen* gen,

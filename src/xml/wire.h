@@ -8,13 +8,15 @@
 // e.g. budget admission). The format is deliberately small and
 // versioned:
 //
-//   byte 0   kWireVersion (1)
+//   byte 0   kWireVersion (2)
 //   byte 1   MessageClass
 //   body     class-specific, varint-framed (see docs/wire-format.md)
 //
-// Trees encode with a per-blob interned-label table and *canonical
-// child order* (children sorted by their canonical form, tree_equal.h),
-// so unordered-equal trees encode byte-identically — the property the
+// Trees encode with a per-blob interned-label table (most used label
+// first) and *canonical child order* (children sorted by their canonical
+// form, tree_equal.h); each node is one varint header, and an element
+// holding only text carries it inline. Unordered-equal trees therefore
+// encode byte-identically — the property the
 // content-addressed blob store and shard ids already rely on. Decoding
 // mints fresh node ids from the receiving peer's NodeIdGen (§3.2: every
 // send copies the instance it sends).
@@ -40,7 +42,7 @@ namespace axml {
 namespace wire {
 
 /// Bumped on any incompatible layout change; decoders reject mismatches.
-inline constexpr uint8_t kWireVersion = 1;
+inline constexpr uint8_t kWireVersion = 2;
 
 /// Second header byte: what kind of message the payload carries. Used
 /// for per-class byte accounting (NetStats) and decode dispatch.
@@ -128,6 +130,8 @@ class Reader {
   bool ReadVarint(uint64_t* v);
   bool ReadFixed64(uint64_t* v);
   bool ReadByte(uint8_t* b);
+  /// Reads the next `n` bytes (aliasing the buffer).
+  bool ReadBytes(uint64_t n, std::string_view* s);
   /// Reads a varint length then that many bytes (aliasing the buffer).
   bool ReadLengthPrefixed(std::string_view* s);
   size_t remaining() const { return buf_.size() - pos_; }
@@ -147,6 +151,8 @@ std::string EncodeTree(const TreeNode& root, WireStats* stats = nullptr);
 
 /// The blob size `EncodeTree` would produce — THE wire size of a tree.
 /// Every transfer-pricing path reads this (not xml_serializer's size).
+/// It counts in one pass and never builds the canonical order: no
+/// record's size depends on where its siblings sort.
 uint64_t EncodedTreeSize(const TreeNode& root);
 
 /// Decodes a tree blob, minting fresh node ids from `gen`.

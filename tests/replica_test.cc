@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algebra/evaluator.h"
 #include "common/rng.h"
 #include "net/catalog.h"
@@ -314,8 +316,12 @@ TEST(ReplicaManagerTest, LruEvictionRetractsAdvertisements) {
   Rng rng(21);
   TreePtr second = MakeCatalog(32, f.sys.peer(f.origin)->gen(), &rng);
   ASSERT_TRUE(f.sys.InstallDocument(f.origin, "d2", second).ok());
-  // Budget fits one catalog only; set before the client's cache exists.
-  f.sys.replicas().set_default_byte_budget(second->SerializedSize() + 64);
+  // Budget fits one catalog only, under any encoding: each copy costs
+  // its encoded size. Set before the client's cache exists.
+  const uint64_t first_bytes =
+      wire::EncodedTreeSize(*f.sys.peer(f.origin)->GetDocument("d"));
+  f.sys.replicas().set_default_byte_budget(
+      std::max(first_bytes, wire::EncodedTreeSize(*second)));
 
   Evaluator ev(&f.sys, CachingOptions());
   ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());

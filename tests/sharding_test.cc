@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -503,6 +504,49 @@ TEST(ShardDeltaTest, ALandedShardMustDigestToTheIdItWasShippedUnder) {
 #else
   EXPECT_FALSE(DecodeCopyShipment(forged, nullptr, &gen, nullptr));
 #endif
+}
+
+TEST(ShardDeltaTest, AssemblyTakesEachShippedShardFromTheCheckedDecode) {
+  NodeIdGen gen;
+  ShardingConfig cfg;
+  cfg.max_shard_bytes = 1024;
+  TreePtr doc = RepetitiveCatalog(&gen);
+  const ShardedDocument sd = SplitDocument(*doc, cfg);
+  const PeerId origin(0);
+  const ShardDelta cold = PlanShardDelta(sd, nullptr, origin, "d", 2);
+  const wire::Payload p =
+      EncodeCopyShipment(origin, "d", 2, &cold, nullptr, nullptr);
+
+  // The landing decodes the shipment, then each shipped shard once to
+  // check its digest.
+  wire::WireStats stats;
+  std::optional<ShipmentPayload> landed =
+      DecodeCopyShipment(p, nullptr, &gen, &stats);
+  ASSERT_TRUE(landed.has_value());
+  EXPECT_EQ(stats.decode_calls, 1 + cold.missing.size());
+  EXPECT_EQ(landed->decoded.size(), cold.missing.size());
+
+  // The assembly reuses those trees; only a repeated id decodes again,
+  // since one tree cannot sit in the document twice.
+  std::map<std::string, const std::string*> blobs;
+  for (const DocumentShard& s : landed->shards) {
+    blobs[s.id.ToString()] = &s.encoded;
+  }
+  TreePtr manifest = Decode(landed->manifest);
+  const size_t refs = ManifestShardIds(*manifest).size();
+  ASSERT_GT(refs, cold.missing.size());
+  wire::WireStats assembly;
+  TreePtr copy = AssembleCopy(
+      *manifest,
+      [&blobs](const std::string& id) -> const std::string* {
+        auto it = blobs.find(id);
+        return it == blobs.end() ? nullptr : it->second;
+      },
+      &gen, &assembly, &landed->decoded);
+  ASSERT_NE(copy, nullptr);
+  EXPECT_TRUE(TreesEqualUnordered(*copy, *doc));
+  EXPECT_EQ(assembly.decode_calls, refs - cold.missing.size());
+  EXPECT_TRUE(landed->decoded.empty());
 }
 
 // --- Sharded replication through the system ---

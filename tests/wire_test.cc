@@ -12,10 +12,13 @@
 //   3. Robustness: truncations and random byte corruptions of valid
 //      buffers are rejected with a Status — never a crash — pinned by
 //      a fuzz-ish mutation loop.
+//   4. Size: EncodedTreeSize, which counts without encoding, equals the
+//      size of the blob EncodeTree emits.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -31,6 +34,58 @@ namespace {
 using testing::MakeCatalog;
 using testing::MakeRandomTree;
 using testing::TestSeed;
+
+/// A random tree mixing every v2 record kind: empty elements, leaf
+/// elements, mixed content, elements whose one child is an element,
+/// now and then a text-only root, and — with over 32 labels in
+/// `label_pool` — two-byte element headers. Texts run from empty to
+/// past 32 bytes, where a text header takes two bytes.
+TreePtr MakeMixedTree(size_t n, size_t label_pool, NodeIdGen* gen,
+                      Rng* rng) {
+  auto text = [rng] {
+    return TreeNode::Text(rng->Identifier(
+        rng->Bernoulli(0.2) ? 33 + rng->Index(100) : rng->Index(6)));
+  };
+  if (rng->Bernoulli(0.05)) return text();
+  std::vector<TreePtr> elements{
+      TreeNode::Element(StrCat("l", rng->Index(label_pool)), gen)};
+  for (size_t i = 1; i < n; ++i) {
+    TreeNode* parent = elements[rng->Index(elements.size())].get();
+    if (rng->Bernoulli(0.3)) {
+      // A leaf while alone; mixed content beside element siblings.
+      parent->AddChild(text());
+    } else {
+      // Empty until it gets children of its own.
+      elements.push_back(parent->AddChild(
+          TreeNode::Element(StrCat("l", rng->Index(label_pool)), gen)));
+    }
+  }
+  return elements[0];
+}
+
+/// Reorders the children of every element of `n`, in place.
+void ShuffleChildren(TreeNode* n, Rng* rng) {
+  if (!n->is_element()) return;
+  std::vector<TreePtr> kids = n->children();
+  rng->Shuffle(&kids);
+  while (n->child_count() > 0) n->RemoveChild(0);
+  for (TreePtr& k : kids) {
+    ShuffleChildren(k.get(), rng);
+    n->AddChild(std::move(k));
+  }
+}
+
+/// A kTree blob of the current version: `labels` as the table, then
+/// `records` as they are.
+std::string TreeBlob(const std::vector<std::string>& labels,
+                     std::string_view records) {
+  std::string out{static_cast<char>(wire::kWireVersion),
+                  static_cast<char>(wire::MessageClass::kTree)};
+  wire::AppendVarint(labels.size(), &out);
+  for (const std::string& l : labels) wire::AppendLengthPrefixed(l, &out);
+  out.append(records);
+  return out;
+}
 
 TEST(WireModelTest, HeaderCarriesVersionAndClass) {
   NodeIdGen gen;
@@ -71,10 +126,18 @@ TEST(WireModelTest, ReencodingADecodedBlobReproducesIt) {
   Rng rng(TestSeed(0xB10B));
   NodeIdGen gen;
   NodeIdGen dest_gen(PeerId(3));
-  for (int i = 0; i < 200; ++i) {
-    TreePtr t = rng.Bernoulli(0.5)
-                    ? MakeRandomTree(1 + rng.Index(60), &gen, &rng)
-                    : MakeCatalog(1 + rng.Index(16), &gen, &rng);
+  for (int i = 0; i < 300; ++i) {
+    TreePtr t;
+    switch (rng.Index(3)) {
+      case 0:
+        t = MakeRandomTree(1 + rng.Index(60), &gen, &rng);
+        break;
+      case 1:
+        t = MakeCatalog(1 + rng.Index(16), &gen, &rng);
+        break;
+      default:
+        t = MakeMixedTree(1 + rng.Index(120), 4 + rng.Index(60), &gen, &rng);
+    }
     const std::string blob = wire::EncodeTree(*t);
     auto decoded = wire::DecodeTree(blob, &dest_gen);
     ASSERT_TRUE(decoded.ok()) << decoded.status();
@@ -102,6 +165,74 @@ TEST(WireModelTest, UnorderedEqualTreesEncodeByteIdentically) {
     EXPECT_EQ(wire::EncodeTree(*t), wire::EncodeTree(*shuffled));
     EXPECT_EQ(wire::EncodedTreeSize(*t), wire::EncodeTree(*t).size());
   }
+  // Every record kind, and label tables past 32 entries.
+  size_t wide_tables = 0;
+  for (int i = 0; i < 300; ++i) {
+    TreePtr t =
+        MakeMixedTree(1 + rng.Index(120), 4 + rng.Index(60), &gen, &rng);
+    const std::string blob = wire::EncodeTree(*t);
+    EXPECT_EQ(wire::EncodedTreeSize(*t), blob.size()) << "iteration " << i;
+    // The table's count is one varint byte below 128 labels.
+    if (static_cast<uint8_t>(blob[2]) > 32) ++wide_tables;
+    TreePtr shuffled = t->CloneSameIds();
+    ShuffleChildren(shuffled.get(), &rng);
+    EXPECT_EQ(wire::EncodeTree(*shuffled), blob) << "iteration " << i;
+  }
+  EXPECT_GT(wide_tables, 0u) << "no tree needed two-byte element headers";
+}
+
+TEST(WireModelTest, V2RecordLayoutIsPinned) {
+  // <r><b/><b/><a>x</a></r>: b is used twice, so it heads the table;
+  // a and r tie on one use and sort by text. Each record is one varint
+  // header, (value << 2) | kind, in canonical child order (a before b).
+  NodeIdGen gen;
+  TreePtr t = MakeElement("r",
+                          {TreeNode::Element("b", &gen),
+                           TreeNode::Element("b", &gen),
+                           MakeTextElement("a", "x", &gen)},
+                          &gen);
+  const std::string records{
+      (2 << 2) | 1, 3,  // r: element, label 2, 3 children
+      (1 << 2) | 2, 1, 'x',  // a: leaf, label 1, text "x"
+      (0 << 2) | 3,  // b: empty, label 0
+      (0 << 2) | 3};
+  const std::string expected = TreeBlob({"b", "a", "r"}, records);
+  EXPECT_EQ(wire::EncodeTree(*t), expected);
+  EXPECT_EQ(wire::EncodedTreeSize(*t), expected.size());
+
+  // A text-only root: no labels, one text record.
+  TreePtr text = TreeNode::Text("hi");
+  EXPECT_EQ(wire::EncodeTree(*text),
+            TreeBlob({}, std::string{(2 << 2) | 0, 'h', 'i'}));
+  EXPECT_EQ(wire::EncodedTreeSize(*text), 6u);
+}
+
+TEST(WireModelTest, MalformedV2RecordsAreTypedParseErrors) {
+  NodeIdGen dest;
+  auto expect_error = [&dest](const std::string& blob, std::string_view what) {
+    auto r = wire::DecodeTree(blob, &dest);
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << what;
+    EXPECT_NE(r.status().message().find(what), std::string::npos)
+        << r.status().message();
+  };
+  // A leaf promising 5 bytes of text that carries 2.
+  expect_error(TreeBlob({"a"}, std::string{(0 << 2) | 2, 5, 'a', 'b'}),
+               "truncated leaf text");
+  // Label index 1 in a one-label table, in a leaf and in an empty record.
+  expect_error(TreeBlob({"a"}, std::string{(1 << 2) | 2, 1, 'x'}),
+               "label index");
+  expect_error(TreeBlob({"a"}, std::string{(1 << 2) | 3}), "label index");
+  // A text record whose length runs past the buffer.
+  expect_error(TreeBlob({}, std::string{(10 << 2) | 0, 'a', 'b', 'c'}),
+               "truncated text");
+  // An element record claiming more children than bytes remain.
+  expect_error(TreeBlob({"a"}, std::string{(0 << 2) | 1, 9, (0 << 2) | 3}),
+               "child count");
+
+  // A v1 blob of <a>x</a>: tag byte, label, child count, tag, length.
+  const std::string v1{1, 0, 1, 1, 'a', 1, 0, 1, 0, 1, 'x'};
+  expect_error(v1, "version 1, expected 2");
 }
 
 TEST(WireModelTest, ProtocolMessagesRoundTrip) {
@@ -220,29 +351,36 @@ TEST(WireModelTest, TruncatedAndCorruptedBuffersRejectedWithStatus) {
   NodeIdGen dest(PeerId(3));
   TreePtr t = MakeCatalog(6, &gen, &rng);
   const std::string blob = wire::EncodeTree(*t);
-
-  for (size_t cut = 0; cut < blob.size(); ++cut) {
-    auto r = wire::DecodeTree(std::string_view(blob).substr(0, cut), &dest);
-    EXPECT_FALSE(r.ok()) << "truncation at " << cut << " decoded";
-    EXPECT_FALSE(r.status().message().empty());
+  // The catalog's records are leaves under elements; mixed trees add
+  // empty, text and two-byte-header records.
+  std::vector<std::string> blobs{blob};
+  for (int i = 0; i < 4; ++i) {
+    blobs.push_back(wire::EncodeTree(*MakeMixedTree(40, 48, &gen, &rng)));
   }
 
   wire::WireStats stats;
-  for (int i = 0; i < 300; ++i) {
-    std::string mutated = blob;
-    const size_t flips = 1 + rng.Index(4);
-    for (size_t f = 0; f < flips; ++f) {
-      mutated[rng.Index(mutated.size())] =
-          static_cast<char>(rng.Uniform(256));
+  for (const std::string& b : blobs) {
+    for (size_t cut = 0; cut < b.size(); ++cut) {
+      auto r = wire::DecodeTree(std::string_view(b).substr(0, cut), &dest);
+      EXPECT_FALSE(r.ok()) << "truncation at " << cut << " decoded";
+      EXPECT_EQ(r.status().code(), StatusCode::kParseError);
     }
-    auto r = wire::DecodeTree(mutated, &dest, &stats);
-    if (r.ok()) {
-      CanonicalForm(*r.value());  // must be traversable, not garbage
-    } else {
-      EXPECT_NE(r.status().code(), StatusCode::kOk);
+    for (int i = 0; i < 300; ++i) {
+      std::string mutated = b;
+      const size_t flips = 1 + rng.Index(4);
+      for (size_t f = 0; f < flips; ++f) {
+        mutated[rng.Index(mutated.size())] =
+            static_cast<char>(rng.Uniform(256));
+      }
+      auto r = wire::DecodeTree(mutated, &dest, &stats);
+      if (r.ok()) {
+        CanonicalForm(*r.value());  // must be traversable, not garbage
+      } else {
+        EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+      }
     }
   }
-  EXPECT_EQ(stats.decode_calls, 300u);
+  EXPECT_EQ(stats.decode_calls, 300u * blobs.size());
   EXPECT_GT(stats.decode_errors, 0u) << "mutation loop never hit a "
                                         "malformed buffer — not fuzzing";
 
