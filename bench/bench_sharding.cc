@@ -30,8 +30,9 @@
 // Workload D (NotifyFanout): shard-level subscriptions. Eight partial
 // holders each cache a disjoint 1/8 slice of a sharded document; each
 // round mutates one product. Document-level subscriptions would notify
-// all eight; shard-granular fan-out notifies only holders of the dirty
-// shard (counters: notifies vs clean_skips per round).
+// all eight; shard-granular fan-out notifies none, because a partial
+// copy serves no read by name and its content-addressed shards never go
+// stale (counters: notifies vs clean_skips per round).
 
 #include "bench_common.h"
 

@@ -129,8 +129,14 @@ bool Network::ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
   const double transmit =
       static_cast<double>(bytes) / link.bandwidth_bps;
 
+  const SimTime now = loop_->now();
+  if (link_busy_until_.size() >= busy_sweep_at_) {
+    std::erase_if(link_busy_until_,
+                  [now](const auto& link) { return link.second <= now; });
+    busy_sweep_at_ = std::max(kMinBusySweep, 2 * link_busy_until_.size());
+  }
   SimTime& busy_until = link_busy_until_[Key(from, to)];
-  const SimTime start = std::max(loop_->now(), busy_until);
+  const SimTime start = std::max(now, busy_until);
   busy_until = start + transmit;
   SimTime arrival = start + std::max(transmit + link.latency_s, min_delay);
 

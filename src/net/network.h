@@ -111,6 +111,10 @@ class Network {
   const NetStats& stats() const { return stats_; }
   NetStats* mutable_stats() { return &stats_; }
 
+  /// Directed links whose busy-until time is held: the links still
+  /// transmitting, plus idle ones that no sweep has reached yet.
+  size_t tracked_link_count() const { return link_busy_until_.size(); }
+
   /// Hooks the causal tracer in (AxmlSystem wires its own): every
   /// message records a "net" span covering its time on the wire, and the
   /// delivery callback runs under the causal id that was current at Send
@@ -162,7 +166,13 @@ class Network {
   /// Peers currently crashed (by index); empty on the happy path.
   std::unordered_set<uint32_t> down_peers_;
   /// Per directed link: when the link becomes free to start transmitting.
+  /// A link whose time is <= now behaves exactly as one never used, so
+  /// such entries are erased whenever the map reaches `busy_sweep_at_`.
   std::unordered_map<uint64_t, SimTime> link_busy_until_;
+  static constexpr size_t kMinBusySweep = 64;
+  /// Twice the map's size after the last sweep (at least kMinBusySweep):
+  /// each sweep's cost is paid for by the inserts since the one before.
+  size_t busy_sweep_at_ = kMinBusySweep;
 };
 
 }  // namespace axml

@@ -463,43 +463,33 @@ void ReplicaManager::RetractAdvertisements(PeerId reader,
 
 void ReplicaManager::PushInvalidate(const ReplicaKey& key) {
   // Snapshot of this document's subscription keys (the drop loop below
-  // unsubscribes mid-flight). No subscribers: nothing to push — and no
-  // reason to split the new version.
+  // unsubscribes mid-flight). No subscribers: nothing to push.
   const std::vector<ReplicaKey> sub_keys =
       subscriptions_.KeysForDoc(key.origin, key.name);
   if (sub_keys.empty()) return;
-  // Shard ids the *new* version still references; resident data shards
-  // outside this set are dirty.
-  const std::set<std::string> live = LiveShardIds(key);
   // Classify subscribed holders. A holder is dirty — and must be
-  // pushed — when its copy's *content by name* changed or it holds
-  // pieces the new version abandoned:
+  // pushed — only when its copy can serve a read by name:
   //  - a whole-document entry or a pending refresh (doc-level key);
   //  - an installed sharded copy (manifest key + installed slot): it is
-  //    advertised and readable by name, so any mutation dirties it;
-  //  - a data shard outside the new live set.
-  // Everything else — partial holders whose every resident shard is
-  // still referenced — is clean: their manifest's version check catches
-  // the staleness on the next lookup, and nothing they advertise (they
-  // advertise nothing) can serve a stale read meanwhile.
+  //    advertised and readable by name, so any mutation dirties it.
+  // A data shard is named by its content digest, so it never goes
+  // stale. Every other holder — a partial sharded copy — is clean: its
+  // manifest's version check catches the staleness on its next read, a
+  // shard the new version no longer lists is never named again and is
+  // evicted in time, and it advertises nothing, so no stale read can
+  // route to it.
   std::vector<PeerId> dirty;  // notification order: first subscription wins
   std::set<PeerId> dirty_set;
-  std::set<PeerId> doc_wide;  // dirty through a doc-level/installed copy
   std::set<PeerId> subscribed;
   for (const ReplicaKey& sk : sub_keys) {
     for (PeerId holder : subscriptions_.HoldersOf(sk)) {
       subscribed.insert(holder);
-      bool holder_dirty = false;
-      if (sk.is_doc()) {
-        holder_dirty = true;
-      } else if (sk.is_manifest()) {
-        holder_dirty = InstalledOrigin(holder, key.name) == key.origin;
-      } else {
-        holder_dirty = live.count(sk.shard) == 0;
+      const bool holder_dirty =
+          sk.is_doc() ||
+          (sk.is_manifest() && InstalledOrigin(holder, key.name) == key.origin);
+      if (holder_dirty && dirty_set.insert(holder).second) {
+        dirty.push_back(holder);
       }
-      if (!holder_dirty) continue;
-      if (dirty_set.insert(holder).second) dirty.push_back(holder);
-      if (!sk.is_shard_data()) doc_wide.insert(holder);
     }
   }
   subscription_stats_.clean_skips += subscribed.size() - dirty_set.size();
@@ -521,38 +511,17 @@ void ReplicaManager::PushInvalidate(const ReplicaKey& key) {
       continue;
     }
     ++subscription_stats_.notifies;
-    if (doc_wide.count(holder) > 0) {
-      ++subscription_stats_.doc_notifies;
-    } else {
-      ++subscription_stats_.shard_notifies;
-    }
+    ++subscription_stats_.doc_notifies;
     // The notification is wire traffic on the origin->holder link;
     // NetStats tallies it apart from data transfers.
     SendNotifyMessage(key, holder);
     // Coherence is synchronous: copy and advertisements are gone before
     // the mutating call returns — no lookup can ever see them stale.
+    // Data shards stay and seed the next delta.
     if (DropCopy(holder, key.origin, key.name)) {
       ++subscription_stats_.drops;
     }
-    // Dirty data shards go too; live residents stay and seed the next
-    // delta. (The scan also covers copies stranded by disabling
-    // sharding: live is empty then, so every shard is dirty.)
-    auto cit = caches_.find(holder);
-    if (cit != caches_.end()) {
-      for (const ReplicaKey& k :
-           cit->second->KeysForDoc(key.origin, key.name)) {
-        if (k.is_shard_data() && live.count(k.shard) == 0) {
-          cit->second->Erase(k, /*invalidation=*/true);
-        }
-      }
-    }
-    // Only a copy that could serve a read by name is re-shipped: a
-    // whole-document entry, an installed sharded copy, or one whose
-    // refresh is already in flight. A partial holder keeps the drop
-    // alone: it serves no read locally, so a push would buy it nothing,
-    // and its next read fetches the delta against its live shards.
     if (refresh_policy_ == RefreshPolicy::kEagerRefresh &&
-        doc_wide.count(holder) > 0 &&
         StartRefresh(holder, key, /*attempt=*/0)) {
       // The holder stays subscribed (doc-level flight interest) while
       // its copy re-materializes, so a mutation overtaking the shipment
@@ -616,15 +585,6 @@ const ShardedDocument* ReplicaManager::OriginShards(
   state.sharded = SplitDocument(*root, shard_config_);
   auto pos = origin_shards_.insert_or_assign(key, std::move(state)).first;
   return &pos->second.sharded;
-}
-
-std::set<std::string> ReplicaManager::LiveShardIds(
-    const ReplicaKey& doc) const {
-  std::set<std::string> live;
-  if (const ShardedDocument* sd = OriginShards(doc.origin, doc.name)) {
-    for (const DocumentShard& s : sd->shards) live.insert(s.id.ToString());
-  }
-  return live;
 }
 
 bool ReplicaManager::ShardedDeltaBytes(PeerId reader, PeerId origin,
@@ -1185,9 +1145,28 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
   for (const auto& [doc, keys] : docs) {
     const uint64_t current = Version(doc.origin, doc.name);
     // Resident data shards outside the origin's current split are
-    // orphans.
-    const std::set<std::string> live = LiveShardIds(doc);
-    bool dropped_doc = false;
+    // orphans: no future manifest will name them.
+    std::set<std::string> live;
+    if (const ShardedDocument* sd = OriginShards(doc.origin, doc.name)) {
+      for (const DocumentShard& s : sd->shards) live.insert(s.id.ToString());
+    }
+    // Under kEagerRefresh a stale manifest re-ships only when its copy
+    // could serve a read by name: every shard it lists is resident. A
+    // partial copy's next read fetches the delta instead. Decided before
+    // the loop erases anything: the manifest and the shards it lists
+    // come in no fixed key order.
+    bool complete_manifest = false;
+    if (refresh_policy_ == RefreshPolicy::kEagerRefresh) {
+      const TransferCache::Entry* m =
+          cache->Peek(ManifestKey(doc.origin, doc.name));
+      if (m != nullptr && m->origin_version != current) {
+        TreePtr manifest = DecodeManifest(*m->encoded, &sys_->wire_stats());
+        complete_manifest =
+            manifest != nullptr &&
+            ResidentShardBytes(*cache, doc.origin, doc.name, *manifest) > 0;
+      }
+    }
+    bool dropped_readable = false;
     for (const ReplicaKey& k : keys) {
       const TransferCache::Entry* e = cache->Peek(k);
       if (e == nullptr) continue;  // evicted by an earlier repair
@@ -1201,7 +1180,9 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
       cache->Erase(k, /*invalidation=*/true);
       ++repairs;
       ++subscription_stats_.sweep_repairs;
-      if (!k.is_shard_data()) dropped_doc = true;
+      if (k.is_doc() || (k.is_manifest() && complete_manifest)) {
+        dropped_readable = true;
+      }
       TraceEvent("repair", holder, freed, k);
     }
     // Surviving fresh complete copies whose name slot is free are
@@ -1229,9 +1210,9 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
         }
       }
     }
-    // A dropped stale whole-document entry or manifest re-materializes
-    // eagerly under kEagerRefresh.
-    if (dropped_doc && refresh_policy_ == RefreshPolicy::kEagerRefresh &&
+    // A dropped stale whole-document entry or complete sharded copy
+    // re-materializes eagerly under kEagerRefresh.
+    if (dropped_readable && refresh_policy_ == RefreshPolicy::kEagerRefresh &&
         StartRefresh(holder, doc, /*attempt=*/0)) {
       subscriptions_.Subscribe(doc, holder);
     }

@@ -26,16 +26,17 @@
 //  - every successful cache insert *subscribes* the holder at the origin
 //    under the inserted entry's exact key — whole-document, manifest or
 //    data shard (SubscriptionTable); a mutation at the origin pushes to
-//    every *dirty* holder immediately, where a partial sharded holder is
-//    dirty only if it holds a data shard the new version no longer
-//    references (clean partial holders are skipped: shard-granular
-//    fan-out) — under RefreshPolicy::kDrop the
-//    holder's copy and all its advertisements are retracted at mutation
-//    time (never a stale advertisement between a write and the next
-//    read); under kEagerRefresh the origin additionally ships the new
-//    version through the transfer path, re-materializing a whole or
-//    installed copy without a read asking for it (in-flight coalescing
-//    of back-to-back mutations; a partial sharded copy is only dropped);
+//    every holder whose copy can serve a read by name (a whole-document
+//    entry, an installed sharded copy, a refresh in flight) immediately.
+//    A partial sharded holder is never pushed, on any path: data shards
+//    are content-addressed and never go stale, and its stale manifest is
+//    caught by the version check of its next read. Under
+//    RefreshPolicy::kDrop the pushed holder's copy and all its
+//    advertisements are retracted at mutation time (never a stale
+//    advertisement between a write and the next read); under
+//    kEagerRefresh the origin additionally ships the new version through
+//    the transfer path, re-materializing the copy without a read asking
+//    for it (in-flight coalescing of back-to-back mutations);
 //  - under RefreshPolicy::kLazy (the PR 1 baseline) a stale copy is
 //    instead dropped on its next lookup: evicted from the cache, removed
 //    as a local document, unregistered from the catalog, and withdrawn
@@ -229,9 +230,11 @@ class ReplicaManager {
   /// are re-subscribed at the origin (repairing subscriptions lost to
   /// lease expiry or crash) and a complete fresh copy whose local name
   /// slot is free is re-installed and re-advertised. Under
-  /// kEagerRefresh, dropped stale copies start a re-materializing
-  /// shipment. Charges one control roundtrip per (holder, origin) pair
-  /// compared. Returns entries dropped.
+  /// kEagerRefresh, a dropped stale whole-document entry, or a stale
+  /// manifest whose every listed shard was resident, starts a
+  /// re-materializing shipment; a partial sharded copy ships nothing and
+  /// its next read fetches the delta. Charges one control roundtrip per
+  /// (holder, origin) pair compared. Returns entries dropped.
   size_t ReconcileHolder(PeerId holder);
 
   /// Peer-churn hooks (AxmlSystem::CrashPeer/RejoinPeer call these after
@@ -500,11 +503,6 @@ class ReplicaManager {
   /// Withdraws `member` from every generic class it belongs to.
   void LeaveGenericClasses(const ClassMember& member);
 
-  /// Shard ids the origin's current split of `doc` references (empty
-  /// when the document is not sharded). Resident data shards outside
-  /// the set are orphans: no future manifest will name them.
-  std::set<std::string> LiveShardIds(const ReplicaKey& doc) const;
-
   /// Read-path admission, asked by both read landings (InsertReadCopy
   /// and FetchForRead's) before they cache: false when `source` — the
   /// origin or a copy holder the payload came from — sits in `reader`'s
@@ -535,21 +533,19 @@ class ReplicaManager {
   void TraceEvent(const char* event, PeerId peer, const char* detail,
                   PeerId origin = PeerId::Invalid()) const;
 
-  /// Mutation fan-out (kDrop / kEagerRefresh), shard-granular: computes
-  /// which subscribed holders are *dirty* — whole-document holders and
-  /// pending refreshes always; holders of an installed (complete)
-  /// sharded copy; partial holders only when a data shard they hold is
-  /// no longer referenced by the new version — then notifies each dirty
-  /// holder, drops its dirty entries synchronously, and — under eager
-  /// refresh — starts the re-materializing shipment for every dirty
-  /// holder but a partial one, which could not serve a read from what
-  /// lands and fetches the delta on its next read. Before the drops,
-  /// the origin retracts the catalog entries of every copy they will
-  /// take down (CatalogBackend::RetractCopiesOf). Clean partial
-  /// holders are skipped entirely (SubscriptionStats::clean_skips):
-  /// their shards are still current, their stale manifest is caught by
-  /// the version check on its next lookup, and they were never
-  /// installed or advertised, so no stale read can route to them.
+  /// Mutation fan-out (kDrop / kEagerRefresh): notifies every subscribed
+  /// holder whose copy can serve a read by name — a whole-document entry
+  /// or pending refresh (doc-level key), or an installed sharded copy
+  /// (manifest key + installed slot) — drops its whole-document entry
+  /// and manifest synchronously, and under eager refresh starts the
+  /// re-materializing shipment. Before the drops, the origin retracts
+  /// the catalog entries of every copy they will take down
+  /// (CatalogBackend::RetractCopiesOf). Every other subscribed holder —
+  /// a partial sharded copy — is skipped (SubscriptionStats::
+  /// clean_skips): its data shards are content-addressed and never go
+  /// stale, its stale manifest is caught by the version check on its
+  /// next read, and it was never installed or advertised, so no stale
+  /// read can route to it.
   void PushInvalidate(const ReplicaKey& key);
 
   /// Ships the origin's current version of `key` to `holder`; the copy

@@ -5,11 +5,13 @@
 // advertised in between. The paper's rule (13) and generic documents
 // (def. 9) only pay off if copies stay *fresh*, so this module flips the
 // direction: the origin knows every holder of every copy (the version
-// table already records both sides), and a mutation notifies them all
-// immediately. Each holder drops its copy on the spot — the
-// advertisements go at *mutation* time, not lookup time — and, under
-// RefreshPolicy::kEagerRefresh, a holder whose copy could serve a read
-// re-materializes the new version through the existing transfer path.
+// table already records both sides), and a mutation notifies every
+// holder whose copy can serve a read by name immediately. Each drops its
+// copy on the spot — the advertisements go at *mutation* time, not
+// lookup time — and, under RefreshPolicy::kEagerRefresh, re-materializes
+// the new version through the existing transfer path. A partial sharded
+// copy is not notified: its data shards are named by their content and
+// never go stale, and its manifest is version-checked on its next read.
 
 #ifndef AXML_REPLICA_SUBSCRIPTION_H_
 #define AXML_REPLICA_SUBSCRIPTION_H_
@@ -34,12 +36,13 @@ enum class RefreshPolicy {
   /// catalog/generic advertisements at mutation time.
   kDrop,
   /// Push-refresh: like kDrop, but the origin also ships the new version
-  /// so the holder's copy re-materializes without a read asking for it —
-  /// to holders whose copy could serve a read by name (a whole-document
-  /// entry, an installed sharded copy, a refresh in flight). A partial
-  /// sharded copy is dropped as under kDrop: it never serves a read
-  /// locally, so its next read fetches the delta instead. Back-to-back
-  /// mutations coalesce onto the in-flight shipment.
+  /// so the holder's copy re-materializes without a read asking for it.
+  /// Both push policies reach only holders whose copy can serve a read
+  /// by name (a whole-document entry, an installed sharded copy, a
+  /// refresh in flight). A partial sharded copy is never pushed: it
+  /// never serves a read locally, so its next read fetches the delta
+  /// instead. Back-to-back mutations coalesce onto the in-flight
+  /// shipment.
   kEagerRefresh,
 };
 
@@ -52,16 +55,15 @@ struct SubscriptionStats {
   /// holder) pair, each its own wire message (NetStats::notify_messages
   /// counts those that were sent).
   uint64_t notifies = 0;
-  /// Notifies split by targeting: `doc_notifies` went to holders whose
-  /// copy is dirty as a whole (a whole-document entry, an installed
-  /// sharded copy, or a pending refresh shipment); `shard_notifies`
-  /// went to partial holders only because they held a data shard the
-  /// new version no longer references. doc + shard == notifies.
+  /// Notifies to holders whose copy is readable by name (a
+  /// whole-document entry, an installed sharded copy, or a pending
+  /// refresh shipment). Since a partial sharded holder is never
+  /// notified, this equals `notifies`.
   uint64_t doc_notifies = 0;
-  uint64_t shard_notifies = 0;
-  /// Subscribed holders a mutation did *not* notify because every piece
-  /// they hold is still referenced by the new version — the fan-out
-  /// shard-granular subscriptions save over document-level ones.
+  /// Subscribed holders a mutation did *not* notify: partial sharded
+  /// copies, whose data shards are content-addressed and never go stale
+  /// — the fan-out shard-granular subscriptions save over
+  /// document-level ones.
   uint64_t clean_skips = 0;
   uint64_t drops = 0;          ///< copies dropped at mutation time
   uint64_t refreshes = 0;      ///< eager re-materializations that landed
@@ -108,7 +110,6 @@ struct SubscriptionStats {
   static constexpr auto kCounters = std::make_tuple(
       Counter{"notifies", &SubscriptionStats::notifies},
       Counter{"doc_notifies", &SubscriptionStats::doc_notifies},
-      Counter{"shard_notifies", &SubscriptionStats::shard_notifies},
       Counter{"clean_skips", &SubscriptionStats::clean_skips},
       Counter{"drops", &SubscriptionStats::drops},
       Counter{"refreshes", &SubscriptionStats::refreshes},
@@ -137,8 +138,9 @@ static_assert(CountersCover<SubscriptionStats>());
 /// holder is subscribed to exactly the pieces it has resident. (One
 /// exception: an eager-refresh shipment in flight keeps its holder
 /// subscribed under the document-level key until it lands.) Mutation
-/// fan-out unions the dirty keys' holders, so a partial holder caching
-/// only untouched shards is not notified at all.
+/// fan-out notifies the holders of the document key and the holders of
+/// the manifest key that installed the copy; a partial holder, subscribed
+/// only under its manifest and data shards, is not notified at all.
 class SubscriptionTable {
  public:
   /// Idempotent: a holder subscribes once per key.

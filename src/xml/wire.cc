@@ -309,9 +309,15 @@ Result<TreePtr> DecodeNode(Reader* r, const std::vector<LabelId>& labels,
     if (!r->ReadVarint(&child_count)) return Malformed("truncated element");
     // Every record occupies >= 1 byte; a count beyond that is corrupt.
     if (child_count > r->remaining()) return Malformed("child count");
+    // The encoder writes an empty element as kind 3 and a lone text
+    // child as kind 2, so either as kind 1 is not a canonical blob.
+    if (child_count == 0) return Malformed("empty element record");
     for (uint64_t i = 0; i < child_count; ++i) {
       auto child = DecodeNode(r, labels, gen, depth + 1);
       if (!child.ok()) return child.status();
+      if (child_count == 1 && child.value()->is_text()) {
+        return Malformed("text-only element record");
+      }
       node->AddChild(std::move(child).value());
     }
   }

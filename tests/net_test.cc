@@ -235,6 +235,34 @@ TEST(NetworkTest, DistinctLinksDoNotInterfere) {
   EXPECT_DOUBLE_EQ(arrivals[1], 1.0);
 }
 
+TEST(NetworkTest, IdleLinksAreForgottenAndBusyOnesStillQueue) {
+  EventLoop loop;
+  Network net(&loop, Topology(LinkParams{0.001, 1e6}));
+  // 0 -> 1 is busy transmitting for 5 s.
+  net.Send(PeerId(0), PeerId(1), 5'000'000, [] {});
+  // 10,000 sends, each on a link never used before, 0.2 ms apart; each
+  // link is busy for 0.1 ms only.
+  size_t delivered = 0;
+  size_t peak = 0;
+  for (uint32_t i = 0; i < 10'000; ++i) {
+    loop.ScheduleAt(i * 0.0002, [&net, &delivered, &peak, i] {
+      net.Send(PeerId(2 + i), PeerId(3 + i), 100, [&delivered] {
+        ++delivered;
+      });
+      peak = std::max(peak, net.tracked_link_count());
+    });
+  }
+  // A second message on 0 -> 1 still queues behind the first one.
+  double arrival = 0;
+  loop.ScheduleAt(2.0, [&] {
+    net.Send(PeerId(0), PeerId(1), 1'000'000, [&] { arrival = loop.now(); });
+  });
+  loop.Run();
+  EXPECT_EQ(delivered, 10'000u);
+  EXPECT_LE(peak, 64u);
+  EXPECT_DOUBLE_EQ(arrival, 5.0 + 1.0 + 0.001);
+}
+
 TEST(NetworkTest, StatsAccounting) {
   EventLoop loop;
   Network net(&loop, Topology(LinkParams{0.001, 1e6}));

@@ -661,7 +661,7 @@ TEST(ShardedReplicaTest, MutationShipsOnlyTheDirtyShard) {
   EXPECT_TRUE(ResultsEqual(base->results, read->results));
 }
 
-TEST(ShardedReplicaTest, EagerRefreshDropsAPartialCopyWithoutShipping) {
+TEST(ShardedReplicaTest, EagerRefreshLeavesAPartialCopyAlone) {
   ShardedPeers f;
   f.sys.replicas().set_refresh_policy(RefreshPolicy::kEagerRefresh);
   // The budget holds most of the document's shards, not all of them.
@@ -673,57 +673,54 @@ TEST(ShardedReplicaTest, EagerRefreshDropsAPartialCopyWithoutShipping) {
   ASSERT_FALSE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
   const TransferCache* cache = f.sys.replicas().FindCache(f.client);
   ASSERT_NE(cache, nullptr);
-  std::set<std::string> before;
-  for (const ReplicaKey& k : cache->KeysForDoc(f.origin, "d")) {
-    if (k.is_shard_data()) before.insert(k.shard);
+  const std::vector<ReplicaKey> before = cache->KeysForDoc(f.origin, "d");
+  std::set<std::string> resident;
+  for (const ReplicaKey& k : before) {
+    if (k.is_shard_data()) resident.insert(k.shard);
   }
-  ASSERT_FALSE(before.empty());
+  ASSERT_FALSE(resident.empty());
 
   f.sys.network().mutable_stats()->Reset();
   f.sys.replicas().ResetStats();
   f.MutateOneProduct(190);  // its shard is resident (see `dead` below)
   f.sys.RunToQuiescence();
 
-  // One notify, no shipment: the only traffic is the notify message.
+  // No notify, no shipment: the write sends nothing at all.
   const SubscriptionStats& subs = f.sys.replicas().subscription_stats();
-  EXPECT_EQ(subs.notifies, 1u);
-  EXPECT_EQ(subs.shard_notifies, 1u);
+  EXPECT_EQ(subs.notifies, 0u);
+  EXPECT_EQ(subs.clean_skips, 1u);
   EXPECT_EQ(subs.refreshes, 0u);
-  EXPECT_EQ(subs.refresh_bytes, 0u);
-  const NetStats& net = f.sys.network().stats();
-  EXPECT_EQ(net.notify_messages(), 1u);
-  EXPECT_EQ(net.total_messages(), net.notify_messages());
-  EXPECT_EQ(net.remote_bytes(), net.notify_bytes());
+  EXPECT_EQ(f.sys.network().stats().total_messages(), 0u);
 
-  // The dead shard is gone, the live ones stay.
+  // Every entry stays, the dead shard included: it is named by its
+  // content, so it is never stale, and it ages out under eviction.
+  EXPECT_EQ(cache->KeysForDoc(f.origin, "d"), before);
   std::set<std::string> live;
   for (const DocumentShard& s :
        f.sys.replicas().OriginShards(f.origin, "d")->shards) {
     live.insert(s.id.ToString());
   }
-  std::set<std::string> after;
-  for (const ReplicaKey& k : cache->KeysForDoc(f.origin, "d")) {
-    if (k.is_shard_data()) after.insert(k.shard);
-  }
   size_t dead = 0;
-  for (const std::string& id : before) {
-    if (live.count(id) == 0) {
-      ++dead;
-      EXPECT_EQ(after.count(id), 0u) << id;
-    } else {
-      EXPECT_EQ(after.count(id), 1u) << id;
-    }
-  }
+  for (const std::string& id : resident) dead += live.count(id) == 0;
   EXPECT_EQ(dead, 1u);
   EXPECT_FALSE(f.sys.replicas().ExpectedFresh(f.client, f.origin, "d"));
 
-  // The next read fetches the delta and returns the current content.
+  // The next read ships the new manifest and only the shards the holder
+  // lacks — the dirty shard's new content and those that never fit —
+  // and returns the current content.
+  size_t lacking = 0;
+  for (const std::string& id : live) lacking += resident.count(id) == 0;
   Evaluator plain(&f.sys);
   auto truth = plain.Eval(f.client, f.Read());
   ASSERT_TRUE(truth.ok());
+  f.sys.replicas().ResetStats();
   auto read = ev.Eval(f.client, f.Read());
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(ResultsEqual(truth->results, read->results));
+  const ShardStats& ss = f.sys.replicas().shard_stats();
+  EXPECT_EQ(ss.manifests_shipped, 1u);
+  EXPECT_EQ(ss.shards_shipped, lacking);
+  EXPECT_EQ(ss.shards_reused, resident.size() - dead);
 }
 
 TEST(ShardedReplicaTest, BudgetSmallerThanDocumentStillHits) {
@@ -935,11 +932,12 @@ TEST(ShardSubscriptionTest, SubscriptionsMirrorResidentShards) {
   }
 }
 
-TEST(ShardSubscriptionTest, MutationNotifiesOnlyHoldersOfTheDirtyShard) {
-  // The acceptance property: a one-shard mutation notifies holders of
-  // *that shard* — the partial holder caching only other shards is
-  // skipped entirely, keeps every entry, and is never advertised, so no
-  // stale read can route to it.
+TEST(ShardSubscriptionTest, MutationNotifiesNoPartialHolder) {
+  // A data shard is named by its content digest, so it never goes stale:
+  // a one-shard mutation notifies neither the partial holder of the
+  // dirty shard nor the one caching only other shards. Both keep every
+  // entry, and neither is advertised, so no stale read can route to
+  // them.
   PartialHolders f;
   f.sys.network().mutable_stats()->Reset();
   f.sys.replicas().ResetStats();
@@ -947,44 +945,118 @@ TEST(ShardSubscriptionTest, MutationNotifiesOnlyHoldersOfTheDirtyShard) {
   f.sys.RunToQuiescence();
 
   const SubscriptionStats& ss = f.sys.replicas().subscription_stats();
-  EXPECT_EQ(ss.notifies, 1u);
-  EXPECT_EQ(ss.shard_notifies, 1u);
-  EXPECT_EQ(ss.doc_notifies, 0u);
-  EXPECT_EQ(ss.clean_skips, 1u);
-  EXPECT_EQ(f.sys.network().stats().notify_messages(), 1u);
+  EXPECT_EQ(ss.notifies, 0u);
+  EXPECT_EQ(ss.drops, 0u);
+  EXPECT_EQ(ss.clean_skips, 2u);
+  EXPECT_EQ(f.sys.network().stats().notify_messages(), 0u);
 
-  // a lost its manifest and the dirty shard; its live shards stayed.
-  const TransferCache* cache_a = f.sys.replicas().FindCache(f.a);
-  EXPECT_EQ(cache_a->Peek(ReplicaKey{f.origin, "d", kManifestShardId}),
-            nullptr);
-  EXPECT_EQ(cache_a->Peek(ReplicaKey{f.origin, "d", f.a_ids[0]}), nullptr);
-  for (size_t i = 1; i < f.a_ids.size(); ++i) {
-    EXPECT_NE(cache_a->Peek(ReplicaKey{f.origin, "d", f.a_ids[i]}), nullptr);
-  }
-  // b was untouched: manifest (stale, version-checked on next lookup)
-  // and every data shard still resident and subscribed.
-  const TransferCache* cache_b = f.sys.replicas().FindCache(f.b);
-  EXPECT_NE(cache_b->Peek(ReplicaKey{f.origin, "d", kManifestShardId}),
-            nullptr);
-  for (const std::string& id : f.b_ids) {
-    EXPECT_NE(cache_b->Peek(ReplicaKey{f.origin, "d", id}), nullptr);
-    EXPECT_TRUE(f.sys.replicas().subscriptions().IsSubscribed(
-        ReplicaKey{f.origin, "d", id}, f.b));
+  // Each holder keeps its manifest (stale, version-checked on its next
+  // read) and every data shard — a's dead one too — resident and
+  // subscribed.
+  for (const auto& [reader, ids] :
+       {std::pair{f.a, f.a_ids}, std::pair{f.b, f.b_ids}}) {
+    const TransferCache* cache = f.sys.replicas().FindCache(reader);
+    ASSERT_NE(cache, nullptr);
+    EXPECT_NE(cache->Peek(ReplicaKey{f.origin, "d", kManifestShardId}),
+              nullptr);
+    for (const std::string& id : ids) {
+      EXPECT_NE(cache->Peek(ReplicaKey{f.origin, "d", id}), nullptr);
+      EXPECT_TRUE(f.sys.replicas().subscriptions().IsSubscribed(
+          ReplicaKey{f.origin, "d", id}, reader));
+    }
   }
 
-  // And b's next read is a delta that reuses its residents — never a
-  // stale result.
+  // a's next read ships the new manifest and only the shards it lacks:
+  // the dirty shard's new content and b's half. It reuses the rest of
+  // its own half and returns the current content.
+  std::set<std::string> live;
+  for (const DocumentShard& s :
+       f.sys.replicas().OriginShards(f.origin, "d")->shards) {
+    live.insert(s.id.ToString());
+  }
+  ASSERT_EQ(live.count(f.a_ids[0]), 0u);
+  const std::set<std::string> held(f.a_ids.begin(), f.a_ids.end());
+  size_t lacking = 0;
+  for (const std::string& id : live) lacking += held.count(id) == 0;
   Evaluator plain(&f.sys);
   Evaluator ev(&f.sys, CachingOptions());
   Query q = Query::Parse(
                 "for $p in input(0)/catalog/product return <r>{ $p/name }</r>")
                 .value();
-  auto base = plain.Eval(f.b, Expr::Apply(q, f.b, {Expr::Doc("d", f.origin)}));
+  auto base = plain.Eval(f.a, Expr::Apply(q, f.a, {Expr::Doc("d", f.origin)}));
   ASSERT_TRUE(base.ok());
-  auto read = ev.Eval(f.b, Expr::Apply(q, f.b, {Expr::Doc("d", f.origin)}));
+  f.sys.replicas().ResetStats();
+  auto read = ev.Eval(f.a, Expr::Apply(q, f.a, {Expr::Doc("d", f.origin)}));
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(ResultsEqual(base->results, read->results));
-  EXPECT_GE(f.sys.replicas().shard_stats().shards_reused, f.b_ids.size());
+  const ShardStats& shards = f.sys.replicas().shard_stats();
+  EXPECT_EQ(shards.manifests_shipped, 1u);
+  EXPECT_EQ(shards.shards_shipped, lacking);
+  EXPECT_EQ(shards.shards_reused, f.a_ids.size() - 1);
+}
+
+TEST(ShardSubscriptionTest, AWriteWithOnlyPartialHoldersSendsNothing) {
+  for (const RefreshPolicy policy :
+       {RefreshPolicy::kDrop, RefreshPolicy::kEagerRefresh}) {
+    SCOPED_TRACE(RefreshPolicyName(policy));
+    PartialHolders f;
+    f.sys.replicas().set_refresh_policy(policy);
+    f.sys.network().mutable_stats()->Reset();
+    const SimTime start = f.sys.loop().now();
+    f.MutateProduct(0);
+    f.sys.RunToQuiescence();
+    EXPECT_EQ(f.sys.network().stats().total_messages(), 0u);
+    EXPECT_EQ(f.sys.network().stats().remote_bytes(), 0u);
+    // Nothing was sent, so the write took no simulated time.
+    EXPECT_EQ(f.sys.loop().now() - start, 0.0);
+  }
+}
+
+TEST(ShardSubscriptionTest, ReconciliationNeverReShipsAPartialCopy) {
+  // Anti-entropy and rejoin apply the fan-out's rule: a stale manifest
+  // re-ships under kEagerRefresh only when every shard it lists is
+  // resident. A partial copy's stale manifest is dropped, its shards
+  // stay, and its next read fetches the delta.
+  for (const bool rejoin : {true, false}) {
+    SCOPED_TRACE(rejoin ? "durable-cache rejoin" : "anti-entropy sweep");
+    PartialHolders f;
+    f.sys.replicas().set_refresh_policy(RefreshPolicy::kEagerRefresh);
+    f.sys.tracer().set_enabled(true);
+    if (rejoin) f.sys.CrashPeer(f.b, CrashMode::kDurableCache);
+    f.MutateProduct(0);  // a's half; b holds only untouched shards
+    if (rejoin) {
+      f.sys.RejoinPeer(f.b);
+    } else {
+      f.sys.replicas().RunAntiEntropySweep();
+    }
+    f.sys.RunToQuiescence();
+
+    for (const TraceSpan& s : f.sys.tracer().Events()) {
+      EXPECT_FALSE(s.category == "replica" && s.name == "shipment")
+          << s.ToString();
+    }
+    EXPECT_EQ(f.sys.replicas().subscription_stats().refreshes, 0u);
+    const TransferCache* cache_b = f.sys.replicas().FindCache(f.b);
+    ASSERT_NE(cache_b, nullptr);
+    EXPECT_EQ(cache_b->Peek(ReplicaKey{f.origin, "d", kManifestShardId}),
+              nullptr);
+    for (const std::string& id : f.b_ids) {
+      EXPECT_NE(cache_b->Peek(ReplicaKey{f.origin, "d", id}), nullptr);
+    }
+
+    Evaluator plain(&f.sys);
+    Evaluator ev(&f.sys, CachingOptions());
+    Query q =
+        Query::Parse(
+            "for $p in input(0)/catalog/product return <r>{ $p/name }</r>")
+            .value();
+    auto base =
+        plain.Eval(f.b, Expr::Apply(q, f.b, {Expr::Doc("d", f.origin)}));
+    ASSERT_TRUE(base.ok());
+    auto read = ev.Eval(f.b, Expr::Apply(q, f.b, {Expr::Doc("d", f.origin)}));
+    ASSERT_TRUE(read.ok());
+    EXPECT_TRUE(ResultsEqual(base->results, read->results));
+  }
 }
 
 TEST(ShardSubscriptionTest, InstalledCompleteCopyIsAlwaysNotified) {
@@ -1107,6 +1179,28 @@ TEST(ShardedReplicaTest, DurableRejoinReinstallsOnlyACompleteCopy) {
                                             f.client),
               !evict_one);
   }
+}
+
+TEST(ShardedReplicaTest, DurableRejoinReShipsAStaleCompleteCopy) {
+  // The other side of the rejoin rule: a copy that was complete when
+  // its holder crashed could serve reads by name, so under eager refresh
+  // its stale manifest re-ships at rejoin, as a delta of the dirty shard.
+  ShardedPeers f;
+  f.sys.replicas().set_refresh_policy(RefreshPolicy::kEagerRefresh);
+  Evaluator ev(&f.sys, CachingOptions());
+  ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
+  ASSERT_TRUE(f.sys.replicas().IsCachedCopy(f.client, "d"));
+
+  f.sys.CrashPeer(f.client, CrashMode::kDurableCache);
+  f.MutateOneProduct(120);
+  f.sys.replicas().ResetStats();
+  f.sys.RejoinPeer(f.client);
+  f.sys.RunToQuiescence();
+
+  EXPECT_EQ(f.sys.replicas().subscription_stats().refreshes, 1u);
+  EXPECT_EQ(f.sys.replicas().shard_stats().shards_shipped, 1u);
+  EXPECT_TRUE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
+  EXPECT_TRUE(f.sys.replicas().IsCachedCopy(f.client, "d"));
 }
 
 TEST(ShardedReplicaTest, NestedManifestDocumentReplicatesEndToEnd) {

@@ -229,6 +229,13 @@ TEST(WireModelTest, MalformedV2RecordsAreTypedParseErrors) {
   // An element record claiming more children than bytes remain.
   expect_error(TreeBlob({"a"}, std::string{(0 << 2) | 1, 9, (0 << 2) | 3}),
                "child count");
+  // Element records the encoder never writes: <a/> as kind 1 with no
+  // children (it writes kind 3), and <a>x</a> as kind 1 with one text
+  // child (it writes kind 2).
+  expect_error(TreeBlob({"a"}, std::string{(0 << 2) | 1, 0}),
+               "empty element record");
+  expect_error(TreeBlob({"a"}, std::string{(0 << 2) | 1, 1, (1 << 2) | 0, 'x'}),
+               "text-only element record");
 
   // A v1 blob of <a>x</a>: tag byte, label, child count, tag, length.
   const std::string v1{1, 0, 1, 1, 'a', 1, 0, 1, 0, 1, 'x'};
