@@ -24,9 +24,14 @@ comments:
                        free, greppable.
 
   raw-new-delete       Ownership is smart-pointer-only. A ``new`` must
-                       be wrapped by a smart-pointer constructor on the
+                       be wrapped by a ``unique_ptr`` constructor on the
                        same line (factories with private constructors);
-                       ``delete`` expressions are banned. Intentionally
+                       ``delete`` expressions are banned. Shared
+                       ownership uses ``make_shared``, one allocation
+                       for the object and its control block, so a
+                       ``new`` handed to a ``shared_ptr`` or a ``*Ptr``
+                       alias is flagged (a private passkey type keeps a
+                       factory's constructor unreachable). Intentionally
                        leaky process-wide singletons are allowlisted.
 
   size-estimate        In the layers that price or ship data (src/net,
@@ -102,8 +107,9 @@ from typing import Iterable, Iterator, NamedTuple
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # raw-new-delete: intentionally leaky process-wide singletons (never
-# destroyed, so no destruction-order fiasco at exit).
-NEW_DELETE_EXEMPT = {"src/xml/label_interner.cc"}
+# destroyed, so no destruction-order fiasco at exit), and the allocation
+# pin's counting replacement of the global operator new/delete.
+NEW_DELETE_EXEMPT = {"src/xml/label_interner.cc", "tests/ingest_alloc_test.cc"}
 
 
 class Finding(NamedTuple):
@@ -283,10 +289,12 @@ def check_header_hygiene(sf: SourceFile) -> Iterator[Finding]:
 # --- raw-new-delete ---
 
 _NEW_RE = re.compile(r"\bnew\b(?!\s*\()")
-# `TreePtr(new ...)`, `std::unique_ptr<T>(new ...)`, and the named-
-# variable form `static SchemaTypePtr t(new ...)` all count as wrapped.
+# Only `std::unique_ptr<T>(new ...)` and its named-variable form
+# `std::unique_ptr<T> p(new ...)` count as wrapped. `TreePtr(new ...)`,
+# `std::shared_ptr<T>(new ...)` and `static SchemaTypePtr t(new ...)`
+# cost a second allocation for the control block: use make_shared.
 _WRAPPED_NEW_RE = re.compile(
-    r"(?:Ptr|_ptr\s*<[^<>;]*(?:<[^<>]*>)?[^<>;]*>)(?:\s+\w+)?\s*\(\s*new\b"
+    r"\bunique_ptr\s*<[^<>;]*(?:<[^<>]*>)?[^<>;]*>(?:\s+\w+)?\s*\(\s*new\b"
 )
 _DELETE_EXPR_RE = re.compile(r"\bdelete\b\s*(?:\[\s*\]\s*)?[\w(*:]")
 
@@ -307,9 +315,9 @@ def check_raw_new_delete(sf: SourceFile) -> Iterator[Finding]:
             if not wrapped:
                 yield Finding(
                     sf.path, i, "raw-new-delete",
-                    "raw 'new' outside a same-line smart-pointer wrapper — "
-                    "use std::make_unique/make_shared (or wrap the new in "
-                    "the owning pointer's constructor on this line)",
+                    "raw 'new' outside a same-line unique_ptr wrapper — "
+                    "use std::make_shared/make_unique (a passkey type keeps "
+                    "a factory's constructor private)",
                 )
         if _DELETE_EXPR_RE.search(line):
             yield Finding(

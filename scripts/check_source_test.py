@@ -84,6 +84,11 @@ class RawNewDeleteTest(unittest.TestCase):
         findings = list(cs.check_raw_new_delete(sf))
         self.assertEqual(flagged_lines(findings, "raw-new-delete"), marked_lines(sf))
 
+    def test_flags_new_handed_to_shared_ownership(self) -> None:
+        sf = fixture("bad_shared_new.cc")
+        findings = list(cs.check_raw_new_delete(sf))
+        self.assertEqual(flagged_lines(findings, "raw-new-delete"), marked_lines(sf))
+
     def test_exempt_file_is_skipped(self) -> None:
         sf = fixture("bad_raw_new.cc")
         posed = cs.SourceFile(

@@ -1,6 +1,7 @@
 // Negative fixture: manual ownership. check_source.py's raw-new-delete
 // check must flag the bare new and the delete expressions, while
-// accepting smart-pointer-wrapped news and deleted special members.
+// accepting unique_ptr-wrapped news and deleted special members.
+// bad_shared_new.cc holds the news handed to shared ownership.
 
 #include <memory>
 
@@ -20,7 +21,7 @@ int FixtureRawOwnership() {
   delete leaked;                                  // MUST be flagged
   delete[] array;                                 // MUST be flagged
   auto owned = std::unique_ptr<FixtureNode>(new FixtureNode());  // wrapped: NOT flagged
-  FixtureNodePtr shared(new FixtureNode());       // wrapped: NOT flagged
+  FixtureNodePtr shared = std::make_shared<FixtureNode>();  // NOT flagged
   // lint: allow-raw-new-delete
   auto* waived = new FixtureNode();               // waived: NOT flagged
   int result = owned->value + shared->value + waived->value;

@@ -10,14 +10,14 @@ namespace axml {
 ExprPtr Expr::Tree(TreePtr t, PeerId owner) {
   AXML_CHECK(t != nullptr);
   AXML_CHECK(owner.is_concrete());
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kTree));
+  auto e = std::make_shared<Expr>(Key{}, Kind::kTree);
   e->tree_ = std::move(t);
   e->peer_ = owner;
   return e;
 }
 
 ExprPtr Expr::Doc(DocName d, PeerId owner) {
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kDoc));
+  auto e = std::make_shared<Expr>(Key{}, Kind::kDoc);
   e->name_ = std::move(d);
   e->peer_ = owner;
   return e;
@@ -29,7 +29,7 @@ ExprPtr Expr::GenericDoc(std::string class_name) {
 
 ExprPtr Expr::Apply(Query q, PeerId query_peer, std::vector<ExprPtr> args) {
   AXML_CHECK(q.valid());
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kApply));
+  auto e = std::make_shared<Expr>(Key{}, Kind::kApply);
   e->query_ = std::move(q);
   e->peer_ = query_peer;
   e->children_ = std::move(args);
@@ -39,7 +39,7 @@ ExprPtr Expr::Apply(Query q, PeerId query_peer, std::vector<ExprPtr> args) {
 ExprPtr Expr::Call(PeerId provider, ServiceName service,
                    std::vector<ExprPtr> params,
                    std::vector<NodeLocation> forwards) {
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kCall));
+  auto e = std::make_shared<Expr>(Key{}, Kind::kCall);
   e->peer_ = provider;
   e->name_ = std::move(service);
   e->children_ = std::move(params);
@@ -56,7 +56,7 @@ ExprPtr Expr::CallGeneric(std::string service_class,
 
 ExprPtr Expr::SendToPeer(PeerId dest, ExprPtr payload) {
   AXML_CHECK(payload != nullptr);
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kSend));
+  auto e = std::make_shared<Expr>(Key{}, Kind::kSend);
   e->dest_.kind = SendDest::Kind::kPeer;
   e->dest_.peer = dest;
   e->children_.push_back(std::move(payload));
@@ -67,7 +67,7 @@ ExprPtr Expr::SendToNodes(std::vector<NodeLocation> dests,
                           ExprPtr payload) {
   AXML_CHECK(payload != nullptr);
   AXML_CHECK(!dests.empty());
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kSend));
+  auto e = std::make_shared<Expr>(Key{}, Kind::kSend);
   e->dest_.kind = SendDest::Kind::kNodes;
   e->dest_.nodes = std::move(dests);
   e->children_.push_back(std::move(payload));
@@ -76,7 +76,7 @@ ExprPtr Expr::SendToNodes(std::vector<NodeLocation> dests,
 
 ExprPtr Expr::SendAsDoc(DocName name, PeerId dest, ExprPtr payload) {
   AXML_CHECK(payload != nullptr);
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kSend));
+  auto e = std::make_shared<Expr>(Key{}, Kind::kSend);
   e->dest_.kind = SendDest::Kind::kNewDoc;
   e->dest_.peer = dest;
   e->dest_.doc_name = std::move(name);
@@ -87,7 +87,7 @@ ExprPtr Expr::SendAsDoc(DocName name, PeerId dest, ExprPtr payload) {
 ExprPtr Expr::ShipQuery(PeerId dest, Query q, PeerId query_peer,
                         ServiceName install_as) {
   AXML_CHECK(q.valid());
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kShipQuery));
+  auto e = std::make_shared<Expr>(Key{}, Kind::kShipQuery);
   e->dest_.kind = SendDest::Kind::kPeer;
   e->dest_.peer = dest;
   e->query_ = std::move(q);
@@ -98,7 +98,7 @@ ExprPtr Expr::ShipQuery(PeerId dest, Query q, PeerId query_peer,
 
 ExprPtr Expr::EvalAt(PeerId where, ExprPtr body) {
   AXML_CHECK(body != nullptr);
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kEvalAt));
+  auto e = std::make_shared<Expr>(Key{}, Kind::kEvalAt);
   e->peer_ = where;
   e->children_.push_back(std::move(body));
   return e;
@@ -107,7 +107,7 @@ ExprPtr Expr::EvalAt(PeerId where, ExprPtr body) {
 ExprPtr Expr::Seq(ExprPtr first, ExprPtr then) {
   AXML_CHECK(first != nullptr);
   AXML_CHECK(then != nullptr);
-  auto e = std::shared_ptr<Expr>(new Expr(Kind::kSeq));
+  auto e = std::make_shared<Expr>(Key{}, Kind::kSeq);
   e->children_.push_back(std::move(first));
   e->children_.push_back(std::move(then));
   return e;
@@ -115,7 +115,7 @@ ExprPtr Expr::Seq(ExprPtr first, ExprPtr then) {
 
 ExprPtr Expr::WithChildren(std::vector<ExprPtr> children) const {
   AXML_CHECK_EQ(children.size(), children_.size());
-  auto e = std::shared_ptr<Expr>(new Expr(kind_));
+  auto e = std::make_shared<Expr>(Key{}, kind_);
   e->tree_ = tree_;
   e->peer_ = peer_;
   e->name_ = name_;

@@ -53,6 +53,12 @@ using ExprPtr = std::shared_ptr<const Expr>;
 
 /// One node of an algebraic expression.
 class Expr {
+  /// Passkey: only Expr's factories can name it, so the public
+  /// constructor is unreachable from outside while make_shared can call it.
+  struct Key {
+    explicit Key() = default;
+  };
+
  public:
   enum class Kind {
     kTree,
@@ -73,6 +79,8 @@ class Expr {
     std::vector<NodeLocation> nodes;   ///< kNodes
     DocName doc_name;                  ///< kNewDoc
   };
+
+  Expr(Key, Kind k) : kind_(k) {}
 
   // --- Factories (see file comment) ---
   static ExprPtr Tree(TreePtr t, PeerId owner);
@@ -149,8 +157,6 @@ class Expr {
   size_t NodeCount() const;
 
  private:
-  explicit Expr(Kind k) : kind_(k) {}
-
   Kind kind_;
   TreePtr tree_;
   PeerId peer_;  ///< owner / query peer / provider / eval-at peer

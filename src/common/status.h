@@ -65,9 +65,6 @@ class Status {
   static Status Undefined(std::string m) {
     return Status(StatusCode::kUndefined, std::move(m));
   }
-  static Status Unsupported(std::string m) {
-    return Status(StatusCode::kUnsupported, std::move(m));
-  }
   static Status Internal(std::string m) {
     return Status(StatusCode::kInternal, std::move(m));
   }

@@ -132,7 +132,7 @@ bool Network::ScheduleDelivery(PeerId from, PeerId to, uint64_t bytes,
   const SimTime now = loop_->now();
   if (link_busy_until_.size() >= busy_sweep_at_) {
     std::erase_if(link_busy_until_,
-                  [now](const auto& link) { return link.second <= now; });
+                  [now](const auto& entry) { return entry.second <= now; });
     busy_sweep_at_ = std::max(kMinBusySweep, 2 * link_busy_until_.size());
   }
   SimTime& busy_until = link_busy_until_[Key(from, to)];

@@ -7,22 +7,6 @@
 
 namespace axml {
 
-const char* PickPolicyName(PickPolicy p) {
-  switch (p) {
-    case PickPolicy::kFirst:
-      return "first";
-    case PickPolicy::kRandom:
-      return "random";
-    case PickPolicy::kNearest:
-      return "nearest";
-    case PickPolicy::kLeastLoaded:
-      return "least_loaded";
-    case PickPolicy::kCacheAware:
-      return "cache_aware";
-  }
-  return "?";
-}
-
 void GenericCatalog::AddDocumentMember(const std::string& class_name,
                                        ClassMember member) {
   auto& v = doc_classes_[class_name];
@@ -58,15 +42,6 @@ void GenericCatalog::RemoveDocumentMember(const std::string& class_name,
                   classes.end());
     if (classes.empty()) doc_member_classes_.erase(rev);
   }
-}
-
-void GenericCatalog::RemoveServiceMember(const std::string& class_name,
-                                         const ClassMember& member) {
-  auto it = svc_classes_.find(class_name);
-  if (it == svc_classes_.end()) return;
-  auto& v = it->second;
-  v.erase(std::remove(v.begin(), v.end(), member), v.end());
-  if (v.empty()) svc_classes_.erase(it);
 }
 
 const std::vector<ClassMember>* GenericCatalog::DocumentMembers(

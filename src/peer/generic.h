@@ -50,8 +50,6 @@ enum class PickPolicy {
                  ///< link and wins outright
 };
 
-const char* PickPolicyName(PickPolicy p);
-
 /// Registry of document and service equivalence classes.
 class GenericCatalog {
  public:
@@ -62,8 +60,6 @@ class GenericCatalog {
   void AddServiceMember(const std::string& class_name, ClassMember member);
   void RemoveDocumentMember(const std::string& class_name,
                             const ClassMember& member);
-  void RemoveServiceMember(const std::string& class_name,
-                           const ClassMember& member);
 
   const std::vector<ClassMember>* DocumentMembers(
       const std::string& class_name) const;

@@ -90,12 +90,6 @@ const Peer* AxmlSystem::peer(PeerId id) const {
   return peers_[id.index()].get();
 }
 
-Peer* AxmlSystem::FindPeer(const std::string& name) {
-  auto it = peer_index_by_name_.find(name);
-  return it == peer_index_by_name_.end() ? nullptr
-                                         : peers_[it->second].get();
-}
-
 PeerId AxmlSystem::FindPeerId(const std::string& name) const {
   auto it = peer_index_by_name_.find(name);
   return it == peer_index_by_name_.end() ? PeerId::Invalid()

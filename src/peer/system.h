@@ -45,8 +45,7 @@ class AxmlSystem {
 
   Peer* peer(PeerId id);
   const Peer* peer(PeerId id) const;
-  /// nullptr when no peer has `name`.
-  Peer* FindPeer(const std::string& name);
+  /// PeerId::Invalid() when no peer has `name`.
   PeerId FindPeerId(const std::string& name) const;
   size_t peer_count() const { return peers_.size(); }
 

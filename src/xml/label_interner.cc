@@ -28,7 +28,7 @@ void LabelInterner::SeedWellKnown() {
 }
 
 LabelId LabelInterner::Intern(std::string_view label) {
-  auto it = ids_.find(std::string(label));
+  auto it = ids_.find(label);
   if (it != ids_.end()) return it->second;
   LabelId id = static_cast<LabelId>(texts_.size());
   texts_.emplace_back(label);
@@ -44,7 +44,7 @@ const std::string& LabelInterner::Text(LabelId id) const {
 }
 
 LabelId LabelInterner::Lookup(std::string_view label) const {
-  auto it = ids_.find(std::string(label));
+  auto it = ids_.find(label);
   return it == ids_.end() ? 0 : it->second;
 }
 

@@ -57,7 +57,9 @@ class LabelInterner {
   /// exact startup id assignment.
   void SeedWellKnown();
 
-  std::unordered_map<std::string, LabelId> ids_;
+  /// Keys view the strings in texts_, so a lookup by string_view builds
+  /// no temporary std::string.
+  std::unordered_map<std::string_view, LabelId> ids_;
   /// deque, not vector: Text() hands out references that must survive
   /// later Intern() growth.
   std::deque<std::string> texts_;

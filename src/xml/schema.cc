@@ -92,24 +92,31 @@ std::string SchemaType::ToString() const {
 }
 
 SchemaTypePtr SchemaType::Text() {
-  static const SchemaTypePtr t(new SchemaType(Kind::kText, 0, {}));
+  static const SchemaTypePtr t =
+      std::make_shared<const SchemaType>(Key{}, Kind::kText, 0,
+                                         std::vector<Particle>{});
   return t;
 }
 
 SchemaTypePtr SchemaType::Number() {
-  static const SchemaTypePtr t(new SchemaType(Kind::kNumber, 0, {}));
+  static const SchemaTypePtr t =
+      std::make_shared<const SchemaType>(Key{}, Kind::kNumber, 0,
+                                         std::vector<Particle>{});
   return t;
 }
 
 SchemaTypePtr SchemaType::Any() {
-  static const SchemaTypePtr t(new SchemaType(Kind::kAny, 0, {}));
+  static const SchemaTypePtr t =
+      std::make_shared<const SchemaType>(Key{}, Kind::kAny, 0,
+                                         std::vector<Particle>{});
   return t;
 }
 
 SchemaTypePtr SchemaType::Element(std::string_view label,
                                   std::vector<Particle> particles) {
-  return SchemaTypePtr(new SchemaType(Kind::kElement, InternLabel(label),
-                                      std::move(particles)));
+  return std::make_shared<const SchemaType>(Key{}, Kind::kElement,
+                                            InternLabel(label),
+                                            std::move(particles));
 }
 
 Particle One(SchemaTypePtr t) { return Particle{std::move(t), 1, 1}; }

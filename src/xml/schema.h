@@ -45,8 +45,17 @@ struct Particle {
 
 /// One type of Θ. Immutable; construct via the factory functions below.
 class SchemaType {
+  /// Passkey: only the factories below can name it, so the public
+  /// constructor is unreachable from outside while make_shared can call it.
+  struct Key {
+    explicit Key() = default;
+  };
+
  public:
   enum class Kind { kText, kNumber, kAny, kElement };
+
+  SchemaType(Key, Kind kind, LabelId label, std::vector<Particle> particles)
+      : kind_(kind), label_(label), particles_(std::move(particles)) {}
 
   Kind kind() const { return kind_; }
   /// Element label (kElement only).
@@ -69,9 +78,6 @@ class SchemaType {
                                std::vector<Particle> particles);
 
  private:
-  SchemaType(Kind kind, LabelId label, std::vector<Particle> particles)
-      : kind_(kind), label_(label), particles_(std::move(particles)) {}
-
   Kind kind_;
   LabelId label_ = 0;
   std::vector<Particle> particles_;

@@ -8,7 +8,7 @@
 namespace axml {
 
 TreePtr TreeNode::Element(LabelId label, NodeId id) {
-  auto n = TreePtr(new TreeNode());
+  auto n = std::make_shared<TreeNode>(Key{});
   n->is_element_ = true;
   n->label_ = label;
   n->id_ = id;
@@ -21,7 +21,7 @@ TreePtr TreeNode::Element(std::string_view label, NodeIdGen* gen) {
 }
 
 TreePtr TreeNode::Text(std::string text) {
-  auto n = TreePtr(new TreeNode());
+  auto n = std::make_shared<TreeNode>(Key{});
   n->is_element_ = false;
   n->text_ = std::move(text);
   return n;
@@ -58,12 +58,6 @@ bool TreeNode::RemoveDescendant(NodeId id) {
     if (c->is_element() && c->RemoveDescendant(id)) return true;
   }
   return false;
-}
-
-void TreeNode::ReplaceChild(size_t i, TreePtr child) {
-  AXML_CHECK_LT(i, children_.size());
-  AXML_CHECK(child != nullptr);
-  children_[i] = std::move(child);
 }
 
 TreePtr TreeNode::Clone(NodeIdGen* gen) const {

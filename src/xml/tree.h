@@ -54,7 +54,16 @@ class NodeIdGen {
 
 /// One XML node. See file comment for the element/text distinction.
 class TreeNode {
+  /// Passkey: only TreeNode's factories can name it, so the public
+  /// constructor below is unreachable from outside while make_shared
+  /// (one allocation for the node and its control block) can call it.
+  struct Key {
+    explicit Key() = default;
+  };
+
  public:
+  explicit TreeNode(Key) {}
+
   /// Creates an element node.
   static TreePtr Element(LabelId label, NodeId id);
   static TreePtr Element(std::string_view label, NodeIdGen* gen);
@@ -79,6 +88,8 @@ class TreeNode {
 
   /// Appends `child`; returns it for chaining.
   const TreePtr& AddChild(TreePtr child);
+  /// Reserves room for `n` children, for builders that know the count.
+  void ReserveChildren(size_t n) { children_.reserve(n); }
   /// Inserts `child` before position `i` (`i == child_count()` appends).
   void InsertChild(size_t i, TreePtr child);
   /// Removes the child at index `i`.
@@ -86,8 +97,6 @@ class TreeNode {
   /// Removes the first child identified by `id` anywhere below this node
   /// (including direct children). Returns true if found.
   bool RemoveDescendant(NodeId id);
-  /// Replaces the direct child at index `i`.
-  void ReplaceChild(size_t i, TreePtr child);
 
   /// Deep copy with fresh identifiers minted from `gen`.
   TreePtr Clone(NodeIdGen* gen) const;
@@ -120,8 +129,6 @@ class TreeNode {
   size_t SerializedSize() const;
 
  private:
-  TreeNode() = default;
-
   bool is_element_ = false;
   LabelId label_ = 0;
   NodeId id_;

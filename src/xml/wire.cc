@@ -286,8 +286,12 @@ void EncodeNode(const CanonNode& c, const std::vector<uint32_t>& index_of,
   }
 }
 
+/// `unclaimed` counts the records no element has claimed as a child
+/// yet. Every record is at least one byte, so a valid blob never claims
+/// more than the bytes its body had: that bound keeps the children
+/// reserved across all nesting levels linear in the blob's size.
 Result<TreePtr> DecodeNode(Reader* r, const std::vector<LabelId>& labels,
-                           NodeIdGen* gen, size_t depth) {
+                           NodeIdGen* gen, size_t depth, uint64_t* unclaimed) {
   if (depth > kMaxNestingDepth) return Malformed("nesting too deep");
   uint64_t header = 0;
   if (!r->ReadVarint(&header)) return Malformed("truncated node header");
@@ -308,12 +312,16 @@ Result<TreePtr> DecodeNode(Reader* r, const std::vector<LabelId>& labels,
     uint64_t child_count = 0;
     if (!r->ReadVarint(&child_count)) return Malformed("truncated element");
     // Every record occupies >= 1 byte; a count beyond that is corrupt.
-    if (child_count > r->remaining()) return Malformed("child count");
+    if (child_count > r->remaining() || child_count > *unclaimed) {
+      return Malformed("child count");
+    }
+    *unclaimed -= child_count;
     // The encoder writes an empty element as kind 3 and a lone text
     // child as kind 2, so either as kind 1 is not a canonical blob.
     if (child_count == 0) return Malformed("empty element record");
+    node->ReserveChildren(child_count);
     for (uint64_t i = 0; i < child_count; ++i) {
-      auto child = DecodeNode(r, labels, gen, depth + 1);
+      auto child = DecodeNode(r, labels, gen, depth + 1, unclaimed);
       if (!child.ok()) return child.status();
       if (child_count == 1 && child.value()->is_text()) {
         return Malformed("text-only element record");
@@ -358,7 +366,8 @@ Result<TreePtr> DecodeTreeBody(Reader* r, NodeIdGen* gen) {
     if (!r->ReadLengthPrefixed(&text)) return Malformed("label text");
     labels.push_back(InternLabel(text));
   }
-  return DecodeNode(r, labels, gen, /*depth=*/0);
+  uint64_t unclaimed = r->remaining();
+  return DecodeNode(r, labels, gen, /*depth=*/0, &unclaimed);
 }
 
 }  // namespace

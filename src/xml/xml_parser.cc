@@ -1,6 +1,6 @@
 #include "xml/xml_parser.h"
 
-#include <cctype>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -10,7 +10,8 @@ namespace axml {
 namespace {
 
 /// Single-pass parser over a string_view; nested elements are kept on an
-/// explicit stack. Tracks line numbers for error messages.
+/// explicit stack. Character data is scanned a run at a time: a run is a
+/// view into the input until a comment, PI or CDATA section splits it.
 class Parser {
  public:
   Parser(std::string_view text, NodeIdGen* gen) : text_(text), gen_(gen) {}
@@ -30,48 +31,56 @@ class Parser {
   char PeekAt(size_t off) const {
     return pos_ + off < text_.size() ? text_[pos_ + off] : '\0';
   }
-  void Advance() {
-    if (text_[pos_] == '\n') ++line_;
-    ++pos_;
-  }
   bool Consume(char c) {
     if (!AtEnd() && Peek() == c) {
-      Advance();
+      ++pos_;
       return true;
     }
     return false;
   }
   bool ConsumeSeq(std::string_view s) {
     if (text_.substr(pos_, s.size()) == s) {
-      for (size_t i = 0; i < s.size(); ++i) Advance();
+      pos_ += s.size();
       return true;
     }
     return false;
   }
+  /// Moves past the next `end`, or to the end of input when there is none.
+  void SkipPast(std::string_view end) {
+    size_t at = text_.find(end, pos_);
+    pos_ = at == std::string_view::npos ? text_.size() : at + end.size();
+  }
+  /// The bytes std::isspace accepts in the "C" locale.
+  static bool IsSpace(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
   void SkipWs() {
-    while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek()))) {
-      Advance();
-    }
+    while (!AtEnd() && IsSpace(Peek())) ++pos_;
   }
 
+  /// The line is counted here, not while scanning: only an error needs it.
   Status Error(std::string msg) const {
-    return Status::ParseError(StrCat("line ", line_, ": ", msg));
+    const size_t line =
+        1 + static_cast<size_t>(std::count(
+                text_.begin(), text_.begin() + static_cast<ptrdiff_t>(pos_),
+                '\n'));
+    return Status::ParseError(StrCat("line ", line, ": ", msg));
   }
 
+  /// ASCII letters, '_' and ':'; bytes >= 0x80 are not name characters.
   static bool IsNameStart(char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
            c == ':';
   }
   static bool IsNameChar(char c) {
-    return IsNameStart(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-           c == '-' || c == '.';
+    return IsNameStart(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
   }
 
   std::string_view ParseName() {
     size_t start = pos_;
     if (!AtEnd() && IsNameStart(Peek())) {
-      Advance();
-      while (!AtEnd() && IsNameChar(Peek())) Advance();
+      ++pos_;
+      while (!AtEnd() && IsNameChar(Peek())) ++pos_;
     }
     return text_.substr(start, pos_ - start);
   }
@@ -84,13 +93,19 @@ class Parser {
     for (;;) {
       SkipWs();
       if (ConsumeSeq("<?")) {
-        while (!AtEnd() && !ConsumeSeq("?>")) Advance();
+        SkipPast("?>");
       } else if (ConsumeSeq("<!--")) {
-        while (!AtEnd() && !ConsumeSeq("-->")) Advance();
+        SkipPast("-->");
       } else {
         return;
       }
     }
+  }
+
+  /// Unescapes `raw` when it holds an entity; plain text is copied as is.
+  static std::string Unescaped(std::string_view raw) {
+    return raw.find('&') == std::string_view::npos ? std::string(raw)
+                                                   : XmlUnescape(raw);
   }
 
   /// Parses a start tag at pos_ with its attributes. `*empty` is set for
@@ -113,14 +128,14 @@ class Parser {
       if (quote != '"' && quote != '\'') {
         return Error("expected quoted attribute value");
       }
-      Advance();
+      ++pos_;
       size_t vstart = pos_;
-      while (!AtEnd() && Peek() != quote) Advance();
+      pos_ = std::min(text_.find(quote, pos_), text_.size());
       if (AtEnd()) return Error("unterminated attribute value");
-      std::string value = XmlUnescape(text_.substr(vstart, pos_ - vstart));
-      Advance();  // closing quote
-      TreePtr attr_node =
-          TreeNode::Element(StrCat("@", attr), gen_);
+      std::string value = Unescaped(text_.substr(vstart, pos_ - vstart));
+      ++pos_;  // closing quote
+      attr_label_.assign("@").append(attr);
+      TreePtr attr_node = TreeNode::Element(attr_label_, gen_);
       attr_node->AddChild(TreeNode::Text(std::move(value)));
       elem->AddChild(std::move(attr_node));
     }
@@ -129,25 +144,62 @@ class Parser {
     return elem;
   }
 
-  /// An element whose end tag has not been read yet, with the character
-  /// data collected since its last child.
+  /// Adds `piece` to the character data collected since the open
+  /// element's last child. A run stays a view into the input; only a
+  /// run split by a comment, PI or CDATA section is copied to run_buf_.
+  void AppendRun(std::string_view piece) {
+    if (piece.empty()) return;
+    if (run_.empty()) {
+      run_ = piece;
+    } else {
+      if (run_.data() != run_buf_.data()) run_buf_.assign(run_);
+      run_buf_.append(piece);
+      run_ = run_buf_;
+    }
+  }
+
+  /// Adds the collected run as a text child of the open element.
+  /// Whitespace-only runs between elements are dropped, and boundary
+  /// whitespace is trimmed from mixed-content runs, so indented (pretty)
+  /// output reparses to the same tree. Entities are resolved before
+  /// trimming.
+  void FlushText() {
+    if (run_.empty()) return;
+    if (run_.find('&') == std::string_view::npos) {
+      std::string_view trimmed = StripWhitespace(run_);
+      if (!trimmed.empty()) {
+        kids_.push_back(TreeNode::Text(std::string(trimmed)));
+      }
+    } else {
+      std::string text = XmlUnescape(run_);
+      std::string_view trimmed = StripWhitespace(text);
+      if (!trimmed.empty()) {
+        const size_t head = static_cast<size_t>(trimmed.data() - text.data());
+        text.resize(head + trimmed.size());
+        text.erase(0, head);
+        kids_.push_back(TreeNode::Text(std::move(text)));
+      }
+    }
+    run_ = {};
+  }
+
+  /// An element whose end tag has not been read yet. Its content
+  /// children wait in kids_ from index `first_kid` on, so that the end
+  /// tag can hand them over with one exactly sized allocation.
   struct OpenElement {
     TreePtr elem;
-    std::string pending_text;
+    size_t first_kid;
   };
 
-  /// Adds the collected text of `open` as a text child. Whitespace-only
-  /// runs between elements are dropped, and boundary whitespace is
-  /// trimmed from mixed-content runs, so indented (pretty) output
-  /// reparses to the same tree.
-  static void FlushText(OpenElement* open) {
-    if (open->pending_text.empty()) return;
-    std::string unescaped = XmlUnescape(open->pending_text);
-    std::string_view trimmed = StripWhitespace(unescaped);
-    if (!trimmed.empty()) {
-      open->elem->AddChild(TreeNode::Text(std::string(trimmed)));
+  /// Moves `open`'s waiting children from kids_ into its element, after
+  /// the @attr children its start tag added.
+  void AdoptKids(const OpenElement& open) {
+    TreeNode* elem = open.elem.get();
+    elem->ReserveChildren(elem->child_count() + kids_.size() - open.first_kid);
+    for (size_t i = open.first_kid; i < kids_.size(); ++i) {
+      elem->AddChild(std::move(kids_[i]));
     }
-    open->pending_text.clear();
+    kids_.resize(open.first_kid);
   }
 
   /// Parses the element at pos_ and everything nested in it. Open
@@ -158,47 +210,50 @@ class Parser {
     AXML_ASSIGN_OR_RETURN(TreePtr root, ParseStartTag(&empty));
     if (empty) return root;
     std::vector<OpenElement> open;
-    open.push_back({std::move(root), {}});
+    open.push_back({std::move(root), kids_.size()});
     for (;;) {
-      OpenElement& top = open.back();
       if (AtEnd()) return Error("unexpected end inside element content");
       if (Peek() != '<') {
-        top.pending_text.push_back(Peek());
-        Advance();
+        size_t start = pos_;
+        pos_ = std::min(text_.find('<', pos_), text_.size());
+        AppendRun(text_.substr(start, pos_ - start));
         continue;
       }
       if (ConsumeSeq("<!--")) {
-        while (!AtEnd() && !ConsumeSeq("-->")) Advance();
+        SkipPast("-->");
         continue;
       }
       if (ConsumeSeq("<![CDATA[")) {
         size_t cstart = pos_;
-        while (!AtEnd() && text_.substr(pos_, 3) != "]]>") Advance();
-        if (AtEnd()) return Error("unterminated CDATA section");
-        top.pending_text.append(text_.substr(cstart, pos_ - cstart));
-        ConsumeSeq("]]>");
+        size_t cend = text_.find("]]>", pos_);
+        if (cend == std::string_view::npos) {
+          pos_ = text_.size();
+          return Error("unterminated CDATA section");
+        }
+        AppendRun(text_.substr(cstart, cend - cstart));
+        pos_ = cend + 3;
         continue;
       }
       if (ConsumeSeq("<?")) {
-        while (!AtEnd() && !ConsumeSeq("?>")) Advance();
+        SkipPast("?>");
         continue;
       }
-      FlushText(&top);
+      FlushText();
       if (PeekAt(1) == '/') {
-        Advance();  // '<'
-        Advance();  // '/'
+        pos_ += 2;  // "</"
         std::string_view close = ParseName();
-        if (close != top.elem->label_text()) {
+        const std::string& expected = open.back().elem->label_text();
+        if (close != expected) {
           return Error(StrCat("mismatched closing tag '", close,
-                              "', expected '", top.elem->label_text(),
-                              "'"));
+                              "', expected '", expected, "'"));
         }
         SkipWs();
         if (!Consume('>')) return Error("expected '>' in closing tag");
-        TreePtr done = std::move(top.elem);
+        AdoptKids(open.back());
+        TreePtr done = std::move(open.back().elem);
         open.pop_back();
         if (open.empty()) return done;
-        open.back().elem->AddChild(std::move(done));
+        kids_.push_back(std::move(done));
         continue;
       }
       if (open.size() >= kMaxNestingDepth) {
@@ -206,9 +261,9 @@ class Parser {
       }
       AXML_ASSIGN_OR_RETURN(TreePtr child, ParseStartTag(&empty));
       if (empty) {
-        top.elem->AddChild(std::move(child));
+        kids_.push_back(std::move(child));
       } else {
-        open.push_back({std::move(child), {}});
+        open.push_back({std::move(child), kids_.size()});
       }
     }
   }
@@ -216,7 +271,14 @@ class Parser {
   std::string_view text_;
   NodeIdGen* gen_;
   size_t pos_ = 0;
-  int line_ = 1;
+  /// Character data since the open element's last child: a view into
+  /// text_, or into run_buf_ once a comment, PI or CDATA split it.
+  std::string_view run_;
+  std::string run_buf_;
+  /// Finished children of every open element, innermost last.
+  std::vector<TreePtr> kids_;
+  /// Reused "@name" label of the attribute being parsed.
+  std::string attr_label_;
 };
 
 }  // namespace

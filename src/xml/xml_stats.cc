@@ -36,13 +36,6 @@ void Walk(const TreeNode& n, uint64_t depth, TreeStats* s) {
 
 }  // namespace
 
-double TreeStats::AvgSubtreeBytes(LabelId label) const {
-  auto it = per_label.find(label);
-  if (it == per_label.end() || it->second.count == 0) return 0;
-  return static_cast<double>(it->second.total_bytes) /
-         static_cast<double>(it->second.count);
-}
-
 double TreeStats::EstimateSelectivityLess(LabelId label,
                                           double bound) const {
   auto it = per_label.find(label);

@@ -33,8 +33,6 @@ struct TreeStats {
   uint64_t service_call_count = 0;  ///< number of sc elements
   std::unordered_map<LabelId, LabelStats> per_label;
 
-  /// Average serialized size of elements labeled `label` (0 if none).
-  double AvgSubtreeBytes(LabelId label) const;
   /// Fraction of `label` elements whose numeric value is < `bound`,
   /// assuming a uniform distribution between observed min and max.
   /// Returns 0.5 when nothing is known (textbook default selectivity).

@@ -229,6 +229,13 @@ TEST(WireModelTest, MalformedV2RecordsAreTypedParseErrors) {
   // An element record claiming more children than bytes remain.
   expect_error(TreeBlob({"a"}, std::string{(0 << 2) | 1, 9, (0 << 2) | 3}),
                "child count");
+  // Nested records whose counts each fit the bytes after them but
+  // together claim more records than the blob holds: the decoder
+  // reserves children by count, so it refuses the second claim.
+  expect_error(TreeBlob({"a"}, std::string{(0 << 2) | 1, 6, (0 << 2) | 1, 4,
+                                           (0 << 2) | 3, (0 << 2) | 3,
+                                           (0 << 2) | 3, (0 << 2) | 3}),
+               "child count");
   // Element records the encoder never writes: <a/> as kind 1 with no
   // children (it writes kind 3), and <a>x</a> as kind 1 with one text
   // child (it writes kind 2).

@@ -75,6 +75,111 @@ TEST(XmlParserTest, MixedContentPreserved) {
   EXPECT_EQ(r.value()->child_count(), 3u);
 }
 
+// --- Parser slow paths: split runs, entities, line numbers, ids ---
+
+TEST(XmlParserTest, SplitRunIsConcatenatedBeforeTrimming) {
+  NodeIdGen gen;
+  auto r = ParseXml("<a> x<!--c-->y <![CDATA[&z]]></a>", &gen);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r.value()->child_count(), 1u);
+  EXPECT_EQ(r.value()->child(0)->text(), "xy &z");
+
+  auto pi = ParseXml("<a>\n  x<?pi data?>y<![CDATA[ z ]]>\n</a>", &gen);
+  ASSERT_TRUE(pi.ok()) << pi.status();
+  ASSERT_EQ(pi.value()->child_count(), 1u);
+  EXPECT_EQ(pi.value()->child(0)->text(), "xy z");
+}
+
+TEST(XmlParserTest, RunsWithEntities) {
+  NodeIdGen gen;
+  auto r = ParseXml("<a>  &lt;b&gt; &amp; &#65;&#x42;&quot;&apos;  </a>", &gen);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r.value()->child_count(), 1u);
+  EXPECT_EQ(r.value()->child(0)->text(), "<b> & AB\"'");
+
+  // Entities are resolved before the run is trimmed, so an encoded
+  // boundary space is trimmed like a literal one.
+  auto edge = ParseXml("<a>&#32;x&#32;<b/>&#32;</a>", &gen);
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  ASSERT_EQ(edge.value()->child_count(), 2u);
+  EXPECT_EQ(edge.value()->child(0)->text(), "x");
+
+  // Attribute values are unescaped but never trimmed.
+  auto attr = ParseXml("<a x=' &amp; ' y=\"plain\"/>", &gen);
+  ASSERT_TRUE(attr.ok()) << attr.status();
+  EXPECT_EQ(attr.value()->child(0)->StringValue(), " & ");
+  EXPECT_EQ(attr.value()->child(1)->StringValue(), "plain");
+}
+
+TEST(XmlParserTest, WhitespaceOnlyRunsAreDropped) {
+  NodeIdGen gen;
+  auto r = ParseXml("<a>\n\t <b/> <!--c--> \r\n<c/><?p?>\f\v </a>", &gen);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r.value()->child_count(), 2u);
+  EXPECT_EQ(r.value()->child(0)->label_text(), "b");
+  EXPECT_EQ(r.value()->child(1)->label_text(), "c");
+
+  auto blank = ParseXml("<a> <![CDATA[ \n ]]> </a>", &gen);
+  ASSERT_TRUE(blank.ok()) << blank.status();
+  EXPECT_EQ(blank.value()->child_count(), 0u);
+}
+
+TEST(XmlParserTest, ErrorsReportTheirLine) {
+  struct Case {
+    const char* xml;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"<a>\n<b>\n</c></a>",
+       "line 3: mismatched closing tag 'c', expected 'b'"},
+      // A newline inside an attribute value counts.
+      {"<a\nx='1\n2'\n y=3/>", "line 4: expected quoted attribute value"},
+      {"<a x=\"1\n\n", "line 3: unterminated attribute value"},
+      {"<a/>\n\n<b/>", "line 3: trailing content after root element"},
+      {"<a>\nx\n<![CDATA[\n]]>\n</b>",
+       "line 5: mismatched closing tag 'b', expected 'a'"},
+      {"<!--\n\n-->\n<a>", "line 4: unexpected end inside element content"},
+      {"<a><![CDATA[\nx", "line 2: unterminated CDATA section"},
+      {"\n<a>\n<1/>", "line 3: expected element name"},
+      {"<a></a  x>", "line 1: expected '>' in closing tag"},
+  };
+  for (const Case& c : cases) {
+    NodeIdGen gen;
+    auto r = ParseXml(c.xml, &gen);
+    ASSERT_FALSE(r.ok()) << c.xml;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << c.xml;
+    EXPECT_EQ(r.status().message(), c.message) << c.xml;
+  }
+}
+
+TEST(XmlParserTest, IdsAreConsecutiveInDocumentOrder) {
+  NodeIdGen gen(PeerId(3));
+  for (int i = 0; i < 5; ++i) gen.Next();
+  auto r = ParseXml("<a x='1'>t<b>u</b><c y='2' z='3'/><d><e/></d></a>", &gen);
+  ASSERT_TRUE(r.ok()) << r.status();
+  // An element's id is minted at its start tag; its @attr elements
+  // follow it, before any content.
+  std::vector<std::string> labels;
+  std::vector<NodeId> ids;
+  std::vector<const TreeNode*> stack = {r.value().get()};
+  while (!stack.empty()) {
+    const TreeNode* n = stack.back();
+    stack.pop_back();
+    if (n->is_text()) continue;
+    labels.push_back(n->label_text());
+    ids.push_back(n->id());
+    for (size_t i = n->child_count(); i-- > 0;) {
+      stack.push_back(n->child(i).get());
+    }
+  }
+  EXPECT_EQ(labels, (std::vector<std::string>{"a", "@x", "b", "c", "@y",
+                                              "@z", "d", "e"}));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i], NodeId(PeerId(3), 5 + i)) << labels[i];
+  }
+  EXPECT_EQ(gen.minted(), 5 + ids.size());
+}
+
 struct BadXmlCase {
   const char* name;
   const char* xml;
