@@ -30,6 +30,9 @@ Setup Build(int64_t m, int64_t stories) {
       Topology(LinkParams{0.015, 1.0e6}));
   s.broker = s.sys->AddPeer("broker");
   s.publisher = s.sys->AddPeer("publisher");
+  // pub_to_broker_KB is summed from the traced message spans.
+  s.sys->tracer().set_capacity(1 << 16);
+  s.sys->tracer().set_enabled(true);
   Rng rng(9);
   TreePtr cat = bench::MakeCatalog(static_cast<size_t>(stories),
                                    s.sys->peer(s.publisher)->gen(), &rng);
@@ -64,7 +67,7 @@ void BM_Forward_ViaCaller(benchmark::State& state) {
     bench::EvalAndRecord(state, s.sys.get(), s.broker, e);
     state.counters["pub_to_broker_KB"] =
         static_cast<double>(
-            s.sys->network().stats().Pair(s.publisher, s.broker).bytes) /
+            TracedLinkBytes(s.sys->tracer(), s.publisher, s.broker)) /
         1024.0;
   }
 }
@@ -76,7 +79,7 @@ void BM_Forward_ForwardList(benchmark::State& state) {
     bench::EvalAndRecord(state, s.sys.get(), s.broker, e);
     state.counters["pub_to_broker_KB"] =
         static_cast<double>(
-            s.sys->network().stats().Pair(s.publisher, s.broker).bytes) /
+            TracedLinkBytes(s.sys->tracer(), s.publisher, s.broker)) /
         1024.0;
   }
 }

@@ -60,6 +60,14 @@ int main() {
                             MakeCatalogDoc("sku", 160, sys.peer(hq)->gen()));
   sys.generics().AddDocumentMember("ecatalog", ClassMember{"catalog", hq});
 
+  // Placement is on from the start: picks count as demand only while it
+  // is enabled, and rounds run only when RunPlacement is called.
+  PlacementConfig config;
+  config.enabled = true;
+  config.min_picks = 3;
+  config.max_targets_per_class = 2;
+  sys.replicas().placement().set_config(config);
+
   // --- Phase 1: stores resolve ecatalog@any; every pick goes to HQ
   // (the only member) and the demand table fills up.
   Evaluator ev(&sys, EvalOptions{.pick_policy = PickPolicy::kCacheAware});
@@ -85,11 +93,6 @@ int main() {
 
   // --- Phase 2: one placement round seeds the hot catalog at its top
   // pickers; the copies land, install, and advertise as class members.
-  PlacementConfig config;
-  config.enabled = true;
-  config.min_picks = 3;
-  config.max_targets_per_class = 2;
-  sys.replicas().placement().set_config(config);
   size_t started = sys.replicas().RunPlacement();
   sys.RunToQuiescence();
   std::printf("placement round: %zu shipments, stats: %s\n\n", started,

@@ -70,6 +70,8 @@ int main() {
                      "where $p/name = \"pkg42\" return $p")
                      .value();
   sys.network().mutable_stats()->Reset();
+  // Per-link bytes come from the traced message spans.
+  sys.tracer().set_enabled(true);
   auto rec = ev.Eval(client, Expr::Apply(lookup, client,
                                          {Expr::GenericDoc("epackages")}));
   if (!rec.ok()) {
@@ -79,8 +81,9 @@ int main() {
   std::printf("pkg42 record (served by the generic pick):\n  %s\n",
               SerializeCompact(*rec->results[0]).c_str());
   std::printf("  eu->client %.1f KB, us->client %.1f KB (nearest won)\n\n",
-              sys.network().stats().Pair(mirror_eu, client).bytes / 1024.0,
-              sys.network().stats().Pair(mirror_us, client).bytes / 1024.0);
+              TracedLinkBytes(sys.tracer(), mirror_eu, client) / 1024.0,
+              TracedLinkBytes(sys.tracer(), mirror_us, client) / 1024.0);
+  sys.tracer().set_enabled(false);
 
   // --- Step 2: dependency resolution, delegated to the mirror
   // (rule (10)): a self-join computing each selected package's direct

@@ -92,6 +92,8 @@ Result<EvalOutcome> Evaluator::Eval(PeerId p, const ExprPtr& e) {
     results->push_back(std::move(t));
   }));
   RunToQuiescence();
+  // At quiescence nothing is left to deliver to this query's operators.
+  retained_.clear();
   out.completion_time = sys_->loop().now();
   if (!async_status_.ok()) return async_status_;
   out.results = std::move(*results);
@@ -255,8 +257,11 @@ void Evaluator::DeployDoc(PeerId ctx, const ExprPtr& e, EmitFn emit) {
     // charged through the system catalog.
     const std::string class_name = e->doc_name();
     auto proceed = [this, ctx, class_name, emit](void) {
+      // Pick demand is read only by placement.
       Result<ClassMember> member = sys_->generics().PickDocument(
-          class_name, ctx, options_.pick_policy, sys_->network());
+          class_name, ctx, options_.pick_policy, sys_->network(),
+          /*nominal_bytes=*/4096,
+          sys_->replicas().placement().config().enabled);
       if (!member.ok()) {
         Fail(member.status());
         return;

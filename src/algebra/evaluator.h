@@ -212,7 +212,8 @@ class Evaluator {
   MetricRegistry::SourceId metrics_source_ = 0;
   Status async_status_;
   std::deque<std::function<void()>> finalizers_;
-  /// Keeps standing query instances alive for the evaluator's lifetime.
+  /// Keeps the running query's operator instances alive until the next
+  /// Eval reaches quiescence.
   std::vector<std::shared_ptr<void>> retained_;
   /// sc nodes already activated (activation is idempotent, and after-call
   /// chains must not loop).

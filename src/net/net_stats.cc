@@ -3,6 +3,10 @@
 namespace axml {
 
 void NetStats::Record(PeerId from, PeerId to, uint64_t bytes) {
+  AXML_DCHECK(from.is_concrete()) << "NetStats pair with non-peer "
+                                  << from.ToString();
+  AXML_DCHECK(to.is_concrete()) << "NetStats pair with non-peer "
+                                << to.ToString();
   ++total_messages_;
   total_bytes_ += bytes;
   msg_bytes_.Add(bytes);
@@ -10,9 +14,6 @@ void NetStats::Record(PeerId from, PeerId to, uint64_t bytes) {
     ++remote_messages_;
     remote_bytes_ += bytes;
   }
-  PairStats& p = pairs_[Key(from, to)];
-  ++p.messages;
-  p.bytes += bytes;
 }
 
 void NetStats::RecordControl(uint64_t messages, uint64_t bytes) {
@@ -42,14 +43,8 @@ void NetStats::RecordNotify(PeerId from, PeerId to, uint64_t bytes) {
 }
 
 // Wholesale reassignment so coverage is total by construction: every
-// counter, the message-size histogram, *and* the per-pair map go back
-// to zero (a member-by-member reset once forgot the pair map; a test
-// now pins the full sweep).
+// counter and the message-size histogram go back to zero (a test pins
+// the full sweep).
 void NetStats::Reset() { *this = NetStats(); }
-
-PairStats NetStats::Pair(PeerId from, PeerId to) const {
-  auto it = pairs_.find(Key(from, to));
-  return it == pairs_.end() ? PairStats{} : it->second;
-}
 
 }  // namespace axml

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "common/ids.h"
 #include "common/logging.h"
@@ -16,12 +15,6 @@
 #include "xml/wire.h"
 
 namespace axml {
-
-/// Counters for one directed peer pair.
-struct PairStats {
-  uint64_t messages = 0;
-  uint64_t bytes = 0;
-};
 
 /// Global transfer statistics collected by the Network.
 class NetStats {
@@ -69,8 +62,6 @@ class NetStats {
     return class_bytes_[static_cast<size_t>(cls)];
   }
 
-  PairStats Pair(PeerId from, PeerId to) const;
-
   /// Distribution of per-message sizes (log2 buckets; Record,
   /// RecordNotify and RecordControl all feed it — control roundtrips at
   /// their mean per-message size).
@@ -79,16 +70,6 @@ class NetStats {
   std::string ToString() const { return CountersToString(*this); }
 
  private:
-  static uint64_t Key(PeerId a, PeerId b) {
-    // Both indices must be real peers: kInvalidIndex / kAnyIndex would
-    // silently alias distinct bogus pairs onto shared map slots.
-    AXML_DCHECK(a.is_concrete()) << "NetStats pair with non-peer "
-                                 << a.ToString();
-    AXML_DCHECK(b.is_concrete()) << "NetStats pair with non-peer "
-                                 << b.ToString();
-    return (static_cast<uint64_t>(a.index()) << 32) | b.index();
-  }
-
   uint64_t total_messages_ = 0;
   uint64_t total_bytes_ = 0;
   uint64_t remote_messages_ = 0;
@@ -102,7 +83,6 @@ class NetStats {
   uint64_t class_messages_[wire::kMessageClassCount] = {};
   uint64_t class_bytes_[wire::kMessageClassCount] = {};
   Histogram msg_bytes_;
-  std::unordered_map<uint64_t, PairStats> pairs_;
 
  public:
   /// Every counter above, under its registry name (obs/metrics.h).
@@ -123,9 +103,7 @@ class NetStats {
               &wire::MessageClassName},
       Counter{"msg_bytes", &NetStats::msg_bytes_});
 };
-// pairs_ is the per-link breakdown, not a counter of record.
-static_assert(CountersCover<NetStats>(
-    sizeof(std::unordered_map<uint64_t, PairStats>)));
+static_assert(CountersCover<NetStats>());
 
 }  // namespace axml
 

@@ -229,4 +229,18 @@ bool Network::IsPeerUp(PeerId peer) const {
   return down_peers_.count(peer.index()) == 0;
 }
 
+uint64_t TracedLinkBytes(const Tracer& tracer, PeerId from, PeerId to) {
+  AXML_CHECK_EQ(tracer.dropped(), 0u) << "trace ring wrapped";
+  const std::string detail = StrCat("-> ", to.ToString());
+  uint64_t bytes = 0;
+  for (const TraceSpan& span : tracer.Events()) {
+    const bool link_traffic = span.name == "msg" || span.name == "notify";
+    if (span.category == "net" && link_traffic && span.peer == from &&
+        span.detail == detail) {
+      bytes += span.bytes;
+    }
+  }
+  return bytes;
+}
+
 }  // namespace axml

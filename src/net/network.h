@@ -175,6 +175,12 @@ class Network {
   size_t busy_sweep_at_ = kMinBusySweep;
 };
 
+/// Bytes delivered over the directed link from -> to, summed from the
+/// net/msg and net/notify spans `tracer` recorded (the network keeps no
+/// per-link table). A lost send is a net/drop span and is not counted,
+/// unlike in the NetStats totals. Aborts when the trace ring has wrapped.
+uint64_t TracedLinkBytes(const Tracer& tracer, PeerId from, PeerId to);
+
 }  // namespace axml
 
 #endif  // AXML_NET_NETWORK_H_

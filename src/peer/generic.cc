@@ -65,7 +65,7 @@ std::vector<std::string> GenericCatalog::DocumentClassesOf(
 
 Result<ClassMember> GenericCatalog::PickDocument(
     const std::string& class_name, PeerId from, PickPolicy policy,
-    const Network& net, uint64_t nominal_bytes) {
+    const Network& net, uint64_t nominal_bytes, bool count_demand) {
   if (doc_validator_) {
     // Freshness sweep: a stale cached copy must not serve d@any. The
     // validator retracts stale members itself (possibly several, when a
@@ -89,7 +89,7 @@ Result<ClassMember> GenericCatalog::PickDocument(
   }
   Result<ClassMember> picked = Pick(members, "document", class_name, from,
                                     policy, net, nominal_bytes);
-  if (picked.ok() && from.is_concrete()) {
+  if (picked.ok() && count_demand && from.is_concrete()) {
     // Demand signal for proactive placement: who keeps resolving which
     // class. Only concrete callers count — a copy can only be seeded at
     // a real peer.

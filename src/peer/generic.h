@@ -73,10 +73,13 @@ class GenericCatalog {
   /// pickDoc (def. (9)): chooses a member of document class `class_name`
   /// for caller `from` under `policy`. `net` provides link estimates for
   /// kNearest; `nominal_bytes` is the payload size used to rank links.
+  /// A pick by a concrete caller adds to the demand table only when
+  /// `count_demand` (the evaluator passes whether placement is enabled).
   Result<ClassMember> PickDocument(const std::string& class_name,
                                    PeerId from, PickPolicy policy,
                                    const Network& net,
-                                   uint64_t nominal_bytes = 4096);
+                                   uint64_t nominal_bytes = 4096,
+                                   bool count_demand = true);
   /// pickService, same contract.
   Result<ClassMember> PickService(const std::string& class_name,
                                   PeerId from, PickPolicy policy,

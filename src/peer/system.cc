@@ -40,27 +40,13 @@ AxmlSystem::AxmlSystem(Topology topology)
            catalog_->VisibleFrom(ResourceKind::kDocument, m.name, m.peer,
                                  from, network_->topology());
   });
-  // Encoded sizes are memoized per (member, doc version) — computing
-  // one walks the whole tree, and the pick consults every member. The
-  // hint is the *wire* size (what fetching the member would move), not
-  // the XML serialization.
-  auto size_memo = std::make_shared<
-      std::map<std::pair<PeerId, DocName>, std::pair<uint64_t, uint64_t>>>();
-  generics_.set_member_size_hint(
-      [this, size_memo](const ClassMember& m) -> uint64_t {
-        const uint64_t version = replicas_.Version(m.peer, m.name);
-        auto it = size_memo->find({m.peer, m.name});
-        if (it != size_memo->end() && it->second.first == version) {
-          return it->second.second;
-        }
-        const Peer* holder = peer(m.peer);
-        TreePtr root =
-            holder == nullptr ? nullptr : holder->GetDocument(m.name);
-        const uint64_t bytes =
-            root == nullptr ? 0 : wire::EncodedTreeSize(*root);
-        (*size_memo)[{m.peer, m.name}] = {version, bytes};
-        return bytes;
-      });
+  // The hint is the *wire* size (what fetching the member would move),
+  // not the XML serialization.
+  generics_.set_member_size_hint([this](const ClassMember& m) -> uint64_t {
+    const Peer* holder = peer(m.peer);
+    TreePtr root = holder == nullptr ? nullptr : holder->GetDocument(m.name);
+    return root == nullptr ? 0 : wire::EncodedTreeSize(*root);
+  });
 }
 
 PeerId AxmlSystem::AddPeer(std::string name) {

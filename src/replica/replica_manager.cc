@@ -98,6 +98,7 @@ void ReplicaManager::NoteMutation(PeerId owner, const DocName& name) {
     for (const ReplicaKey& k : cache->KeysForDoc(origin, name)) {
       cache->Erase(k, /*invalidation=*/true);
     }
+    ForgetIfEmpty(owner);
   }
   // A durable put keeps the catalog entry (the peer genuinely holds a
   // document of this name now) and widens it from the copy's scope to a
@@ -153,6 +154,20 @@ const TransferCache* ReplicaManager::FindCache(PeerId peer) const {
   return it == caches_.end() ? nullptr : it->second.get();
 }
 
+void ReplicaManager::ForgetIfEmpty(PeerId peer) {
+  auto it = caches_.find(peer);
+  if (it == caches_.end()) return;
+  const TransferCache& cache = *it->second;
+  // An LFU cache stays: its aging tick outlives its entries.
+  if (cache.entry_count() > 0 || cache.byte_budget() != default_budget_ ||
+      cache.eviction_policy() != default_eviction_policy_ ||
+      cache.eviction_policy() == EvictionPolicy::kLfu) {
+    return;
+  }
+  AddCounters(uncached_stats_, cache.stats());
+  caches_.erase(it);
+}
+
 void ReplicaManager::RecordCoalescedHit(PeerId reader, uint64_t bytes) {
   auto it = caches_.find(reader);
   if (it != caches_.end()) {
@@ -179,11 +194,11 @@ bool ReplicaManager::InsertCopy(PeerId reader, PeerId origin,
   // Put retracts an older copy of the same key first (evict listener), so
   // the install guard below sees a clean slot.
   if (!cache->Put(key, std::move(encoded), DigestOf(*landed),
-                  snapshot_version)) {
-    return false;  // over budget: not worth caching
-  }
-  if (cache->Peek(key) == nullptr) {
-    return false;  // evicted immediately by the budget
+                  snapshot_version) ||
+      cache->Peek(key) == nullptr) {
+    // Over budget, or evicted immediately by it: not worth caching.
+    ForgetIfEmpty(reader);
+    return false;
   }
 
   // The origin now owes this reader a push on every mutation of `name`
@@ -264,17 +279,19 @@ TreePtr ReplicaManager::ReadFreshCopy(PeerId reader, PeerId origin,
     ++uncached_stats_.misses;
     return nullptr;
   }
-  if (!*sharded) {
-    EncodedBlob blob = cache->Get(key, version);
-    return blob == nullptr ? nullptr
-                           : DecodeStoredTree(*blob, holder->gen(),
-                                              &sys_->wire_stats());
+  // A stale whole copy or manifest is dropped by this Get (with its
+  // advertisements, via the evict listener) and the read falls through
+  // to a fetch (a delta fetch when sharded).
+  EncodedBlob blob =
+      cache->Get(*sharded ? ManifestKey(origin, name) : key, version);
+  if (blob == nullptr) {
+    ForgetIfEmpty(reader);
+    return nullptr;
   }
-  // A stale manifest is dropped by this Get (with its advertisements,
-  // via the evict listener) and the read falls through to a delta fetch.
-  EncodedBlob blob = cache->Get(ManifestKey(origin, name), version);
-  TreePtr manifest =
-      blob == nullptr ? nullptr : DecodeManifest(*blob, &sys_->wire_stats());
+  if (!*sharded) {
+    return DecodeStoredTree(*blob, holder->gen(), &sys_->wire_stats());
+  }
+  TreePtr manifest = DecodeManifest(*blob, &sys_->wire_stats());
   if (manifest == nullptr) return nullptr;
   // Assemble from Peeks first: an incomplete copy must not charge
   // recency/hit credit for shards this read cannot use yet (the delta
@@ -349,11 +366,15 @@ bool ReplicaManager::DropCopy(PeerId reader, PeerId origin,
                                        /*invalidation=*/true);
   const bool manifest = it->second->Erase(ManifestKey(origin, name),
                                           /*invalidation=*/true);
+  ForgetIfEmpty(reader);
   return whole || manifest;
 }
 
 void ReplicaManager::DropAllCopies() {
-  for (auto& [peer, cache] : caches_) cache->Clear();
+  for (auto it = caches_.begin(); it != caches_.end();) {
+    it->second->Clear();
+    ForgetIfEmpty((it++)->first);  // step past the node it may erase
+  }
   // Cancel in-flight refresh shipments: their landing callbacks see the
   // erased flight token and discard the payload, so a reset cannot be
   // undone by a late arrival.
@@ -707,6 +728,7 @@ bool ReplicaManager::InsertShardedCopy(
   if (resident == nullptr || resident->origin_version != snapshot_version ||
       !(resident->digest == mdigest)) {
     if (!cache->Put(mkey, manifest_blob, mdigest, snapshot_version)) {
+      ForgetIfEmpty(reader);
       return false;  // manifest alone over budget: nothing to anchor on
     }
   }
@@ -1057,6 +1079,7 @@ void ReplicaManager::LeaseTick() {
       // cache entry to fire the listener; unsubscribe is idempotent.
       subscriptions_.Unsubscribe(k, holder);
     }
+    if (up) ForgetIfEmpty(holder);
     ++subscription_stats_.lease_expiries;
     TraceEvent("lease_expire", holder, "origin ", origin);
     it = lease_deadlines_.erase(it);
@@ -1119,8 +1142,11 @@ size_t ReplicaManager::ResubscribeResident(PeerId holder, PeerId origin) {
 }
 
 size_t ReplicaManager::RunAntiEntropySweep() {
+  // By id, not by iterator: a reconciled cache that empties is erased.
+  std::vector<PeerId> holders;
+  for (const auto& [holder, cache] : caches_) holders.push_back(holder);
   size_t repairs = 0;
-  for (const auto& [holder, cache] : caches_) {
+  for (PeerId holder : holders) {
     if (!sys_->network().IsPeerUp(holder)) continue;
     repairs += ReconcileHolder(holder);
   }
@@ -1260,6 +1286,7 @@ size_t ReplicaManager::ReconcileHolder(PeerId holder) {
     sys_->network().ControlRoundtrip(holder, origin, 2, std::move(payload),
                                      response_bytes, delay, [] {});
   }
+  ForgetIfEmpty(holder);
   return repairs;
 }
 
@@ -1284,6 +1311,7 @@ void ReplicaManager::OnPeerCrash(PeerId peer, CrashMode mode) {
     // entry's advertisements and subscriptions.
     if (auto cit = caches_.find(peer); cit != caches_.end()) {
       cit->second->Clear();
+      ForgetIfEmpty(peer);
     }
   }
   // Durable mode keeps the cache, but a down peer must never be
@@ -1330,6 +1358,7 @@ void ReplicaManager::OnNotifyDelivered(PeerId origin, PeerId holder) {
     ++subscription_stats_.notify_repairs;
     TraceEvent("notify_repair", holder, 0, k);
   }
+  ForgetIfEmpty(holder);
 }
 
 }  // namespace axml

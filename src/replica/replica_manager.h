@@ -333,9 +333,9 @@ class ReplicaManager {
   // --- Per-peer caches ---
 
   /// The transfer cache of `peer`, created on first use with the default
-  /// byte budget.
+  /// byte budget; forgotten when it empties (see ForgetIfEmpty).
   TransferCache* CacheFor(PeerId peer);
-  /// nullptr when `peer` never cached anything.
+  /// nullptr when `peer` holds nothing (and set no budget of its own).
   const TransferCache* FindCache(PeerId peer) const;
 
   /// Counts a read of `reader` that joined an in-flight transfer instead
@@ -457,7 +457,7 @@ class ReplicaManager {
   /// Drops every cached copy on every peer (benches reset between runs).
   void DropAllCopies();
 
-  /// Sum of every peer's cache counters.
+  /// Sum of every peer's cache counters, forgotten caches included.
   TransferCacheStats TotalStats() const;
   void ResetStats();
 
@@ -466,7 +466,8 @@ class ReplicaManager {
   /// "replica/shard/...", placement under "replica/placement/...", and
   /// the summed cache counters (TotalStats) plus every cache's
   /// resident_bytes and entry_count, summed, under "replica/cache/...".
-  /// One peer's own counters stay available as FindCache(peer)->stats().
+  /// A peer that holds something has its own counters in
+  /// FindCache(peer)->stats().
   /// AxmlSystem registers this at the registry root.
   void ExportMetrics(MetricSink& sink) const;
 
@@ -502,6 +503,10 @@ class ReplicaManager {
 
   /// Withdraws `member` from every generic class it belongs to.
   void LeaveGenericClasses(const ClassMember& member);
+  /// Erases `peer`'s cache, its counters folded into uncached_stats_,
+  /// when it is empty and CacheFor would rebuild it as it is. Called
+  /// after the cache call that emptied it returns, never from within.
+  void ForgetIfEmpty(PeerId peer);
 
   /// Read-path admission, asked by both read landings (InsertReadCopy
   /// and FetchForRead's) before they cache: false when `source` — the
@@ -602,7 +607,11 @@ class ReplicaManager {
   uint64_t default_budget_ = TransferCache::kDefaultByteBudget;
   EvictionPolicy default_eviction_policy_ = EvictionPolicy::kLru;
   std::map<PeerId, std::unique_ptr<TransferCache>> caches_;
-  std::map<ReplicaKey, uint64_t> versions_;  ///< key = (owner, name)
+  /// key = (owner, name). An entry outlives a dropped copy slot: erased,
+  /// a re-created slot would restart at version 2 under kLazy, and a
+  /// copy of a copy or a shipment that snapshotted its first life at 2
+  /// would pass as fresh.
+  std::map<ReplicaKey, uint64_t> versions_;
   /// (reader, local doc name) -> origin, for copies installed as local
   /// documents. Guards against shadowing a reader's own documents and
   /// lets IsCachedCopy answer without scanning caches.

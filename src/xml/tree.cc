@@ -63,6 +63,7 @@ bool TreeNode::RemoveDescendant(NodeId id) {
 TreePtr TreeNode::Clone(NodeIdGen* gen) const {
   if (is_text()) return Text(text_);
   TreePtr copy = Element(label_, gen->Next());
+  copy->ReserveChildren(children_.size());
   for (const auto& c : children_) copy->AddChild(c->Clone(gen));
   return copy;
 }
@@ -70,6 +71,7 @@ TreePtr TreeNode::Clone(NodeIdGen* gen) const {
 TreePtr TreeNode::CloneSameIds() const {
   if (is_text()) return Text(text_);
   TreePtr copy = Element(label_, id_);
+  copy->ReserveChildren(children_.size());
   for (const auto& c : children_) copy->AddChild(c->CloneSameIds());
   return copy;
 }

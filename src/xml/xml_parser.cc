@@ -145,40 +145,37 @@ class Parser {
   }
 
   /// Adds `piece` to the character data collected since the open
-  /// element's last child. A run stays a view into the input; only a
-  /// run split by a comment, PI or CDATA section is copied to run_buf_.
-  void AppendRun(std::string_view piece) {
+  /// element's last child. An escaped piece has its entities resolved
+  /// here, so an entity never spans a comment or PI; a CDATA section is
+  /// `escaped` = false and appended literally. A run stays a view into
+  /// the input until a piece must be copied: an entity to resolve, or a
+  /// run split by a comment, PI or CDATA section.
+  void AppendRun(std::string_view piece, bool escaped) {
     if (piece.empty()) return;
-    if (run_.empty()) {
+    const bool resolve = escaped && piece.find('&') != std::string_view::npos;
+    if (run_.empty() && !resolve) {
       run_ = piece;
-    } else {
-      if (run_.data() != run_buf_.data()) run_buf_.assign(run_);
-      run_buf_.append(piece);
-      run_ = run_buf_;
+      return;
     }
+    if (run_.data() != run_buf_.data()) run_buf_.assign(run_);
+    if (resolve) {
+      run_buf_ += XmlUnescape(piece);
+    } else {
+      run_buf_.append(piece);
+    }
+    run_ = run_buf_;
   }
 
   /// Adds the collected run as a text child of the open element.
   /// Whitespace-only runs between elements are dropped, and boundary
   /// whitespace is trimmed from mixed-content runs, so indented (pretty)
-  /// output reparses to the same tree. Entities are resolved before
-  /// trimming.
+  /// output reparses to the same tree. Entities were resolved before
+  /// trimming, as each piece was appended.
   void FlushText() {
     if (run_.empty()) return;
-    if (run_.find('&') == std::string_view::npos) {
-      std::string_view trimmed = StripWhitespace(run_);
-      if (!trimmed.empty()) {
-        kids_.push_back(TreeNode::Text(std::string(trimmed)));
-      }
-    } else {
-      std::string text = XmlUnescape(run_);
-      std::string_view trimmed = StripWhitespace(text);
-      if (!trimmed.empty()) {
-        const size_t head = static_cast<size_t>(trimmed.data() - text.data());
-        text.resize(head + trimmed.size());
-        text.erase(0, head);
-        kids_.push_back(TreeNode::Text(std::move(text)));
-      }
+    std::string_view trimmed = StripWhitespace(run_);
+    if (!trimmed.empty()) {
+      kids_.push_back(TreeNode::Text(std::string(trimmed)));
     }
     run_ = {};
   }
@@ -216,7 +213,7 @@ class Parser {
       if (Peek() != '<') {
         size_t start = pos_;
         pos_ = std::min(text_.find('<', pos_), text_.size());
-        AppendRun(text_.substr(start, pos_ - start));
+        AppendRun(text_.substr(start, pos_ - start), /*escaped=*/true);
         continue;
       }
       if (ConsumeSeq("<!--")) {
@@ -230,7 +227,7 @@ class Parser {
           pos_ = text_.size();
           return Error("unterminated CDATA section");
         }
-        AppendRun(text_.substr(cstart, cend - cstart));
+        AppendRun(text_.substr(cstart, cend - cstart), /*escaped=*/false);
         pos_ = cend + 3;
         continue;
       }
@@ -271,8 +268,9 @@ class Parser {
   std::string_view text_;
   NodeIdGen* gen_;
   size_t pos_ = 0;
-  /// Character data since the open element's last child: a view into
-  /// text_, or into run_buf_ once a comment, PI or CDATA split it.
+  /// Character data since the open element's last child, entities
+  /// resolved: a view into text_, or into run_buf_ once a piece had to
+  /// be copied.
   std::string_view run_;
   std::string run_buf_;
   /// Finished children of every open element, innermost last.

@@ -20,9 +20,14 @@ class EvalExtraTest : public ::testing::Test {
     p1_ = sys_.AddPeer("p1");
     p2_ = sys_.AddPeer("p2");
     p3_ = sys_.AddPeer("p3");
+    sys_.tracer().set_enabled(true);
   }
   TreePtr Parse(PeerId p, const std::string& xml) {
     return ParseXml(xml, sys_.peer(p)->gen()).value();
+  }
+  /// Bytes shipped over the directed link from -> to.
+  uint64_t LinkBytes(PeerId from, PeerId to) const {
+    return TracedLinkBytes(sys_.tracer(), from, to);
   }
   AxmlSystem sys_;
   PeerId p0_, p1_, p2_, p3_;
@@ -40,10 +45,10 @@ TEST_F(EvalExtraTest, ChainedEvalAtVisitsEveryPeer) {
   ASSERT_TRUE(out.ok()) << out.status();
   ASSERT_EQ(out->results.size(), 1u);
   // The data traveled p3 -> p2 -> p1 -> p0.
-  EXPECT_GT(sys_.network().stats().Pair(p3_, p2_).bytes, 0u);
-  EXPECT_GT(sys_.network().stats().Pair(p2_, p1_).bytes, 0u);
-  EXPECT_GT(sys_.network().stats().Pair(p1_, p0_).bytes, 0u);
-  EXPECT_EQ(sys_.network().stats().Pair(p3_, p0_).bytes, 0u);
+  EXPECT_GT(LinkBytes(p3_, p2_), 0u);
+  EXPECT_GT(LinkBytes(p2_, p1_), 0u);
+  EXPECT_GT(LinkBytes(p1_, p0_), 0u);
+  EXPECT_EQ(LinkBytes(p3_, p0_), 0u);
 }
 
 TEST_F(EvalExtraTest, NestedApplyPipelines) {

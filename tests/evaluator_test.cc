@@ -25,10 +25,16 @@ class EvaluatorTest : public ::testing::Test {
     p0_ = sys_.AddPeer("p0");
     p1_ = sys_.AddPeer("p1");
     p2_ = sys_.AddPeer("p2");
+    sys_.tracer().set_enabled(true);
   }
 
   TreePtr Parse(PeerId p, const std::string& xml) {
     return ParseXml(xml, sys_.peer(p)->gen()).value();
+  }
+
+  /// Bytes shipped over the directed link from -> to.
+  uint64_t LinkBytes(PeerId from, PeerId to) const {
+    return TracedLinkBytes(sys_.tracer(), from, to);
   }
 
   void InstallEcho(PeerId p, const std::string& name = "echo") {
@@ -66,7 +72,7 @@ TEST_F(EvaluatorTest, RemoteTreeShipsToEvaluator) {
   // priced at exactly the encoded payload's size.
   EXPECT_EQ(out->results[0]->id().minted_by(), p0_);
   const uint64_t size = wire::EncodedTreeSize(*t);
-  EXPECT_EQ(sys_.network().stats().Pair(p1_, p0_).bytes, size);
+  EXPECT_EQ(LinkBytes(p1_, p0_), size);
   EXPECT_NEAR(out->Duration(), kLat + size / kBw, 1e-9);
 }
 
@@ -121,8 +127,7 @@ TEST_F(EvaluatorTest, RemoteQueryTextIsShipped) {
   auto out = ev.Eval(p0_, Expr::Apply(q, p1_, {Expr::Doc("d", p0_)}));
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(out->results.size(), 1u);
-  EXPECT_EQ(sys_.network().stats().Pair(p1_, p0_).bytes,
-            wire::EncodedTextSize(q.text()));
+  EXPECT_EQ(LinkBytes(p1_, p0_), wire::EncodedTextSize(q.text()));
 }
 
 // --- Definition (6): service calls ---
@@ -137,8 +142,8 @@ TEST_F(EvaluatorTest, ServiceCallRoundTrip) {
   ASSERT_EQ(out->results.size(), 1u);
   EXPECT_TRUE(TreesEqualUnordered(*param, *out->results[0]));
   // Parameters went caller->provider, the response came back.
-  EXPECT_GT(sys_.network().stats().Pair(p0_, p1_).bytes, 0u);
-  EXPECT_GT(sys_.network().stats().Pair(p1_, p0_).bytes, 0u);
+  EXPECT_GT(LinkBytes(p0_, p1_), 0u);
+  EXPECT_GT(LinkBytes(p1_, p0_), 0u);
 }
 
 TEST_F(EvaluatorTest, ContinuousServiceStreamsManyResults) {
@@ -169,8 +174,8 @@ TEST_F(EvaluatorTest, ServiceCallWithForwardList) {
   ASSERT_EQ(mailbox->child_count(), 1u);
   EXPECT_EQ(mailbox->child(0)->StringValue(), "direct");
   // Rule (15)'s observation: nothing shipped provider->caller.
-  EXPECT_EQ(sys_.network().stats().Pair(p1_, p0_).bytes, 0u);
-  EXPECT_GT(sys_.network().stats().Pair(p1_, p2_).bytes, 0u);
+  EXPECT_EQ(LinkBytes(p1_, p0_), 0u);
+  EXPECT_GT(LinkBytes(p1_, p2_), 0u);
 }
 
 TEST_F(EvaluatorTest, ForwardListFansOutCopies) {
@@ -404,8 +409,8 @@ TEST_F(EvaluatorTest, EvalAtChargesExpressionShipping) {
   auto out = ev.Eval(p0_, Expr::EvalAt(p1_, Expr::Doc("d", p1_)));
   ASSERT_TRUE(out.ok()) << out.status();
   // The expression traveled p0->p1; the doc result traveled p1->p0.
-  EXPECT_GT(sys_.network().stats().Pair(p0_, p1_).bytes, 0u);
-  EXPECT_GT(sys_.network().stats().Pair(p1_, p0_).bytes, 0u);
+  EXPECT_GT(LinkBytes(p0_, p1_), 0u);
+  EXPECT_GT(LinkBytes(p1_, p0_), 0u);
 }
 
 // --- Rule (13) carrier: Seq ---
@@ -441,8 +446,8 @@ TEST_F(EvaluatorTest, GenericDocPicksNearestReplica) {
   ASSERT_TRUE(out.ok()) << out.status();
   ASSERT_EQ(out->results.size(), 1u);
   // Content came from p2 (the near replica), not p1.
-  EXPECT_GT(sys_.network().stats().Pair(p2_, p0_).bytes, 0u);
-  EXPECT_EQ(sys_.network().stats().Pair(p1_, p0_).bytes, 0u);
+  EXPECT_GT(LinkBytes(p2_, p0_), 0u);
+  EXPECT_EQ(LinkBytes(p1_, p0_), 0u);
   // Discovery was charged.
   EXPECT_GT(sys_.network().stats().control_messages(), 0u);
 }
@@ -467,8 +472,8 @@ TEST_F(EvaluatorTest, GenericServicePick) {
   ASSERT_TRUE(out.ok()) << out.status();
   ASSERT_EQ(out->results.size(), 1u);
   // The near provider (p2) served the call.
-  EXPECT_GT(sys_.network().stats().Pair(p0_, p2_).bytes, 0u);
-  EXPECT_EQ(sys_.network().stats().Pair(p0_, p1_).bytes, 0u);
+  EXPECT_GT(LinkBytes(p0_, p2_), 0u);
+  EXPECT_EQ(LinkBytes(p0_, p1_), 0u);
 }
 
 // --- Trees with embedded service calls (§2.2) ---

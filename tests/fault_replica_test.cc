@@ -158,7 +158,8 @@ TEST(LateNotifyTest, LateNotifyAgainstAStaleResidentCopyRepairsIt) {
 
   p.sys.replicas().OnNotifyDelivered(p.origin, p.reader);
   EXPECT_EQ(p.sys.replicas().subscription_stats().notify_repairs, 1u);
-  EXPECT_TRUE(cache->Keys().empty());
+  // Nothing is left resident, so the emptied cache is forgotten.
+  EXPECT_EQ(p.sys.replicas().FindCache(p.reader), nullptr);
   // Idempotent: a second late notify finds nothing.
   p.sys.replicas().OnNotifyDelivered(p.origin, p.reader);
   EXPECT_EQ(p.sys.replicas().subscription_stats().notify_repairs, 1u);
@@ -174,11 +175,9 @@ TEST(ChurnTest, LoseCacheCrashRetractsEverythingAndRejoinStartsClean) {
 
   p.sys.CrashPeer(p.reader, CrashMode::kLoseCache);
   EXPECT_FALSE(p.sys.IsPeerUp(p.reader));
-  // The cache died with the process: nothing resident, nothing
-  // advertised, nothing subscribed.
-  const TransferCache* cache = p.sys.replicas().FindCache(p.reader);
-  ASSERT_NE(cache, nullptr);
-  EXPECT_TRUE(cache->Keys().empty());
+  // The cache died with the process: nothing resident (an emptied
+  // cache is forgotten), nothing advertised, nothing subscribed.
+  EXPECT_EQ(p.sys.replicas().FindCache(p.reader), nullptr);
   EXPECT_FALSE(p.sys.catalog()->IsAdvertised(ResourceKind::kDocument, "d",
                                              p.reader));
   EXPECT_EQ(p.sys.replicas().subscriptions().subscription_count(), 0u);
@@ -323,9 +322,8 @@ TEST(AntiEntropyTest, SweepDropsStaleSurvivorsAndChargesDigestTraffic) {
   // The digest comparison is not free: one control roundtrip per
   // (holder, origin) pair compared.
   EXPECT_GT(p.sys.network().stats().control_messages(), control_before);
-  const TransferCache* cache = p.sys.replicas().FindCache(p.reader);
-  ASSERT_NE(cache, nullptr);
-  EXPECT_TRUE(cache->Keys().empty());
+  // Nothing is left resident, so the emptied cache is forgotten.
+  EXPECT_EQ(p.sys.replicas().FindCache(p.reader), nullptr);
   // A second sweep over the now-clean cache repairs nothing.
   EXPECT_EQ(p.sys.replicas().RunAntiEntropySweep(), 0u);
 }

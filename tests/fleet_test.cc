@@ -21,6 +21,7 @@
 #include <cstdlib>
 
 #include "net/catalog.h"
+#include "replica/transfer_cache.h"
 #include "scenario/fleet.h"
 #include "test_util.h"
 
@@ -107,6 +108,37 @@ TEST(FleetSmokeTest, AdvertisementBatchingPaysPerDelta) {
   EXPECT_EQ(catalog->stats().advertise_noops, noops_before + 1);
   EXPECT_EQ(catalog->stats().advertise_messages,
             after_bringup.advertise_messages);
+}
+
+TEST(FleetBookkeepingTest, TablesHoldOnlyWhatStillExists) {
+  // kDrop writes empty many readers' caches; placement is off. A fixed
+  // seed: the totals below are pinned.
+  FleetConfig cfg = SmokeConfig(FleetBackend::kChordDht, /*seed=*/1);
+  cfg.ops = 1000;
+  ASSERT_EQ(cfg.refresh, RefreshPolicy::kDrop);
+  FleetHarness fleet(cfg);
+  const FleetReport r = fleet.Run();
+  ASSERT_EQ(r.stale_reads, 0u) << r.ToString();
+  AxmlSystem& sys = fleet.system();
+  ASSERT_FALSE(sys.replicas().placement().config().enabled);
+
+  size_t caches = 0;
+  for (uint32_t i = 0; i < r.peers; ++i) {
+    if (const TransferCache* cache = sys.replicas().FindCache(PeerId(i))) {
+      ++caches;
+      EXPECT_GT(cache->entry_count(), 0u) << "peer " << i;
+    }
+  }
+  EXPECT_GT(caches, 0u);
+  // Nothing reads pick demand while placement is off.
+  EXPECT_TRUE(sys.generics().document_pick_demand().empty());
+  // Forgotten caches keep their counters in the totals: the same figures
+  // as when every emptied cache stayed allocated.
+  EXPECT_EQ(sys.replicas().TotalStats().ToString(),
+            "bytes_deduped=186 bytes_evicted=0 bytes_saved=1488 "
+            "evictions=0 hits=24 inserts=704 invalidations=490 misses=958 "
+            "rack_declined=254 victims_cost_aware=0 victims_lfu=0 "
+            "victims_lru=0");
 }
 
 TEST(FleetFaultTest, ChordBackendSurvivesChurnWithZeroStaleReads) {

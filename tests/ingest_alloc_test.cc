@@ -1,6 +1,8 @@
-// Allocation pin for tree ingest: ParseXml and wire::DecodeTree of a
-// fixed 256-product catalog (the shape of perfbench's doc_churn
-// documents) must stay at or under 1.7 heap allocations per tree node.
+// Allocation pins for tree ingest: ParseXml, wire::DecodeTree and
+// TreeNode::Clone of a fixed 256-product catalog (the shape of
+// perfbench's doc_churn documents) must stay at or under 1.7 heap
+// allocations per tree node. A second pin holds a reused Evaluator to
+// the live allocations of a single Eval.
 //
 // Host time is too noisy to gate, but an allocation count repeats
 // exactly in a separate process, so this binary replaces the global
@@ -8,7 +10,7 @@
 // node and its shared_ptr control block come from one make_shared), an
 // element one more for its exactly sized children vector, and a text
 // leaf one more when it is longer than the small-string buffer. Under
-// AddressSanitizer, which owns operator new, the pin is skipped.
+// AddressSanitizer, which owns operator new, the pins are skipped.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +19,12 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
 
+#include "algebra/evaluator.h"
 #include "common/rng.h"
 #include "common/str_util.h"
+#include "peer/system.h"
 #include "xml/tree_equal.h"
 #include "xml/wire.h"
 #include "xml/xml_parser.h"
@@ -37,9 +42,11 @@
 
 namespace {
 
-// Allocations counted by the replaced operator new while `counting`.
+// Allocations and frees counted by the replaced operator new and delete
+// while `counting`.
 bool counting = false;
 uint64_t allocations = 0;
+uint64_t frees = 0;
 
 }  // namespace
 
@@ -55,7 +62,10 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (counting && p != nullptr) ++frees;
+  std::free(p);
+}
 void operator delete[](void* p) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 void operator delete[](void* p, std::size_t) noexcept {
@@ -93,10 +103,18 @@ std::string CatalogXml() {
 template <typename Fn>
 uint64_t Count(Fn&& fn) {
   allocations = 0;
+  frees = 0;
   counting = true;
   fn();
   counting = false;
   return allocations;
+}
+
+/// Allocations `fn` leaves live: those it makes less those it frees.
+template <typename Fn>
+int64_t Live(Fn&& fn) {
+  const uint64_t made = Count(std::forward<Fn>(fn));
+  return static_cast<int64_t>(made) - static_cast<int64_t>(frees);
 }
 
 class IngestAllocTest : public ::testing::Test {
@@ -142,6 +160,48 @@ TEST_F(IngestAllocTest, DecodeTreeStaysUnderThePin) {
   RecordProperty("allocations", static_cast<int>(allocs));
   EXPECT_LE(per_node, kMaxAllocsPerNode)
       << allocs << " allocations for " << kCatalogNodes << " nodes";
+}
+
+TEST_F(IngestAllocTest, CloneStaysUnderThePin) {
+  NodeIdGen gen;
+  TreePtr clone;
+  const uint64_t allocs = Count([&] { clone = tree_->Clone(&gen); });
+  EXPECT_TRUE(TreesEqualUnordered(*clone, *tree_));
+  RecordProperty("allocations", static_cast<int>(allocs));
+  EXPECT_LE(static_cast<double>(allocs) / kCatalogNodes, kMaxAllocsPerNode)
+      << allocs << " allocations for " << kCatalogNodes << " nodes";
+
+  const uint64_t same_ids = Count([&] { clone = tree_->CloneSameIds(); });
+  EXPECT_EQ(clone->id(), tree_->id());
+  EXPECT_LE(static_cast<double>(same_ids) / kCatalogNodes, kMaxAllocsPerNode)
+      << same_ids << " allocations for " << kCatalogNodes << " nodes";
+}
+
+TEST(EvaluatorAllocTest, AReusedEvaluatorRetainsNoQuery) {
+  if (!AXML_COUNTING_NEW) {
+    GTEST_SKIP() << "AddressSanitizer owns operator new";
+  }
+  AxmlSystem sys;
+  const PeerId p0 = sys.AddPeer("p0");
+  const PeerId p1 = sys.AddPeer("p1");
+  ASSERT_TRUE(sys.InstallDocumentXml(p1, "d", "<r><i>1</i><i>2</i></r>").ok());
+  Query q = Query::Parse("for $x in input(0)//i return $x").value();
+  const ExprPtr read = Expr::Apply(q, p0, {Expr::Doc("d", p1)});
+  Evaluator ev(&sys);
+  bool ok = true;
+  auto eval = [&] { ok = ok && ev.Eval(p0, read).ok(); };
+  // The first run sizes the system's own tables (links, event queue).
+  eval();
+  const int64_t one = Live(eval);
+  const int64_t hundred = Live([&] {
+    for (int i = 0; i < 100; ++i) eval();
+  });
+  ASSERT_TRUE(ok);
+  RecordProperty("live_after_one", static_cast<int>(one));
+  RecordProperty("live_after_hundred", static_cast<int>(hundred));
+  EXPECT_LE(hundred, one) << "one Eval leaves " << one
+                          << " allocations live, a hundred leave "
+                          << hundred;
 }
 
 }  // namespace

@@ -25,6 +25,7 @@ TEST(Example1Test, PushingSelectionsShipsLessAndAgrees) {
         std::make_unique<AxmlSystem>(Topology(LinkParams{0.020, 5.0e5}));
     *p = sys->AddPeer("p");
     *p2 = sys->AddPeer("p2");
+    sys->tracer().set_enabled(true);
     Rng rng(2006);
     TreePtr t = testing::MakeCatalog(500, sys->peer(*p2)->gen(), &rng, 24);
     EXPECT_TRUE(sys->InstallDocument(*p2, "t", t).ok());
@@ -43,7 +44,7 @@ TEST(Example1Test, PushingSelectionsShipsLessAndAgrees) {
   Evaluator ev1(sys1.get());
   auto naive = ev1.Eval(p, Expr::Apply(q, p, {Expr::Doc("t", p2)}));
   ASSERT_TRUE(naive.ok()) << naive.status();
-  uint64_t naive_bytes = sys1->network().stats().Pair(p2, p).bytes;
+  uint64_t naive_bytes = TracedLinkBytes(sys1->tracer(), p2, p);
 
   // Optimized: the optimizer should discover the Example-1 strategy.
   PeerId pb, p2b;
@@ -54,7 +55,7 @@ TEST(Example1Test, PushingSelectionsShipsLessAndAgrees) {
   Evaluator ev2(sys2.get());
   auto optimized = ev2.Eval(pb, plan.expr);
   ASSERT_TRUE(optimized.ok()) << optimized.status();
-  uint64_t opt_bytes = sys2->network().stats().Pair(p2b, pb).bytes;
+  uint64_t opt_bytes = TracedLinkBytes(sys2->tracer(), p2b, pb);
 
   EXPECT_TRUE(testing::ResultsEqual(naive->results, optimized->results));
   EXPECT_GT(naive->results.size(), 0u);
@@ -73,6 +74,7 @@ TEST(SubscriptionTest, ForwardListsDeliverToAllSubscribers) {
   PeerId s1 = sys.AddPeer("sub1");
   PeerId s2 = sys.AddPeer("sub2");
   PeerId broker = sys.AddPeer("broker");
+  sys.tracer().set_enabled(true);
 
   ASSERT_TRUE(sys.InstallDocumentXml(
       pub, "stories",
@@ -106,7 +108,7 @@ TEST(SubscriptionTest, ForwardListsDeliverToAllSubscribers) {
   EXPECT_EQ(box1->child_count(), 2u);  // both tech stories
   EXPECT_EQ(box2->child_count(), 2u);
   // Nothing was shipped publisher -> broker (rule (15)'s point).
-  EXPECT_EQ(sys.network().stats().Pair(pub, broker).bytes, 0u);
+  EXPECT_EQ(TracedLinkBytes(sys.tracer(), pub, broker), 0u);
 }
 
 // Software-distribution flavor (the paper's full-version application):
@@ -118,6 +120,7 @@ TEST(SoftwareDistributionTest, GenericMirrorsAndDelegatedResolution) {
   PeerId client = sys.AddPeer("client");
   PeerId mirror_eu = sys.AddPeer("mirror_eu");
   PeerId mirror_us = sys.AddPeer("mirror_us");
+  sys.tracer().set_enabled(true);
   // The EU mirror is close to the client.
   sys.network().mutable_topology()->SetLinkSymmetric(
       client, mirror_eu, LinkParams{0.005, 5.0e6});
@@ -147,8 +150,8 @@ TEST(SoftwareDistributionTest, GenericMirrorsAndDelegatedResolution) {
                                   {Expr::GenericDoc("epackages")}));
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(out->results.size(), 10u);  // sizes 0..90
-  EXPECT_GT(sys.network().stats().Pair(mirror_eu, client).bytes, 0u);
-  EXPECT_EQ(sys.network().stats().Pair(mirror_us, client).bytes, 0u);
+  EXPECT_GT(TracedLinkBytes(sys.tracer(), mirror_eu, client), 0u);
+  EXPECT_EQ(TracedLinkBytes(sys.tracer(), mirror_us, client), 0u);
 
   // Delegating the query to the mirror beats pulling the whole doc.
   AxmlSystem sys2(Topology(LinkParams{0.080, 2.0e5}));
@@ -215,6 +218,7 @@ TEST(TransferCacheTest, CachingHalvesTransfers) {
   auto build = [](AxmlSystem* sys, PeerId* p0, PeerId* p1) {
     *p0 = sys->AddPeer("p0");
     *p1 = sys->AddPeer("p1");
+    sys->tracer().set_enabled(true);
     Rng rng(13);
     TreePtr t = testing::MakeCatalog(300, sys->peer(*p1)->gen(), &rng);
     EXPECT_TRUE(sys->InstallDocument(*p1, "big", t).ok());
@@ -233,7 +237,7 @@ TEST(TransferCacheTest, CachingHalvesTransfers) {
   Evaluator ev1(&sys1);
   auto naive = ev1.Eval(p0, Expr::Apply(q, p0, {shared1, shared1}));
   ASSERT_TRUE(naive.ok()) << naive.status();
-  uint64_t naive_bytes = sys1.network().stats().Pair(p1, p0).bytes;
+  uint64_t naive_bytes = TracedLinkBytes(sys1.tracer(), p1, p0);
 
   AxmlSystem sys2(Topology(LinkParams{0.010, 1.0e6}));
   PeerId q0, q1;
@@ -246,7 +250,7 @@ TEST(TransferCacheTest, CachingHalvesTransfers) {
   Evaluator ev2(&sys2);
   auto cached = ev2.Eval(q0, Expr::Seq(install, use));
   ASSERT_TRUE(cached.ok()) << cached.status();
-  uint64_t cached_bytes = sys2.network().stats().Pair(q1, q0).bytes;
+  uint64_t cached_bytes = TracedLinkBytes(sys2.tracer(), q1, q0);
 
   EXPECT_TRUE(testing::ResultsEqual(naive->results, cached->results));
   EXPECT_LT(cached_bytes, naive_bytes * 6 / 10);  // ~half

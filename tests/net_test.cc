@@ -266,6 +266,9 @@ TEST(NetworkTest, IdleLinksAreForgottenAndBusyOnesStillQueue) {
 TEST(NetworkTest, StatsAccounting) {
   EventLoop loop;
   Network net(&loop, Topology(LinkParams{0.001, 1e6}));
+  Tracer tracer([&loop] { return loop.now(); });
+  tracer.set_enabled(true);
+  net.set_tracer(&tracer);
   net.Send(PeerId(0), PeerId(1), 100, [] {});
   net.Send(PeerId(0), PeerId(1), 200, [] {});
   net.Send(PeerId(2), PeerId(2), 50, [] {});  // loopback
@@ -275,9 +278,10 @@ TEST(NetworkTest, StatsAccounting) {
   EXPECT_EQ(s.total_bytes(), 350u);
   EXPECT_EQ(s.remote_messages(), 2u);
   EXPECT_EQ(s.remote_bytes(), 300u);
-  EXPECT_EQ(s.Pair(PeerId(0), PeerId(1)).messages, 2u);
-  EXPECT_EQ(s.Pair(PeerId(0), PeerId(1)).bytes, 300u);
-  EXPECT_EQ(s.Pair(PeerId(1), PeerId(0)).messages, 0u);
+  // Per link, the traced spans carry what the network no longer tallies.
+  EXPECT_EQ(TracedLinkBytes(tracer, PeerId(0), PeerId(1)), 300u);
+  EXPECT_EQ(TracedLinkBytes(tracer, PeerId(1), PeerId(0)), 0u);
+  EXPECT_EQ(TracedLinkBytes(tracer, PeerId(2), PeerId(2)), 50u);
 }
 
 TEST(NetStatsTest, ResetClearsEveryCounterPairAndHistogram) {
@@ -304,10 +308,6 @@ TEST(NetStatsTest, ResetClearsEveryCounterPairAndHistogram) {
   EXPECT_EQ(s.notify_bytes(), 0u);
   EXPECT_EQ(s.dropped_messages(), 0u);
   EXPECT_EQ(s.dropped_bytes(), 0u);
-  EXPECT_EQ(s.Pair(PeerId(0), PeerId(1)).messages, 0u);
-  EXPECT_EQ(s.Pair(PeerId(0), PeerId(1)).bytes, 0u);
-  EXPECT_EQ(s.Pair(PeerId(1), PeerId(0)).messages, 0u);
-  EXPECT_EQ(s.Pair(PeerId(2), PeerId(2)).bytes, 0u);
   EXPECT_EQ(s.message_bytes_histogram().count(), 0u);
   EXPECT_EQ(s.message_bytes_histogram().sum(), 0u);
 
@@ -319,13 +319,12 @@ TEST(NetStatsTest, ResetClearsEveryCounterPairAndHistogram) {
 
 #if defined(GTEST_HAS_DEATH_TEST) && !defined(AXML_DISABLE_DCHECKS)
 TEST(NetStatsDeathTest, NonConcretePeerInPairTripsTheDcheck) {
-  // kInvalidIndex / kAnyIndex would silently alias distinct bogus pairs
-  // onto shared map slots — the DCHECK turns that into a loud failure.
+  // A message names two real peers; kInvalidIndex / kAnyIndex is a
+  // caller bug the DCHECK turns into a loud failure.
   NetStats s;
   EXPECT_DEATH(s.Record(PeerId::Invalid(), PeerId(1), 10), "non-peer");
   EXPECT_DEATH(s.Record(PeerId(0), PeerId::Any(), 10), "non-peer");
   EXPECT_DEATH(s.RecordNotify(PeerId::Any(), PeerId(0), 10), "non-peer");
-  EXPECT_DEATH(s.Pair(PeerId::Invalid(), PeerId::Invalid()), "non-peer");
 }
 #endif
 

@@ -261,9 +261,9 @@ TEST(ReplicaManagerTest, OriginMutationInvalidatesOnNextLookup) {
   EXPECT_GT(f.sys.network().stats().remote_bytes(), 0u);
   EXPECT_LE(fresh->results.size(), 8u);  // the new, smaller document
 
-  const TransferCache* cache = f.sys.replicas().FindCache(f.client);
-  ASSERT_NE(cache, nullptr);
-  EXPECT_GE(cache->stats().invalidations, 1u);
+  // The drop emptied the client's cache, which was forgotten with its
+  // counters kept in the totals; the landing made a new one.
+  EXPECT_GE(f.sys.replicas().TotalStats().invalidations, 1u);
   // Re-cached at the new version.
   EXPECT_TRUE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
 }
@@ -410,6 +410,49 @@ TEST(ReplicaManagerTest, DurableWriteOntoCopySlotPromotesIt) {
   EXPECT_FALSE(f.sys.replicas().IsCachedCopy(f.client, "d"));
   EXPECT_EQ(client->GetDocument("d"), own);
   EXPECT_FALSE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
+}
+
+// --- Cache lifetime: a peer's cache lives while it holds something ---
+
+TEST(CacheLifetimeTest, AnEmptiedCacheIsForgottenAndItsCountersKept) {
+  TwoPeers f;
+  Evaluator ev(&f.sys, CachingOptions());
+  ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
+  ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());  // a hit
+  ASSERT_NE(f.sys.replicas().FindCache(f.client), nullptr);
+  TransferCacheStats expected = f.sys.replicas().TotalStats();
+  ASSERT_EQ(expected.hits, 1u);
+
+  ASSERT_TRUE(f.sys.replicas().DropCopy(f.client, f.origin, "d"));
+  EXPECT_EQ(f.sys.replicas().FindCache(f.client), nullptr);
+  ++expected.invalidations;
+  EXPECT_EQ(f.sys.replicas().TotalStats().ToString(), expected.ToString());
+
+  // The next read misses, pulls, and caches into a new cache.
+  ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
+  ++expected.misses;
+  ++expected.inserts;
+  EXPECT_EQ(f.sys.replicas().TotalStats().ToString(), expected.ToString());
+  const TransferCache* cache = f.sys.replicas().FindCache(f.client);
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->stats().inserts, 1u);
+  EXPECT_TRUE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
+}
+
+TEST(CacheLifetimeTest, AnEmptiedCacheWithItsOwnBudgetStays) {
+  TwoPeers f;
+  const uint64_t budget = 1 << 16;
+  ASSERT_NE(budget, f.sys.replicas().default_byte_budget());
+  f.sys.replicas().CacheFor(f.client)->set_byte_budget(budget);
+  Evaluator ev(&f.sys, CachingOptions());
+  ASSERT_TRUE(ev.Eval(f.client, f.Read()).ok());
+  ASSERT_TRUE(f.sys.replicas().HasFresh(f.client, f.origin, "d"));
+
+  ASSERT_TRUE(f.sys.replicas().DropCopy(f.client, f.origin, "d"));
+  const TransferCache* cache = f.sys.replicas().FindCache(f.client);
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->entry_count(), 0u);
+  EXPECT_EQ(cache->byte_budget(), budget);
 }
 
 // --- Push-based refresh (SubscriptionTable + RefreshPolicy) ---
@@ -1401,6 +1444,25 @@ TEST(PlacementTest, MidFlightMutationWastesTheShipmentWithoutStaleness) {
   EXPECT_FALSE(rig.sys.replicas().HasFresh(rig.hot, rig.origin, "d"));
   EXPECT_EQ(rig.sys.replicas().placement_stats().wasted, 1u);
   EXPECT_EQ(rig.sys.replicas().placement_stats().landed, 0u);
+}
+
+TEST(PlacementTest, DemandIsCountedOnlyWhilePlacementIsEnabled) {
+  PlacementRig rig;
+  Evaluator ev(&rig.sys);
+  auto read_three_times = [&] {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(ev.Eval(rig.hot, Expr::GenericDoc("cls")).ok());
+    }
+  };
+  rig.sys.replicas().placement().set_config(PlacementConfig{});  // off
+  read_three_times();
+  EXPECT_TRUE(rig.sys.generics().document_pick_demand().empty());
+
+  PlacementConfig on;
+  on.enabled = true;
+  rig.sys.replicas().placement().set_config(on);
+  read_three_times();
+  EXPECT_EQ(rig.sys.generics().DocumentPickDemand("cls", rig.hot), 3u);
 }
 
 TEST(PlacementTest, DisabledPolicyPlansNothing) {

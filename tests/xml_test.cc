@@ -90,6 +90,33 @@ TEST(XmlParserTest, SplitRunIsConcatenatedBeforeTrimming) {
   EXPECT_EQ(pi.value()->child(0)->text(), "xy z");
 }
 
+TEST(XmlParserTest, CdataIsLiteral) {
+  NodeIdGen gen;
+  auto r = ParseXml("<a><![CDATA[&lt;b&gt;]]></a>", &gen);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r.value()->child_count(), 1u);
+  EXPECT_EQ(r.value()->child(0)->text(), "&lt;b&gt;");
+
+  // Escaped text around a CDATA section is still resolved.
+  auto mixed = ParseXml("<a> &lt;<![CDATA[&gt;]]>&gt; </a>", &gen);
+  ASSERT_TRUE(mixed.ok()) << mixed.status();
+  ASSERT_EQ(mixed.value()->child_count(), 1u);
+  EXPECT_EQ(mixed.value()->child(0)->text(), "<&gt;>");
+}
+
+TEST(XmlParserTest, AnEntityDoesNotSpanAComment) {
+  NodeIdGen gen;
+  auto r = ParseXml("<a>&am<!--x-->p;</a>", &gen);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r.value()->child_count(), 1u);
+  EXPECT_EQ(r.value()->child(0)->text(), "&amp;");
+
+  auto pi = ParseXml("<a>&l<?p?>t;x</a>", &gen);
+  ASSERT_TRUE(pi.ok()) << pi.status();
+  ASSERT_EQ(pi.value()->child_count(), 1u);
+  EXPECT_EQ(pi.value()->child(0)->text(), "&lt;x");
+}
+
 TEST(XmlParserTest, RunsWithEntities) {
   NodeIdGen gen;
   auto r = ParseXml("<a>  &lt;b&gt; &amp; &#65;&#x42;&quot;&apos;  </a>", &gen);
